@@ -22,6 +22,7 @@ from .qexact import (
     Bracket,
     BracketProduct,
     InexactDivisionError,
+    IntegralityError,
     Laurent,
     ResidualRankError,
     SymExponent,
@@ -47,6 +48,7 @@ __all__ = [
     "BracketProduct",
     "CompositeDiagram",
     "InexactDivisionError",
+    "IntegralityError",
     "InvariantResult",
     "Laurent",
     "NPolynomial",

@@ -2,7 +2,7 @@
 
 All data goes to stdout in deterministic order; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 engine assertion failure.
+3 engine failure (a typed arithmetic error).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 from .partitions import CompositeDiagram, parse_weight
 from .qexact import (
     InexactDivisionError,
+    IntegralityError,
     ResidualRankError,
     dumps_poly,
 )
@@ -42,7 +43,7 @@ def cmd_compute(args):
         return 2
     try:
         result = composite_homfly(knot, lam, mu)
-    except (ResidualRankError, InexactDivisionError, AssertionError) as err:
+    except (ResidualRankError, InexactDivisionError, IntegralityError) as err:
         print("engine failure: %s" % err, file=sys.stderr)
         return 3
     if args.show_terms:

@@ -99,12 +99,14 @@ def _tpoly_divexact(a, b):
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
         c, r = divmod(a[-1], b[-1])
-        assert r == 0, "inexact Z[t] division"
+        if r:
+            raise InexactDivisionError("inexact Z[t] division")
         out[k] = c
         for i, y in enumerate(b):
             a[i + k] -= c * y
         _tpoly_strip(a)
-    assert not a, "inexact Z[t] division"
+    if a:
+        raise InexactDivisionError("inexact Z[t] division")
     return _tpoly_strip(out)
 
 

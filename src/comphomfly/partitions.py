@@ -279,12 +279,6 @@ class CompositeDiagram:
             raise ValueError("composite diagram needs a '|': %r" % text)
         return cls(Partition.parse(left), Partition.parse(right))
 
-    def swapped(self):
-        return CompositeDiagram(self.mu, self.lam)
-
-    def min_rank(self):
-        return len(self.lam) + len(self.mu)
-
     def at_N(self, N):
         return compose_at_N(self.lam, self.mu, N)
 

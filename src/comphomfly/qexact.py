@@ -11,6 +11,8 @@ printed or serialized form deterministic.
 from __future__ import annotations
 
 import hashlib
+import heapq
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,6 +27,10 @@ class InexactDivisionError(ArithmeticError):
 
 class ResidualRankError(ArithmeticError):
     """A symbolic exponent kept N^2 or 1/N parts where they must cancel."""
+
+
+class IntegralityError(ArithmeticError):
+    """A value the theory makes integral came out fractional; a formula bug."""
 
 
 class SignedExponentError(ValueError):
@@ -305,7 +311,9 @@ def exact_divide(num, den):
     engine is exact by theory, so a remainder always signals a bug.  The
     candidate quotient exponents are boxed by the factorization bounds
     min(num)-min(den) .. max(num)-max(den) per variable, which makes
-    non-divisibility detection terminate.
+    non-divisibility detection terminate.  The remainder is updated in
+    place; a max-heap holds its exponents in canonical order, and entries
+    whose term has since cancelled are skipped when popped.
     """
     if not isinstance(num, Laurent) or not isinstance(den, Laurent):
         raise TypeError("exact_divide wants Laurent arguments")
@@ -319,20 +327,41 @@ def exact_divide(num, den):
     drange = den.exponent_range()
     box = [(nl - dl, nh - dh) for (nl, nh), (dl, dh) in zip(nrange, drange)]
     lead_exps, lead_coeff = den.leading()
+    tail = [(e, c) for e, c in den.terms.items() if e != lead_exps]
+    key = num._order_key()
+
+    def entry(exps):
+        return tuple(-e for e in key(exps)), exps
+
+    rem = dict(num.terms)
+    heap = [entry(exps) for exps in rem]
+    heapq.heapify(heap)
     quotient = {}
-    rem = num
-    while rem:
-        rexps, rcoeff = rem.leading()
+    while heap:
+        rexps = heapq.heappop(heap)[1]
+        rcoeff = rem.get(rexps)
+        if rcoeff is None:
+            continue
         qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
         if rcoeff % lead_coeff or any(
             not (lo <= e <= hi) for e, (lo, hi) in zip(qexps, box)
         ):
-            raise InexactDivisionError("inexact polynomial division", rem)
+            raise InexactDivisionError(
+                "inexact polynomial division", Laurent(num.vars, rem)
+            )
         qc = rcoeff // lead_coeff
         quotient[qexps] = qc
-        piece = Laurent(num.vars)
-        piece.terms = {qexps: qc}
-        rem = rem - piece * den
+        del rem[rexps]
+        for dexps, dc in tail:
+            k = tuple(a + b for a, b in zip(qexps, dexps))
+            old = rem.get(k)
+            nc = (old or 0) - qc * dc
+            if not nc:
+                del rem[k]
+                continue
+            if old is None:
+                heapq.heappush(heap, entry(k))
+            rem[k] = nc
     out = Laurent(num.vars)
     out.terms = quotient
     return out
@@ -507,17 +536,6 @@ def bracket_numerator(b):
     return Laurent(("q", "a"), {(v2, u2): 1, (-v2, -u2): -1})
 
 
-def bracket_to_fraction(b):
-    """Numerator polynomial and the count of (q^1/2 - q^-1/2) denominators."""
-    return bracket_numerator(b), 1
-
-
-def eh_poly():
-    """The universal bracket denominator q^{1/2} - q^{-1/2}."""
-    half = Fraction(1, 2)
-    return Laurent(("q", "a"), {(half, Fraction(0)): 1, (-half, Fraction(0)): -1})
-
-
 def bracket_at_rank(b, N):
     """[u*N + v] as an honest quantum integer, Laurent in q^{1/2}."""
     m = b.u * N + b.v
@@ -554,23 +572,13 @@ class BracketProduct:
                     sign_flips += 1
                 if (u, v) != (0, 1):
                     target.append(Bracket(u, v))
-        num_count = _count(norm_num)
-        den_count = _count(norm_den)
-        for b in list(num_count):
-            if b in den_count:
-                k = min(num_count[b], den_count[b])
-                num_count[b] -= k
-                den_count[b] -= k
+        num_count, den_count = Counter(norm_num), Counter(norm_den)
         pre = prefactor if prefactor is not None else SymMonomial.one()
         if sign_flips % 2:
             pre = SymMonomial(-pre.sign, pre.exponent)
         self.prefactor = pre
-        self.num = tuple(
-            sorted(b for b, k in num_count.items() for _ in range(k))
-        )
-        self.den = tuple(
-            sorted(b for b, k in den_count.items() for _ in range(k))
-        )
+        self.num = tuple(sorted((num_count - den_count).elements()))
+        self.den = tuple(sorted((den_count - num_count).elements()))
 
     @classmethod
     def one(cls):
@@ -583,6 +591,13 @@ class BracketProduct:
             self.den + other.den,
         )
 
+    def __truediv__(self, other):
+        return BracketProduct(
+            self.prefactor * other.prefactor.power(-1),
+            self.num + other.den,
+            self.den + other.num,
+        )
+
     def __eq__(self, other):
         return (
             isinstance(other, BracketProduct)
@@ -593,22 +608,6 @@ class BracketProduct:
 
     def __hash__(self):
         return hash((self.prefactor, self.num, self.den))
-
-    def numerator_poly(self):
-        out = Laurent.one(("q", "a"))
-        for b in self.num:
-            out = out * bracket_numerator(b)
-        return out
-
-    def denominator_poly(self):
-        out = Laurent.one(("q", "a"))
-        for b in self.den:
-            out = out * bracket_numerator(b)
-        return out
-
-    def eh_balance(self):
-        """Count of (q^1/2 - q^-1/2) factors owed to the denominator."""
-        return len(self.num) - len(self.den)
 
     def at_rank(self, N):
         """Evaluate at a = q^N as an exact Laurent in q^{1/2}."""
@@ -643,13 +642,6 @@ class BracketProduct:
 
     __repr__ = render
     __str__ = render
-
-
-def _count(items):
-    out = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ invariant at a concrete rank and is used as the stabilization oracle.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,12 +27,13 @@ from .partitions import (
 from .qexact import (
     Bracket,
     BracketProduct,
+    IntegralityError,
     Laurent,
     SymExponent,
     SymMonomial,
+    UNIT_BRACKET,
     bracket_numerator,
     exact_divide,
-    eh_poly,
     sym_to_qa,
 )
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
@@ -49,7 +52,7 @@ class TorusKnot:
             r, s = s, r
         if s < 1 or r < 2:
             raise ValueError("torus knot needs r >= 2, s >= 1")
-        if _gcd(r, s) != 1:
+        if math.gcd(r, s) != 1:
             raise ValueError("(%d, %d) is a link, not a knot" % (r, s))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
@@ -61,12 +64,6 @@ class TorusKnot:
 
     def __str__(self):
         return "%d,%d" % (self.r, self.s)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def braiding_eigenvalue(lam, mu):
@@ -144,10 +141,10 @@ class FactoredTerm:
 
 @dataclass
 class InvariantResult:
-    """Engine output: normalized polynomial plus the factored expansion.
+    """Engine output: the normalized polynomial and the factored expansion.
 
-    `numerator`/`denominator` hold the unnormalized value as an exact
-    fraction over (q, a); normalized * dim == that fraction identically.
+    `terms` holds the unnormalized summands c * twist * dim[beta, gamma];
+    `normalized` times the color's quantum dimension equals their sum.
     """
 
     knot: TorusKnot
@@ -155,12 +152,7 @@ class InvariantResult:
     mu: Partition
     normalized: Laurent
     terms: list = field(default_factory=list)
-    numerator: Laurent = None
-    denominator: Laurent = None
     diagnostics: list = field(default_factory=list)
-
-    def unnormalized_fraction(self):
-        return self.numerator, self.denominator
 
     def diagnostics_text(self):
         lines = [
@@ -174,14 +166,30 @@ def _sorted_keys(expansion):
     return sorted(expansion, key=lambda bg: (bg[0].rows, bg[1].rows), reverse=True)
 
 
+def _bracket_fraction(dim):
+    """Bracket multisets (num, den) with dim = prod num / prod den as
+    polynomials: each bracket [b] is bracket_numerator(b) over the unit
+    bracket's numerator, and the unit brackets cancel like any other."""
+    num = Counter(dim.num) + Counter({UNIT_BRACKET: len(dim.den)})
+    den = Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)})
+    return num - den, den - num
+
+
 def _assemble(knot, lam, mu, expansion, theta_color):
-    """Common assembly: twist each term, expand over a common denominator,
-    and divide out the color's quantum dimension."""
+    """Twist each term and normalize it at the bracket level.
+
+    Each term's dimension is divided by the color's as a bracket product,
+    so shared brackets cancel as multisets before any polynomial work.  The
+    numerators are summed over the multiset-max common denominator, which
+    is then divided out one bracket at a time with exact division.
+    """
     r, s = knot.r, knot.s
     power = Fraction(r, s)  # the fractional eigenvalue power max/min
     pref = theta_color.power(-r * s)
+    color_dim = quantum_dimension(lam, mu)
     terms = []
     diagnostics = []
+    fractions = []
     for beta, gamma in _sorted_keys(expansion):
         coeff = expansion[(beta, gamma)]
         twist = pref * braiding_eigenvalue(beta, gamma).power(power)
@@ -189,60 +197,30 @@ def _assemble(knot, lam, mu, expansion, theta_color):
         diagnostics.append(
             "term %s|%s c=%d exponent %s" % (beta, gamma, coeff, twist.exponent.render())
         )
-        terms.append(
-            FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))
-        )
+        term = FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))
+        terms.append(term)
+        ratio = term.dimension / color_dim
+        num, den = _bracket_fraction(ratio)
+        fractions.append((sym_to_qa(twist * ratio.prefactor) * coeff, num, den))
 
-    common = {}
-    for term in terms:
-        seen = {}
-        for b in term.dimension.den:
-            seen[b] = seen.get(b, 0) + 1
-        for b, k in seen.items():
-            common[b] = max(common.get(b, 0), k)
-    eh_max = max((term.dimension.eh_balance() for term in terms), default=0)
-
+    common = Counter()
+    for _, _, den in fractions:
+        common |= den
     total = Laurent.zero(("q", "a"))
-    eh = eh_poly()
-    for term in terms:
-        piece = sym_to_qa(term.twist) * term.coefficient
-        piece = piece * term.dimension.numerator_poly()
-        missing = dict(common)
-        for b in term.dimension.den:
-            missing[b] -= 1
-        for b, k in missing.items():
-            for _ in range(k):
-                piece = piece * bracket_numerator(b)
-        for _ in range(eh_max - term.dimension.eh_balance()):
-            piece = piece * eh
+    for piece, num, den in fractions:
+        for b in sorted((num + common - den).elements()):
+            piece = piece * bracket_numerator(b)
         total = total + piece
-
-    bracket_common = Laurent.one(("q", "a"))
-    for b, k in sorted(common.items()):
-        for _ in range(k):
-            bracket_common = bracket_common * bracket_numerator(b)
-    denominator = bracket_common * eh**eh_max
-
-    # H = (total / denominator) / dim_color, with dim_color itself a
-    # bracket fraction carrying eh_balance() unit denominators.
-    color_dim = quantum_dimension(lam, mu)
-    num = total * color_dim.denominator_poly()
-    den = bracket_common * color_dim.numerator_poly()
-    balance = eh_max - color_dim.eh_balance()
-    if balance >= 0:
-        den = den * eh**balance
-    else:
-        num = num * eh ** (-balance)
-    normalized = exact_divide(num, den)
-    assert normalized.has_integer_exponents(), "normalized output must be integral"
+    for b in sorted(common.elements()):
+        total = exact_divide(total, bracket_numerator(b))
+    if not total.has_integer_exponents():
+        raise IntegralityError("normalized output must be integral")
     return InvariantResult(
         knot=knot,
         lam=lam,
         mu=mu,
-        normalized=normalized,
+        normalized=total,
         terms=terms,
-        numerator=total,
-        denominator=denominator,
         diagnostics=diagnostics,
     )
 
@@ -288,32 +266,12 @@ def qdim_at_rank(shape, N):
     """
     if len(shape) > N:
         raise RankTooSmallError("%s does not fit in rank %d" % (shape, N))
-    num, den = {}, {}
+    num, den = [], []
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            a = shape.row(i) - shape.row(j) + j - i
-            b = j - i
-            num[a] = num.get(a, 0) + 1
-            den[b] = den.get(b, 0) + 1
-    for m in list(num):
-        if m in den:
-            k = min(num[m], den[m])
-            num[m] -= k
-            den[m] -= k
-    poly = Laurent.one(("q",))
-    for m, k in num.items():
-        for _ in range(k):
-            poly = poly * _quantum_integer(m)
-    for m, k in den.items():
-        for _ in range(k):
-            poly = exact_divide(poly, _quantum_integer(m))
-    return poly
-
-
-def _quantum_integer(m):
-    out = Laurent(("q",))
-    out.terms = {(Fraction(m - 1, 2) - k,): 1 for k in range(m)}
-    return out
+            num.append(Bracket(0, shape.row(i) - shape.row(j) + j - i))
+            den.append(Bracket(0, j - i))
+    return BracketProduct(None, num, den).at_rank(N)
 
 
 def finite_N_oracle(knot, lam, mu, N):

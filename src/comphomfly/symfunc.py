@@ -20,6 +20,7 @@ from .partitions import (
     dual_at_N,
     reduce_columns,
 )
+from .qexact import IntegralityError
 
 
 class SizeMismatchError(ValueError):
@@ -161,38 +162,10 @@ def expansion_pairs(eta):
 # symmetric-group characters (Murnaghan-Nakayama)
 
 
-class CharacterCache:
-    """Memo table for character values keyed by (shape, class).
-
-    Values are pure functions of the key, so inserts are idempotent and
-    concurrent lookups/inserts are safe; a stale miss only recomputes.
-    """
-
-    def __init__(self):
-        self._table = {}
-
-    def __len__(self):
-        return len(self._table)
-
-    def get(self, key):
-        return self._table.get(key)
-
-    def put(self, key, value):
-        self._table[key] = value
-        return value
-
-    def evict(self, keys):
-        for key in keys:
-            self._table.pop(key, None)
-
-    def keys(self):
-        return list(self._table)
-
-    def clear(self):
-        self._table.clear()
-
-
-character_cache = CharacterCache()
+# memo table for character values keyed by (shape, class); values are pure
+# functions of the key, so concurrent inserts are idempotent and an evicted
+# entry is only recomputed
+character_cache = {}
 
 
 def _beta_set(lam, slots):
@@ -230,7 +203,8 @@ def _mn(lam, parts):
         return hit
     k, rest = parts[0], parts[1:]
     value = sum(sign * _mn(shape, rest) for shape, sign in _strip_removals(lam, k))
-    return character_cache.put(key, value)
+    character_cache[key] = value
+    return value
 
 
 def zclass(mu):
@@ -281,7 +255,8 @@ def adams_coefficients(lam, r):
     for nu in partitions_of(r * n):
         total = sum(w * sym_character(nu, rmu) for w, rmu in weights)
         if total:
-            assert total.denominator == 1, "non-integer Adams coefficient"
+            if total.denominator != 1:
+                raise IntegralityError("non-integer Adams coefficient")
             out[nu] = int(total)
     return dict(out)
 
@@ -445,7 +420,8 @@ def adams_at_rank(zeta, r, max_rows):
     out = {}
     for nu, c in acc.items():
         if c:
-            assert c.denominator == 1, "non-integer finite-rank expansion"
+            if c.denominator != 1:
+                raise IntegralityError("non-integer finite-rank expansion")
             out[nu] = int(c)
     return out
 
@@ -618,6 +594,7 @@ def schur_in_monomials(lam):
     out = {}
     for mu, c in acc.items():
         if c:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise IntegralityError("non-integer Kostka number")
             out[mu] = int(c)
     return out

@@ -370,7 +370,8 @@ def check_color_exchange(fixtures):
     The two-row/two-row polynomial is constructed from the two-column
     fixture via super-duality, both sides are specialized to t = q^{-1} and
     compared after tilde-normalization; a wrong-slope control at t = q^{-2}
-    must mismatch.
+    must mismatch.  The ordering check compares the [w2, 2w1] fixture under
+    the connection substitution with the engine's reversed color [2w1, w2].
     """
     w2w2 = fixtures["3_2:hd_1-1__1-1"].poly
     r2r2 = _sub_duality(w2w2)  # the [2|2]-colored polynomial, up to a monomial
@@ -388,11 +389,13 @@ def check_color_exchange(fixtures):
         )
     )
     swapped = fixtures["3_2:hd_1-1__2"]
+    diagram = swapped.diagram()
+    reordered = engine(swapped.knot, diagram.mu, diagram.lam).normalized
     reports.append(
         CheckReport.compare(
             "color-exchange:3_2:ordering",
-            at_slope(swapped.poly, 1),
-            at_slope(swapped.poly, 1),
+            tilde_normalize(_sub_connection(swapped.poly))[0],
+            tilde_normalize(reordered)[0],
             note="[w2,2w1] vs [2w1,w2] via ordering symmetry",
         )
     )

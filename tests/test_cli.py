@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +77,52 @@ def test_compute_engine_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "composite_homfly", boom)
     code, _, err = run(capsys, "compute", "--knot", "3,2", "--color", "0|1")
     assert code == 3 and "engine failure" in err
+
+
+OPTIMIZED_FAILURES = """
+import sys
+from fractions import Fraction
+from comphomfly import cli, macdonald, rosso, symfunc
+from comphomfly.partitions import EMPTY, Partition
+from comphomfly.qexact import (
+    InexactDivisionError, IntegralityError, SymExponent, SymMonomial,
+)
+
+assert not __debug__, "must run under python -O"
+try:
+    macdonald._tpoly_divexact([1, 0, 1], [1, 1])
+    sys.exit("inexact Z[t] division passed")
+except InexactDivisionError:
+    pass
+lam = Partition((1,))
+shifted = rosso.braiding_eigenvalue(EMPTY, lam) * SymMonomial(
+    1, SymExponent.make(e0=Fraction(1, 7))
+)
+try:
+    expansion = symfunc.composite_adams(EMPTY, lam, 2)
+    rosso._assemble(rosso.TorusKnot(3, 2), EMPTY, lam, expansion, shifted)
+    sys.exit("fractional normalized exponents passed")
+except IntegralityError:
+    pass
+true_zclass = symfunc.zclass
+symfunc.zclass = lambda mu: true_zclass(mu) + 1
+sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
+"""
+
+
+def test_typed_errors_survive_python_O():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_FAILURES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "engine failure: non-integer Adams coefficient" in proc.stderr
 
 
 def test_expand(capsys):

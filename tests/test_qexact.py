@@ -12,11 +12,10 @@ from comphomfly.qexact import (
     SignedExponentError,
     SymExponent,
     SymMonomial,
+    UNIT_BRACKET,
     bracket_at_rank,
     bracket_numerator,
-    bracket_to_fraction,
     dumps_poly,
-    eh_poly,
     exact_divide,
     loads_poly,
     parse_expr,
@@ -86,6 +85,43 @@ def test_exact_divide_failure_carries_remainder():
     assert err.value.remainder
 
 
+def reference_remainder(num, den):
+    """Leading-term elimination that rescans and copies on every step."""
+    box = [
+        (nl - dl, nh - dh)
+        for (nl, nh), (dl, dh) in zip(num.exponent_range(), den.exponent_range())
+    ]
+    lead_exps, lead_coeff = den.leading()
+    rem = num
+    while rem:
+        rexps, rcoeff = rem.leading()
+        qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
+        if rcoeff % lead_coeff or any(
+            not (lo <= e <= hi) for e, (lo, hi) in zip(qexps, box)
+        ):
+            return rem
+        rem = rem - Laurent(num.vars, {qexps: rcoeff // lead_coeff}) * den
+    return rem
+
+
+def test_exact_divide_remainder_is_exact():
+    # num - remainder is a multiple of den, and the remainder is the one the
+    # plain elimination loop stops at
+    rng = random.Random(211)
+    done = 0
+    while done < 200:
+        num = random_laurent(rng, terms=rng.randint(1, 6))
+        den = random_laurent(rng, terms=rng.randint(2, 4))
+        if not num or len(den.terms) < 2:
+            continue
+        try:
+            exact_divide(num, den)
+        except InexactDivisionError as err:
+            done += 1
+            exact_divide(num - err.remainder, den)
+            assert err.remainder == reference_remainder(num, den)
+
+
 def test_substitute_examples():
     p = parse_expr("a^2 + a", QTA)
     out = p.substitute({"a": (-1, {"t": 3})})
@@ -132,21 +168,37 @@ def test_sym_monomial_and_lowering():
 
 
 def test_bracket_fraction():
-    numer, count = bracket_to_fraction(Bracket(0, 1))
-    assert count == 1 and exact_divide(numer, eh_poly()) == Laurent.one(QA)
-    numer, _ = bracket_to_fraction(Bracket(0, 2))
-    assert exact_divide(numer, eh_poly()) == parse_expr("q^(1/2) + q^(-1/2)", QA)
-    numer, _ = bracket_to_fraction(Bracket(1, -1))
+    unit = bracket_numerator(UNIT_BRACKET)
+    numer = bracket_numerator(Bracket(0, 1))
+    assert exact_divide(numer, unit) == Laurent.one(QA)
+    numer = bracket_numerator(Bracket(0, 2))
+    assert exact_divide(numer, unit) == parse_expr("q^(1/2) + q^(-1/2)", QA)
+    numer = bracket_numerator(Bracket(1, -1))
     assert numer == parse_expr("a^(1/2)*q^(-1/2) - a^(-1/2)*q^(1/2)", QA)
 
 
 def test_bracket_finite_rank():
-    eh_q = eh_poly().substitute({"a": (1, {})})
+    unit_q = bracket_numerator(UNIT_BRACKET).substitute({"a": (1, {})})
     for u, v in [(0, 2), (1, 0), (1, -1), (1, 3), (2, -1)]:
         b = Bracket(u, v)
         for N in range(2, 7):
             numer = bracket_numerator(b).substitute({"a": (1, {"q": N})})
-            assert exact_divide(numer, eh_q) == bracket_at_rank(b, N), (u, v, N)
+            assert exact_divide(numer, unit_q) == bracket_at_rank(b, N), (u, v, N)
+
+
+def test_bracket_by_bracket_division():
+    rng = random.Random(23)
+    brackets = [Bracket(u, v) for u in (0, 1) for v in range(-3, 4) if (u, v) != (0, 0)]
+    for _ in range(40):
+        chosen = rng.choices(brackets, k=rng.randint(1, 5))
+        whole = Laurent.one(QA)
+        for b in chosen:
+            whole = whole * bracket_numerator(b)
+        num = random_laurent(rng, terms=rng.randint(1, 5)) * whole
+        stepwise = num
+        for b in chosen:
+            stepwise = exact_divide(stepwise, bracket_numerator(b))
+        assert stepwise == exact_divide(num, whole), chosen
 
 
 def test_bracket_product_canonical_form():
@@ -162,6 +214,9 @@ def test_bracket_product_canonical_form():
         BracketProduct(num=[Bracket(0, 0)])
     assert BracketProduct.one().render() == "1"
     assert bp.render() == "[N+1]/[N-1]"
+    ratio = bp / flipped
+    assert ratio.prefactor.sign == -1 and ratio.den == (Bracket(1, -1),) * 2
+    assert ratio * flipped == bp
 
 
 def test_serialization_round_trip():

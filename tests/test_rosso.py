@@ -6,9 +6,9 @@ from comphomfly.partitions import EMPTY, Partition, RankTooSmallError, compose_a
 from comphomfly.qexact import (
     Bracket,
     BracketProduct,
+    Laurent,
     SymExponent,
     SymMonomial,
-    eh_poly,
     parse_expr,
 )
 from comphomfly.rosso import (
@@ -164,18 +164,20 @@ def test_rank_cancellation_per_term():
 
 
 def test_normalization_identity():
+    # normalized * dim[lam,mu] == sum of c * twist * dim[beta,gamma], checked
+    # at ranks where no bracket of any term vanishes
     for lam, mu in [(EMPTY, P("2")), (P("1"), P("1")), (P("1,1"), P("2"))]:
         result = composite_homfly(TREFOIL, lam, mu)
-        num, den = result.unnormalized_fraction()
         dim = quantum_dimension(lam, mu)
-        balance = dim.eh_balance()
-        lhs = result.normalized * dim.numerator_poly() * den
-        rhs = num * dim.denominator_poly()
-        if balance >= 0:
-            rhs = rhs * eh_poly() ** balance
-        else:
-            lhs = lhs * eh_poly() ** (-balance)
-        assert lhs == rhs, (lam, mu)
+        rows = max(len(t.beta) + len(t.gamma) for t in result.terms)
+        rows = max(rows, len(lam) + len(mu))
+        for N in range(rows + 1, rows + 4):
+            lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim.at_rank(N)
+            rhs = Laurent.zero(("q",))
+            for t in result.terms:
+                summand = BracketProduct(t.twist) * t.dimension
+                rhs = rhs + summand.at_rank(N) * t.coefficient
+            assert lhs == rhs, (lam, mu, N)
 
 
 def test_finite_N_oracle_contract():

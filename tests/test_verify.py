@@ -124,6 +124,30 @@ def test_perturbed_fixture_fails_with_diff(fixtures):
     assert report.left and report.right
 
 
+def test_color_exchange_ordering_fails_on_flipped_coefficient(fixtures):
+    def ordering(fixture_set):
+        reports = verify.check_color_exchange(fixture_set)
+        (report,) = [r for r in reports if r.check_id == "color-exchange:3_2:ordering"]
+        return report
+
+    assert ordering(fixtures).status == "PASS"
+    original = fixtures["3_2:hd_1-1__2"]
+    damaged_terms = dict(original.poly.terms)
+    key = next(iter(damaged_terms))
+    damaged_terms[key] = -damaged_terms[key]
+    damaged = dict(fixtures)
+    damaged[original.id] = verify.Fixture(
+        id=original.id,
+        knot=original.knot,
+        color=original.color,
+        poly=Laurent(original.poly.vars, damaged_terms),
+        source=original.source,
+    )
+    report = ordering(damaged)
+    assert report.status == "FAIL"
+    assert report.left and report.right
+
+
 def test_corrupted_fixture_file_detected(tmp_path):
     src = verify.fixture_root()
     dst = tmp_path / "fixtures"
