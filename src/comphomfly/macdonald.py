@@ -12,12 +12,13 @@ everything at desk scale.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from .partitions import Partition, dual_at_N
-from .qexact import InexactDivisionError, Laurent, exact_divide
+from .qexact import InexactDivisionError, Laurent, common_terms, exact_divide
 from .symfunc import (
     monomial_power_matrix,
     partitions_of,
@@ -81,15 +82,6 @@ def _tpoly_scale(a, c):
     return [x * c for x in a] if c else []
 
 
-def _tpoly_content(a):
-    import math
-
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    return g
-
-
 def _tpoly_divexact(a, b):
     """Exact division in Z[t]; remainder must vanish."""
     if not b:
@@ -112,10 +104,8 @@ def _tpoly_divexact(a, b):
 
 def _tpoly_gcd(a, b):
     """Primitive-PRS gcd in Z[t]."""
-    import math
-
     a, b = _tpoly_strip(list(a)), _tpoly_strip(list(b))
-    ca, cb = _tpoly_content(a), _tpoly_content(b)
+    ca, cb = math.gcd(*a), math.gcd(*b)
     c = math.gcd(ca, cb)
     if not a:
         return b and _tpoly_scale(b, cb and c // cb) or ([c] if c else [])
@@ -134,7 +124,7 @@ def _tpoly_gcd(a, b):
             for i, y in enumerate(b):
                 r[i + k] -= lead * y
             _tpoly_strip(r)
-        cr = _tpoly_content(r)
+        cr = math.gcd(*r)
         a, b = b, ([x // cr for x in r] if cr else [])
     if a and a[-1] < 0:
         a = _tpoly_scale(a, -1)
@@ -246,31 +236,19 @@ class QTFraction:
             return exact_divide(num, den), _ONE
         except InexactDivisionError:
             pass
-        import math
-
-        content = 0
-        for c in num.terms.values():
-            content = math.gcd(content, abs(c))
-        for c in den.terms.values():
-            content = math.gcd(content, abs(c))
-        nlo = [lo for lo, _ in num.exponent_range()]
-        dlo = [lo for lo, _ in den.exponent_range()]
-        shift = [min(a, b) for a, b in zip(nlo, dlo)]
+        nterms, dterms, scale = common_terms(num, den)
+        content = math.gcd(*nterms.values(), *dterms.values())
+        shift = [min(col) for col in zip(*nterms, *dterms)]
         if content > 1 or any(shift):
-            num = Laurent(
-                num.vars,
-                {
+
+            def shifted(terms):
+                return {
                     tuple(e - s for e, s in zip(exps, shift)): c // content
-                    for exps, c in num.terms.items()
-                },
-            )
-            den = Laurent(
-                den.vars,
-                {
-                    tuple(e - s for e, s in zip(exps, shift)): c // content
-                    for exps, c in den.terms.items()
-                },
-            )
+                    for exps, c in terms.items()
+                }
+
+            num = Laurent(num.vars, shifted(nterms), scale)
+            den = Laurent(den.vars, shifted(dterms), scale)
         num, den = QTFraction._cancel_gcd(num, den)
         if den.leading()[1] < 0:
             num, den = -num, -den
@@ -278,35 +256,13 @@ class QTFraction:
 
     @staticmethod
     def _cancel_gcd(num, den):
-        # exponents are nonnegative here; rational ones go on an integer
-        # grid scaled by the per-variable denominator lcm
-        import math
-
-        scale = [1, 1]
-        for p in (num, den):
-            for exps in p.terms:
-                for i, e in enumerate(exps):
-                    scale[i] = scale[i] * e.denominator // math.gcd(
-                        scale[i], e.denominator
-                    )
-
-        def grid(p):
-            return {
-                (int(exps[0] * scale[0]), int(exps[1] * scale[1])): c
-                for exps, c in p.terms.items()
-            }
-
-        g = _biv_gcd(grid(num), grid(den))
-        gterms = _biv_to_terms(g)
+        # exponents are nonnegative here, and the int keys over the common
+        # denominator are the integer grid _biv_gcd works on
+        nterms, dterms, scale = common_terms(num, den)
+        gterms = _biv_to_terms(_biv_gcd(nterms, dterms))
         if len(gterms) <= 1:
             return num, den
-        gpoly = Laurent(
-            QT,
-            {
-                (Fraction(dq, scale[0]), Fraction(dt, scale[1])): c
-                for (dq, dt), c in gterms.items()
-            },
-        )
+        gpoly = Laurent(QT, gterms, scale)
         return exact_divide(num, gpoly), exact_divide(den, gpoly)
 
     @classmethod
@@ -377,12 +333,11 @@ def _embed(p, vars):
     if p.vars == tuple(vars):
         return p
     idx = [p.vars.index(v) if v in p.vars else None for v in vars]
-    out = Laurent(tuple(vars))
-    out.terms = {
-        tuple(exps[i] if i is not None else Fraction(0) for i in idx): c
+    terms = {
+        tuple(exps[i] if i is not None else 0 for i in idx): c
         for exps, c in p.terms.items()
     }
-    return out
+    return Laurent(vars, terms, p.den)
 
 
 QTF_ZERO = QTFraction(0)
@@ -548,9 +503,9 @@ def _operator_matrix(degree, n):
             xs = exps[xslice]
             if tuple(sorted(xs, reverse=True)) != xs:
                 continue
-            nu = Partition(int(e) for e in xs)
+            nu = Partition(e // action.den for e in xs)
             entry = row.setdefault(nu, Laurent.zero(QT))
-            row[nu] = entry + Laurent(QT, {exps[:2]: coeff})
+            row[nu] = entry + Laurent(QT, {exps[:2]: coeff}, action.den)
         out[mu] = {nu: c for nu, c in row.items() if c}
     return out
 

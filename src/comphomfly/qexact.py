@@ -2,18 +2,25 @@
 
 Polynomials live over arbitrary-precision integer coefficients with exact
 rational exponents (halves come from brackets, smaller denominators from the
-exceptional-series substitutions).  Engine output uses variables (q, a),
-fixtures (q, t, a), finite-rank cross-checks (q,).  Canonical term order is
-lexicographic on (a-exponent, q-exponent, t-exponent), which makes every
-printed or serialized form deterministic.
+exceptional-series substitutions).  A polynomial stores int exponent tuples
+over one positive denominator, so the ring operations and exact division
+never touch a Fraction; Fractions appear only where exponents cross the
+boundary (term files, parsing, printing, inspection and substitution
+arguments).  Engine output uses variables (q, a), fixtures (q, t, a),
+finite-rank cross-checks (q,).  Canonical term order is lexicographic on
+(a-exponent, q-exponent, t-exponent), which makes every printed or
+serialized form deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -52,23 +59,32 @@ def _storage_rank(name):
 
 
 class Laurent:
-    """Laurent polynomial with Fraction exponents over fixed variables.
+    """Laurent polynomial with rational exponents over fixed variables.
 
-    `vars` is a tuple of variable names; `terms` maps exponent tuples
-    (aligned with `vars`) to nonzero ints.  Values are treated as immutable:
-    every operation returns a fresh instance.
+    `vars` is a tuple of variable names.  `terms` maps int exponent tuples
+    (aligned with `vars`) to nonzero ints, and `den` is one positive int
+    for the whole polynomial: the true exponent of a key entry k is k/den.
+    The form is canonical, gcd(den, every key entry) == 1, so zero and the
+    constants have den 1 and equality is plain dict equality.  Values are
+    treated as immutable: every operation returns a fresh instance.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
-    def __init__(self, vars, terms=None):
+    def __init__(self, vars, terms=None, den=1):
+        """Key entries may be ints or Fractions; each one means entry/den."""
+        if not isinstance(den, int) or den < 1:
+            raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
         clean = {}
         if terms:
+            scale = math.lcm(*(e.denominator for exps in terms for e in exps))
             for exps, coeff in terms.items():
                 if coeff:
-                    clean[tuple(Fraction(e) for e in exps)] = int(coeff)
-        self.terms = clean
+                    key = tuple(e.numerator * (scale // e.denominator) for e in exps)
+                    clean[key] = int(coeff)
+            den *= scale
+        self.terms, self.den = _canonical(clean, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -78,7 +94,7 @@ class Laurent:
 
     @classmethod
     def one(cls, vars):
-        return cls(vars, {(Fraction(0),) * len(tuple(vars)): 1})
+        return cls(vars, {(0,) * len(tuple(vars)): 1})
 
     @classmethod
     def monomial(cls, vars, coeff, **exps):
@@ -95,54 +111,47 @@ class Laurent:
 
     # -- ring operations -----------------------------------------------------
 
-    def _check(self, other):
-        if not isinstance(other, Laurent):
-            raise TypeError("expected Laurent, got %r" % (other,))
-        if other.vars != self.vars:
-            raise ValueError("variable mismatch: %s vs %s" % (self.vars, other.vars))
-
     def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
+        mine, theirs, den = common_terms(self, other)
+        terms = dict(mine)
+        for exps, c in theirs.items():
             nc = terms.get(exps, 0) + c
             if nc:
                 terms[exps] = nc
             else:
-                terms.pop(exps, None)
-        out = Laurent(self.vars)
-        out.terms = terms
-        return out
+                del terms[exps]
+        return _build(self.vars, terms, den)
 
     def __neg__(self):
-        out = Laurent(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _build(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = Laurent(self.vars)
-            if other:
-                out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
-        self._check(other)
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
+            if not other:
+                return Laurent(self.vars)
+            return _build(
+                self.vars, {e: c * other for e, c in self.terms.items()}, self.den
+            )
+        small, large, den = common_terms(self, other)
+        if len(small) > len(large):
+            small, large = large, small
         acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                nc = acc.get(key, 0) + c1 * c2
-                if nc:
-                    acc[key] = nc
-                else:
-                    del acc[key]
-        out = Laurent(self.vars)
-        out.terms = acc
-        return out
+        get = acc.get
+        if len(self.vars) == 2:
+            flat = [(a, b, c) for (a, b), c in large.items()]
+            for (a1, b1), c1 in small.items():
+                for a2, b2, c2 in flat:
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = get(key, 0) + c1 * c2
+        else:
+            for e1, c1 in small.items():
+                for e2, c2 in large.items():
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = get(key, 0) + c1 * c2
+        return _build(self.vars, {k: c for k, c in acc.items() if c}, den)
 
     __rmul__ = __mul__
 
@@ -162,58 +171,64 @@ class Laurent:
         return (
             isinstance(other, Laurent)
             and self.vars == other.vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __bool__(self):
         return bool(self.terms)
 
-    # -- inspection ----------------------------------------------------------
+    # -- inspection (exponents come out as Fractions) -------------------------
 
     def _order_key(self):
         order = sorted(range(len(self.vars)), key=lambda i: _var_rank(self.vars[i]))
         return lambda exps: tuple(exps[i] for i in order)
 
+    def _exponents(self, exps):
+        return tuple(Fraction(e, self.den) for e in exps)
+
     def sorted_terms(self):
         key = self._order_key()
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        ordered = sorted(self.terms.items(), key=lambda item: key(item[0]))
+        return [(self._exponents(exps), c) for exps, c in ordered]
 
     def leading(self):
         """Highest term in canonical order: (exponents, coefficient)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = self._order_key()
-        exps = max(self.terms, key=key)
-        return exps, self.terms[exps]
+        exps = max(self.terms, key=self._order_key())
+        return self._exponents(exps), self.terms[exps]
 
     def exponent_range(self):
         """Per-variable (min, max) exponent pairs."""
         if not self.terms:
             raise ValueError("zero polynomial has no exponent range")
-        lo = [min(e[i] for e in self.terms) for i in range(len(self.vars))]
-        hi = [max(e[i] for e in self.terms) for i in range(len(self.vars))]
-        return list(zip(lo, hi))
+        return [
+            (Fraction(lo, self.den), Fraction(hi, self.den))
+            for lo, hi in _span(self.terms)
+        ]
 
     def degree(self, name):
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return Fraction(max(e[i] for e in self.terms), self.den)
 
     def coefficient_of(self, name, power):
         """Coefficient of name^power, a Laurent in the remaining variables."""
         i = self.vars.index(name)
         rest = tuple(v for v in self.vars if v != name)
-        out = Laurent(rest)
-        power = Fraction(power)
-        acc = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                key = tuple(e for j, e in enumerate(exps) if j != i)
-                acc[key] = acc.get(key, 0) + c
-        out.terms = {k: v for k, v in acc.items() if v}
-        return out
+        target = Fraction(power) * self.den
+        if target.denominator != 1:
+            return Laurent(rest)
+        target = int(target)
+        terms = {
+            exps[:i] + exps[i + 1 :]: c
+            for exps, c in self.terms.items()
+            if exps[i] == target
+        }
+        return _build(rest, terms, self.den)
 
     def has_integer_exponents(self):
-        return all(e.denominator == 1 for exps in self.terms for e in exps)
+        return self.den == 1
 
     def __str__(self):
         if not self.terms:
@@ -256,40 +271,43 @@ class Laurent:
         for name in assignments:
             if name not in self.vars:
                 raise ValueError("substituting absent variable %r" % name)
-        new_vars = tuple(v for v in self.vars if v not in assignments)
-        targets = set(new_vars)
+        targets = {v for v in self.vars if v not in assignments}
         for sign, mono in assignments.values():
             if sign not in (1, -1):
                 raise ValueError("sign must be +-1")
             targets.update(mono)
         new_vars = tuple(sorted(targets, key=_storage_rank))
-        out = Laurent(new_vars)
+        column = {v: j for j, v in enumerate(new_vars)}
+        # one scale puts every target exponent on the int grid
+        scale = math.lcm(
+            *(Fraction(e).denominator for _, m in assignments.values() for e in m.values())
+        )
+        plan = []  # per source variable: (name, sign, [(column, int factor)])
+        for name in self.vars:
+            sign, mono = assignments.get(name, (1, {name: 1}))
+            factors = [(column[t], int(Fraction(e) * scale)) for t, e in mono.items()]
+            plan.append((name, sign, factors))
+        den = self.den
         acc = {}
         for exps, coeff in self.terms.items():
-            new_exps = {v: Fraction(0) for v in new_vars}
-            sign_total = 1
-            for name, e in zip(self.vars, exps):
-                if name in assignments:
-                    sign, mono = assignments[name]
-                    if sign == -1:
-                        if e.denominator != 1:
-                            raise SignedExponentError(
-                                "(-1)^(%s) undefined substituting %s" % (e, name)
-                            )
-                        if e.numerator % 2:
-                            sign_total = -sign_total
-                    for tname, texp in mono.items():
-                        new_exps[tname] += Fraction(texp) * e
-                else:
-                    new_exps[name] += e
-            key = tuple(new_exps[v] for v in new_vars)
-            nc = acc.get(key, 0) + sign_total * coeff
+            new_exps = [0] * len(new_vars)
+            for e, (name, sign, factors) in zip(exps, plan):
+                if sign == -1:
+                    if e % den:
+                        raise SignedExponentError(
+                            "(-1)^(%s) undefined substituting %s" % (Fraction(e, den), name)
+                        )
+                    if (e // den) % 2:
+                        coeff = -coeff
+                for j, f in factors:
+                    new_exps[j] += f * e
+            key = tuple(new_exps)
+            nc = acc.get(key, 0) + coeff
             if nc:
                 acc[key] = nc
             else:
                 del acc[key]
-        out.terms = acc
-        return out
+        return _build(new_vars, acc, den * scale)
 
     def rename(self, mapping):
         """Plain variable renaming (no merging allowed)."""
@@ -297,11 +315,49 @@ class Laurent:
         if len(set(new)) != len(new):
             raise ValueError("rename collides variables")
         order = sorted(range(len(new)), key=lambda i: _storage_rank(new[i]))
-        out = Laurent(tuple(new[i] for i in order))
-        out.terms = {
-            tuple(exps[i] for i in order): c for exps, c in self.terms.items()
-        }
-        return out
+        terms = {tuple(exps[i] for i in order): c for exps, c in self.terms.items()}
+        return _build(tuple(new[i] for i in order), terms, self.den)
+
+
+def _canonical(terms, den):
+    """Int-keyed terms over den in lowest terms: gcd(den, every entry) == 1."""
+    if den > 1:
+        g = math.gcd(den, *chain.from_iterable(terms))
+        if g > 1:
+            den //= g
+            terms = {tuple([e // g for e in exps]): c for exps, c in terms.items()}
+    return terms, den
+
+
+def _build(vars, terms, den):
+    """A Laurent from int-keyed terms with nonzero coefficients over den."""
+    out = Laurent.__new__(Laurent)
+    out.vars = vars
+    out.terms, out.den = _canonical(terms, den)
+    return out
+
+
+def _rescaled(terms, k):
+    if k == 1:
+        return terms
+    return {tuple([e * k for e in exps]): c for exps, c in terms.items()}
+
+
+def _span(terms):
+    """Per-variable (min, max) of the int exponent keys."""
+    return [(min(col), max(col)) for col in zip(*terms)]
+
+
+def common_terms(p, r):
+    """The term dicts of p and r rescaled to the lcm of their dens, and that lcm."""
+    if not isinstance(r, Laurent):
+        raise TypeError("expected Laurent, got %r" % (r,))
+    if r.vars != p.vars:
+        raise ValueError("variable mismatch: %s vs %s" % (p.vars, r.vars))
+    if p.den == r.den:
+        return p.terms, r.terms, p.den
+    den = math.lcm(p.den, r.den)
+    return _rescaled(p.terms, den // p.den), _rescaled(r.terms, den // r.den), den
 
 
 def exact_divide(num, den):
@@ -313,7 +369,8 @@ def exact_divide(num, den):
     min(num)-min(den) .. max(num)-max(den) per variable, which makes
     non-divisibility detection terminate.  The remainder is updated in
     place; a max-heap holds its exponents in canonical order, and entries
-    whose term has since cancelled are skipped when popped.
+    whose term has since cancelled are skipped when popped.  Everything
+    runs on the int keys over the two operands' common denominator.
     """
     if not isinstance(num, Laurent) or not isinstance(den, Laurent):
         raise TypeError("exact_divide wants Laurent arguments")
@@ -323,17 +380,17 @@ def exact_divide(num, den):
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return Laurent.zero(num.vars)
-    nrange = num.exponent_range()
-    drange = den.exponent_range()
-    box = [(nl - dl, nh - dh) for (nl, nh), (dl, dh) in zip(nrange, drange)]
-    lead_exps, lead_coeff = den.leading()
-    tail = [(e, c) for e, c in den.terms.items() if e != lead_exps]
+    rem, divisor, scale = common_terms(num, den)
+    rem = dict(rem)
+    box = [(nl - dl, nh - dh) for (nl, nh), (dl, dh) in zip(_span(rem), _span(divisor))]
     key = num._order_key()
+    lead_exps = max(divisor, key=key)
+    lead_coeff = divisor[lead_exps]
+    tail = [(e, c) for e, c in divisor.items() if e != lead_exps]
 
     def entry(exps):
-        return tuple(-e for e in key(exps)), exps
+        return tuple([-e for e in key(exps)]), exps
 
-    rem = dict(num.terms)
     heap = [entry(exps) for exps in rem]
     heapq.heapify(heap)
     quotient = {}
@@ -342,18 +399,18 @@ def exact_divide(num, den):
         rcoeff = rem.get(rexps)
         if rcoeff is None:
             continue
-        qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
+        qexps = tuple(map(sub, rexps, lead_exps))
         if rcoeff % lead_coeff or any(
             not (lo <= e <= hi) for e, (lo, hi) in zip(qexps, box)
         ):
             raise InexactDivisionError(
-                "inexact polynomial division", Laurent(num.vars, rem)
+                "inexact polynomial division", _build(num.vars, rem, scale)
             )
         qc = rcoeff // lead_coeff
         quotient[qexps] = qc
         del rem[rexps]
         for dexps, dc in tail:
-            k = tuple(a + b for a, b in zip(qexps, dexps))
+            k = tuple(map(add, qexps, dexps))
             old = rem.get(k)
             nc = (old or 0) - qc * dc
             if not nc:
@@ -362,26 +419,24 @@ def exact_divide(num, den):
             if old is None:
                 heapq.heappush(heap, entry(k))
             rem[k] = nc
-    out = Laurent(num.vars)
-    out.terms = quotient
-    return out
+    return _build(num.vars, quotient, scale)
 
 
 def tilde_normalize(p):
     """Divide out the per-variable lowest monomial; return (result, extracted).
 
-    The extracted part is a {variable: exponent} dict.  Whether the result
-    has nonnegative exponents and unit constant term is the caller's claim
-    to assert, not enforced here.
+    The extracted part is a {variable: Fraction exponent} dict.  Whether
+    the result has nonnegative exponents and unit constant term is the
+    caller's claim to assert, not enforced here.
     """
     if not p:
         raise ValueError("cannot tilde-normalize zero")
-    mins = [lo for lo, _ in p.exponent_range()]
-    out = Laurent(p.vars)
-    out.terms = {
+    mins = [lo for lo, _ in _span(p.terms)]
+    terms = {
         tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()
     }
-    return out, dict(zip(p.vars, mins))
+    extracted = {v: Fraction(m, p.den) for v, m in zip(p.vars, mins)}
+    return _build(p.vars, terms, p.den), extracted
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +587,7 @@ UNIT_BRACKET = Bracket(0, 1)
 
 def bracket_numerator(b):
     """a^{u/2} q^{v/2} - a^{-u/2} q^{-v/2} over (q, a)."""
-    u2, v2 = Fraction(b.u, 2), Fraction(b.v, 2)
-    return Laurent(("q", "a"), {(v2, u2): 1, (-v2, -u2): -1})
+    return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
 
 
 def bracket_at_rank(b, N):
@@ -542,11 +596,7 @@ def bracket_at_rank(b, N):
     sign = 1
     if m < 0:
         m, sign = -m, -1
-    out = Laurent(("q",))
-    out.terms = {
-        (Fraction(m - 1, 2) - k,): sign for k in range(m)
-    }
-    return out
+    return _build(("q",), {(m - 1 - 2 * k,): sign for k in range(m)}, 2)
 
 
 class BracketProduct:
@@ -617,7 +667,7 @@ class BracketProduct:
         for b in self.den:
             num = exact_divide(num, bracket_at_rank(b, N))
         exp = self.prefactor.exponent.at_rank(N)
-        mono = Laurent(("q",), {(exp,): self.prefactor.sign})
+        mono = _build(("q",), {(exp.numerator,): self.prefactor.sign}, exp.denominator)
         return num * mono
 
     def render(self):
@@ -765,7 +815,7 @@ class _ExprParser:
                 if coeff != 1:
                     raise ValueError("fractional power of signed monomial")
                 return Laurent(
-                    base.vars, {tuple(e * power for e in exps): 1}
+                    base.vars, {tuple(e * power for e in exps): 1}, base.den
                 )
             n = power.numerator
             if n >= 0:
@@ -776,7 +826,7 @@ class _ExprParser:
             if abs(coeff) != 1:
                 raise ValueError("negative power with non-unit coefficient")
             return Laurent(
-                base.vars, {tuple(e * n for e in exps): coeff if n % 2 else 1}
+                base.vars, {tuple(e * n for e in exps): coeff if n % 2 else 1}, base.den
             )
         return base
 
@@ -820,7 +870,7 @@ class _ExprParser:
             self.pos += 1
             return value
         if ch.isdigit():
-            return Laurent(self.vars, {(Fraction(0),) * len(self.vars): self.integer()})
+            return Laurent(self.vars, {(0,) * len(self.vars): self.integer()})
         if ch.isalpha():
             name = ch
             self.pos += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -148,6 +149,33 @@ def test_verify_suite(capsys):
     assert statuses <= {"PASS", "SKIP"}
 
 
+LADDER = [
+    ("3,2", "1|1"),
+    ("5,2", "2|1"),
+    ("4,3", "1|1"),
+    ("4,3", "2|1"),
+    ("3,2", "2|2,1"),
+    ("4,3", "2|2"),
+    ("3,2", "2,1|2,1"),
+]
+
+
+def test_ladder_term_files_match_recorded_checksums(capsys):
+    # the benchmark ladder's term files, byte for byte, against the sha256
+    # sums recorded next to the benchmark
+    root = pathlib.Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "perfbench" / "expected.json").read_text())
+    recorded = expected["engine-ladder"]
+    assert len(recorded) == len(LADDER)
+    for knot, color in LADDER:
+        code, out, _ = run(
+            capsys, "compute", "--knot", knot, "--color", color, "--format", "term-file"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == recorded["compute T(%s) [%s]" % (knot, color)], (knot, color)
+
+
 def test_verify_connection_has_eight_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "connection")
     assert code == 0
@@ -168,8 +196,12 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     damaged[key] += 1
     from comphomfly.qexact import Laurent
 
+    damaged = Laurent(poly.vars, damaged, poly.den)
+    before, after = dict(poly.sorted_terms()), dict(damaged.sorted_terms())
+    changed = [e for e in before.keys() | after.keys() if before.get(e) != after.get(e)]
+    assert len(changed) == 1
     meta.pop("checksum", None)
-    target.write_text(dumps_poly(Laurent(poly.vars, damaged), meta))
+    target.write_text(dumps_poly(damaged, meta))
     code, out, err = run(
         capsys, "verify", "--suite", "connection", "--fixtures", str(dst)
     )

@@ -27,9 +27,11 @@ QA = ("q", "a")
 QTA = ("q", "t", "a")
 
 
-def random_laurent(rng, vars=QA, terms=4, span=3, halves=True):
+def random_laurent(rng, vars=QA, terms=4, span=3):
+    # denominators 3 and 6 are the nu = 1/3 exceptional case; operands of
+    # one test often differ in den, which covers the mixed operations
     out = Laurent.zero(vars)
-    denom = 2 if halves else 1
+    denom = rng.choice((1, 2, 3, 6))
     for _ in range(terms):
         exps = {
             v: Fraction(rng.randint(-span * denom, span * denom), denom)
@@ -52,6 +54,44 @@ def test_ring_axioms():
         assert a * (b + c) == a * b + a * c
         assert a - a == Laurent.zero(QA)
         assert a * Laurent.one(QA) == a
+
+
+def test_denominator_canonical_form():
+    # 3*q^(1/2)*a + q^(-3/2), whose canonical den is 2, written over den 4
+    p = Laurent(QA, {(2, 4): 3, (-6, 0): 1}, 4)
+    assert p.den == 2 and p.terms == {(1, 2): 3, (-3, 0): 1}
+    assert p == Laurent(QA, {(1, 2): 3, (-3, 0): 1}, 2)
+    assert p == parse_expr("3*q^(1/2)*a + q^(-3/2)", QA)
+    assert p == Laurent(QA, {(Fraction(1, 2), 1): 3, (Fraction(-3, 2), 0): 1})
+    assert Laurent(p.vars, dict(p.terms), p.den) == p
+    half = Laurent.monomial(QA, 1, q=Fraction(1, 2))
+    third = Laurent.monomial(QA, 1, a=Fraction(1, 3))
+    assert (half * half).den == 1 and (half * half).has_integer_exponents()
+    assert (half + third).den == 6 and (half * third - third * half) == Laurent.zero(QA)
+    assert (half + third - half) == third and (half + third - half).den == 3
+    assert Laurent(QA, {(0, 0): 5}, 6).den == 1
+    assert Laurent(QA, {(1, 0): 0}, 3) == Laurent.zero(QA) and Laurent.zero(QA).den == 1
+    with pytest.raises(ValueError):
+        Laurent(QA, {(1, 0): 1}, 0)
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    # the hot path runs on int keys: operands are built first, then any
+    # Fraction construction inside +, -, * or exact_divide fails
+    rng = random.Random(5)
+    pairs = [(random_laurent(rng), random_laurent(rng)) for _ in range(20)]
+    brackets = [bracket_numerator(Bracket(u, v)) for u, v in ((0, 3), (1, -2), (2, 1))]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the int-key path")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for a, b in pairs:
+        product = (a + b) * b * 3 - a
+        if b:
+            assert exact_divide(product * b, b) == product
+    for b in brackets:
+        assert exact_divide(b * brackets[0], b) == brackets[0]
 
 
 def test_exact_divide_round_trip():

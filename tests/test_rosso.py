@@ -197,22 +197,6 @@ def test_t52_fundamental_matches_sl2_oracle():
     assert specialized == finite_N_oracle(knot, EMPTY, P("1"), 2)
 
 
-def test_stabilization_off_fixture_colors():
-    # knots and colors beyond the fixture set, exercising deeper telescopes
-    cases = [
-        (TorusKnot(5, 2), P("1"), P("1")),
-        (TorusKnot(5, 3), P("1"), P("1")),
-        (TorusKnot(3, 2), P("2,1"), P("2,1")),
-        (TorusKnot(3, 2), P("2,2"), P("1")),
-    ]
-    for knot, lam, mu in cases:
-        engine = composite_homfly(knot, lam, mu).normalized
-        base = len(lam) + len(mu)
-        for N in range(base, base + 2):
-            specialized = engine.substitute({"a": (1, {"q": N})})
-            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, lam, mu, N)
-
-
 def test_concurrent_evaluation_is_deterministic():
     # pure computation over immutable inputs plus an idempotent character
     # cache: concurrent runs must reproduce the serial results exactly
@@ -237,17 +221,27 @@ def test_concurrent_evaluation_is_deterministic():
     assert results == (serial * 3)
 
 
-def test_stabilization_spot_checks():
-    for knot, lam, mu in [
-        (TREFOIL, P("1"), P("1")),
-        (TREFOIL, P("2"), P("1")),
-        (T43, P("1"), P("1")),
-    ]:
+GRID_KNOTS = [TorusKnot(r, s) for r, s in ((3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (5, 4))]
+GRID_COLORS = [
+    "1|1", "2|1", "1,1|1", "1|2", "1|1,1",
+    "1|", "2|", "1,1|", "3|", "2,1|", "1,1,1|",
+]
+
+
+@pytest.mark.slow
+def test_stabilization_grid():
+    # every color with |lam|+|mu| <= 3 on six torus knots, plus two larger
+    # colors on the trefoil: the engine at a = q^N against the finite-rank
+    # oracle at four ranks from the smallest one the color fits
+    cases = [(knot, color) for knot in GRID_KNOTS for color in GRID_COLORS]
+    cases += [(TREFOIL, "2,1|2,1"), (TREFOIL, "2,2|1")]
+    for knot, color in cases:
+        lam, mu = (P(side) if side else EMPTY for side in color.split("|"))
         engine = composite_homfly(knot, lam, mu).normalized
-        base = len(lam) + len(mu)
-        for N in range(base, base + 3):
+        base = max(len(lam) + len(mu), 2)
+        for N in range(base, base + 4):
             specialized = engine.substitute({"a": (1, {"q": N})})
-            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, lam, mu, N)
+            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, color, N)
 
 
 def test_diagnostics_present():

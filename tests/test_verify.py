@@ -107,16 +107,24 @@ def test_exceptional_series_nu_values():
     }
 
 
+def changed_exponents(p, r):
+    """Exponents (as Fractions) whose coefficients differ between p and r."""
+    a, b = dict(p.sorted_terms()), dict(r.sorted_terms())
+    return {e for e in a.keys() | b.keys() if a.get(e) != b.get(e)}
+
+
 def test_perturbed_fixture_fails_with_diff(fixtures):
     original = fixtures["3_2:hd_1__1"]
     damaged_terms = dict(original.poly.terms)
     key = next(iter(damaged_terms))
     damaged_terms[key] += 1
+    poly = Laurent(original.poly.vars, damaged_terms, original.poly.den)
+    assert len(changed_exponents(poly, original.poly)) == 1
     damaged = verify.Fixture(
         id=original.id,
         knot=original.knot,
         color=original.color,
-        poly=Laurent(original.poly.vars, damaged_terms),
+        poly=poly,
         source=original.source,
     )
     report = verify.check_connection(damaged, (2, -2))
@@ -135,12 +143,14 @@ def test_color_exchange_ordering_fails_on_flipped_coefficient(fixtures):
     damaged_terms = dict(original.poly.terms)
     key = next(iter(damaged_terms))
     damaged_terms[key] = -damaged_terms[key]
+    poly = Laurent(original.poly.vars, damaged_terms, original.poly.den)
+    assert len(changed_exponents(poly, original.poly)) == 1
     damaged = dict(fixtures)
     damaged[original.id] = verify.Fixture(
         id=original.id,
         knot=original.knot,
         color=original.color,
-        poly=Laurent(original.poly.vars, damaged_terms),
+        poly=poly,
         source=original.source,
     )
     report = ordering(damaged)
@@ -177,7 +187,7 @@ def test_hyperpolynomial_reconstruction_from_refined_pair(fixtures):
 
     def by_q(p):
         out = {}
-        for (qe, te), c in p.terms.items():
+        for (qe, te), c in p.sorted_terms():
             out.setdefault(qe, []).append((te, c))
         return {k: sorted(v) for k, v in out.items()}
 
