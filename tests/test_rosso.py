@@ -197,6 +197,22 @@ def test_t52_fundamental_matches_sl2_oracle():
     assert specialized == finite_N_oracle(knot, EMPTY, P("1"), 2)
 
 
+def test_stabilization_off_fixture_colors():
+    # knots and colors beyond the fixture set, exercising deeper telescopes
+    cases = [
+        (TorusKnot(5, 2), P("1"), P("1")),
+        (TorusKnot(5, 3), P("1"), P("1")),
+        (TorusKnot(3, 2), P("2,1"), P("2,1")),
+        (TorusKnot(3, 2), P("2,2"), P("1")),
+    ]
+    for knot, lam, mu in cases:
+        engine = composite_homfly(knot, lam, mu).normalized
+        base = len(lam) + len(mu)
+        for N in range(base, base + 2):
+            specialized = engine.substitute({"a": (1, {"q": N})})
+            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, lam, mu, N)
+
+
 def test_concurrent_evaluation_is_deterministic():
     # pure computation over immutable inputs plus an idempotent character
     # cache: concurrent runs must reproduce the serial results exactly
@@ -219,6 +235,19 @@ def test_concurrent_evaluation_is_deterministic():
         ]
         results = [f.result() for f in futures]
     assert results == (serial * 3)
+
+
+def test_stabilization_spot_checks():
+    for knot, lam, mu in [
+        (TREFOIL, P("1"), P("1")),
+        (TREFOIL, P("2"), P("1")),
+        (T43, P("1"), P("1")),
+    ]:
+        engine = composite_homfly(knot, lam, mu).normalized
+        base = len(lam) + len(mu)
+        for N in range(base, base + 3):
+            specialized = engine.substitute({"a": (1, {"q": N})})
+            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, lam, mu, N)
 
 
 GRID_KNOTS = [TorusKnot(r, s) for r, s in ((3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (5, 4))]
