@@ -146,16 +146,25 @@ def schur_product(lam, mu):
 
 @lru_cache(maxsize=None)
 def expansion_pairs(eta):
-    """All (beta, alpha) with N^eta_{beta,alpha} != 0, as a coefficient dict."""
+    """The LR table of eta indexed by content.
+
+    Returns {alpha: ((beta, N^eta_{beta,alpha}), ...)} over the alpha and
+    beta with N^eta_{beta,alpha} != 0.  The composite expansions below are
+    joins of two such tables on alpha.
+    """
+    n = eta.size()
+    by_size = {}
+    for beta in subpartitions(eta):
+        by_size.setdefault(beta.size(), []).append(beta)
     out = {}
     for alpha in subpartitions(eta):
-        for beta in subpartitions(eta):
-            if beta.size() + alpha.size() != eta.size():
-                continue
+        row = []
+        for beta in by_size[n - alpha.size()]:
             c = lr_coefficient(beta, alpha, eta)
             if c:
-                out[(beta, alpha)] = c
-    return dict(out)
+                row.append((beta, c))
+        out[alpha] = tuple(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,69 +282,59 @@ def composite_character_expansion(lam, mu):
     conjugate of tau.  The conjugate is forced by the inversion identity
     with `composite_product_expansion` (tested) and by every finite-rank
     projection; without it the two transforms are not mutually inverse.
+    The sign depends only on |tau| = |lam| - |nu|, so no term cancels.
     """
     out = {}
-    for tau in subpartitions(lam):
-        tconj = conjugate(tau)
-        if not mu.contains(tconj):
-            continue
+    right = expansion_pairs(mu)
+    for tau, lefts in expansion_pairs(lam).items():
+        rights = right.get(conjugate(tau), ())
         sign = -1 if tau.size() % 2 else 1
-        for nu in subpartitions(lam):
-            if nu.size() != lam.size() - tau.size():
-                continue
-            c1 = lr_coefficient(nu, tau, lam)
-            if not c1:
-                continue
-            for xi in subpartitions(mu):
-                if xi.size() != mu.size() - tau.size():
-                    continue
-                c2 = lr_coefficient(xi, tconj, mu)
-                if not c2:
-                    continue
+        for nu, c1 in lefts:
+            for xi, c2 in rights:
                 key = (nu, xi)
                 out[key] = out.get(key, 0) + sign * c1 * c2
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
-@lru_cache(maxsize=None)
 def composite_product_expansion(eta, delta):
-    """Expansion of s_eta(x) s_delta(y) over composite characters s_[beta,gamma]."""
+    """Expansion of s_eta(x) s_delta(y) over composite characters s_[beta,gamma].
+
+    The coefficient is sum over alpha of N^eta_{beta,alpha} N^delta_{gamma,alpha}.
+    """
     out = {}
-    for (beta, alpha), c1 in expansion_pairs(eta).items():
-        for gamma in subpartitions(delta):
-            if gamma.size() != delta.size() - alpha.size():
-                continue
-            c2 = lr_coefficient(gamma, alpha, delta)
-            if c2:
+    right = expansion_pairs(delta)
+    for alpha, lefts in expansion_pairs(eta).items():
+        rights = right.get(alpha, ())
+        for beta, c1 in lefts:
+            for gamma, c2 in rights:
                 key = (beta, gamma)
                 out[key] = out.get(key, 0) + c1 * c2
-    return dict(out)
+    return out
 
 
 @lru_cache(maxsize=None)
 def composite_adams(lam, mu, r):
     """Composite-character expansion of the r-th Adams image of s_[lam,mu].
 
-    Chains the composite character expansion, the ordinary Adams expansion
-    on each tensor slot, and the product expansion back into composite
-    characters; all six summation indices have finite range.
+    Two stages.  First the composite character expansion and the ordinary
+    Adams expansion of each tensor slot give the image in the
+    s_eta(x) s_delta(y) basis; then each distinct (eta, delta) is expanded
+    once back into composite characters by `composite_product_expansion`.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
-    acc = {}
+    images = {}
     for (nu, xi), c in composite_character_expansion(lam, mu).items():
         for eta, a1 in adams_coefficients(nu, r).items():
-            pairs = expansion_pairs(eta)
             for delta, a2 in adams_coefficients(xi, r).items():
-                for (beta, alpha), n1 in pairs.items():
-                    for gamma in subpartitions(delta):
-                        if gamma.size() != delta.size() - alpha.size():
-                            continue
-                        n2 = lr_coefficient(gamma, alpha, delta)
-                        if not n2:
-                            continue
-                        key = (beta, gamma)
-                        acc[key] = acc.get(key, 0) + c * a1 * a2 * n1 * n2
+                key = (eta, delta)
+                images[key] = images.get(key, 0) + c * a1 * a2
+    acc = {}
+    for (eta, delta), c in images.items():
+        if not c:
+            continue
+        for key, n in composite_product_expansion(eta, delta).items():
+            acc[key] = acc.get(key, 0) + c * n
     return {k: v for k, v in acc.items() if v}
 
 

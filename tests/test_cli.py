@@ -160,12 +160,16 @@ LADDER = [
 ]
 
 
-def test_ladder_term_files_match_recorded_checksums(capsys):
-    # the benchmark ladder's term files, byte for byte, against the sha256
-    # sums recorded next to the benchmark
+def recorded_checksums(workload):
+    # sha256 sums of a benchmark workload's outputs, recorded next to the
+    # benchmark
     root = pathlib.Path(__file__).resolve().parents[1]
-    expected = json.loads((root / "perfbench" / "expected.json").read_text())
-    recorded = expected["engine-ladder"]
+    return json.loads((root / "perfbench" / "expected.json").read_text())[workload]
+
+
+def test_ladder_term_files_match_recorded_checksums(capsys):
+    # the benchmark ladder's term files, byte for byte
+    recorded = recorded_checksums("engine-ladder")
     assert len(recorded) == len(LADDER)
     for knot, color in LADDER:
         code, out, _ = run(
@@ -174,6 +178,20 @@ def test_ladder_term_files_match_recorded_checksums(capsys):
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == recorded["compute T(%s) [%s]" % (knot, color)], (knot, color)
+
+
+EXPAND_COLORS = ("2,1|2,1", "2,2|2", "3,1|2,1", "2,2|2,2")
+
+
+def test_expand_outputs_match_recorded_checksums(capsys):
+    # the benchmark's composite Adams expansions at 6 to 8 boxes, byte for byte
+    recorded = recorded_checksums("expand-adams")
+    assert len(recorded) == len(EXPAND_COLORS)
+    for color in EXPAND_COLORS:
+        code, out, _ = run(capsys, "expand", "--color", color, "--r", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == recorded["expand [%s] r=3" % color], color
 
 
 def test_verify_connection_has_eight_passes(capsys):

@@ -7,6 +7,15 @@ from comphomfly import symfunc as sf
 
 P = Partition.parse
 
+# every color [lam, mu] with |lam| + |mu| <= 4
+SMALL_COLORS = [
+    (lam, mu)
+    for n in range(5)
+    for a in range(n + 1)
+    for lam in sf.partitions_of(a)
+    for mu in sf.partitions_of(n - a)
+]
+
 
 def test_lr_coefficient_examples():
     assert sf.lr_coefficient(P("1"), P("2"), P("3")) == 1
@@ -185,15 +194,103 @@ def test_composite_adams_reduction_and_table():
 
 
 def test_composite_adams_order_symmetry():
-    shapes = [EMPTY, P("1"), P("2"), P("1,1")]
-    for lam in shapes:
-        for mu in shapes:
-            for r in (2, 3):
-                forward = sf.composite_adams(lam, mu, r)
-                backward = sf.composite_adams(mu, lam, r)
-                assert forward == {
-                    (g, b): c for (b, g), c in backward.items()
-                }, (lam, mu, r)
+    assert len(SMALL_COLORS) == 38
+    for lam, mu in SMALL_COLORS:
+        for r in (2, 3):
+            forward = sf.composite_adams(lam, mu, r)
+            backward = sf.composite_adams(mu, lam, r)
+            assert forward == {
+                (g, b): c for (b, g), c in backward.items()
+            }, (lam, mu, r)
+
+
+def _scanned_pairs(eta):
+    """{(beta, alpha): N^eta_{beta,alpha}} by scanning pairs of subdiagrams."""
+    out = {}
+    for alpha in sf.subpartitions(eta):
+        for beta in sf.subpartitions(eta):
+            if beta.size() + alpha.size() != eta.size():
+                continue
+            c = sf.lr_coefficient(beta, alpha, eta)
+            if c:
+                out[(beta, alpha)] = c
+    return out
+
+
+def reference_character_expansion(lam, mu):
+    """Composite character expansion by direct subdiagram scans."""
+    out = {}
+    for tau in sf.subpartitions(lam):
+        tconj = conjugate(tau)
+        if not mu.contains(tconj):
+            continue
+        sign = -1 if tau.size() % 2 else 1
+        for nu in sf.subpartitions(lam):
+            if nu.size() != lam.size() - tau.size():
+                continue
+            c1 = sf.lr_coefficient(nu, tau, lam)
+            if not c1:
+                continue
+            for xi in sf.subpartitions(mu):
+                if xi.size() != mu.size() - tau.size():
+                    continue
+                c2 = sf.lr_coefficient(xi, tconj, mu)
+                if not c2:
+                    continue
+                key = (nu, xi)
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_composite_adams(lam, mu, r):
+    """The six-loop formula: character expansion, Adams on each slot, and
+    the product expansion inlined, summed over all six indices at once."""
+    acc = {}
+    for (nu, xi), c in reference_character_expansion(lam, mu).items():
+        for eta, a1 in sf.adams_coefficients(nu, r).items():
+            pairs = _scanned_pairs(eta)
+            for delta, a2 in sf.adams_coefficients(xi, r).items():
+                for (beta, alpha), n1 in pairs.items():
+                    for gamma in sf.subpartitions(delta):
+                        if gamma.size() != delta.size() - alpha.size():
+                            continue
+                        n2 = sf.lr_coefficient(gamma, alpha, delta)
+                        if not n2:
+                            continue
+                        key = (beta, gamma)
+                        acc[key] = acc.get(key, 0) + c * a1 * a2 * n1 * n2
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_composite_adams_matches_six_loop_reference():
+    for lam, mu in SMALL_COLORS:
+        assert sf.composite_character_expansion(
+            lam, mu
+        ) == reference_character_expansion(lam, mu), (lam, mu)
+        for r in (2, 3):
+            assert sf.composite_adams(lam, mu, r) == reference_composite_adams(
+                lam, mu, r
+            ), (lam, mu, r)
+
+
+def test_composite_product_matches_lr_scan():
+    # coefficient of s_[beta,gamma] is sum_alpha N^eta_{beta,alpha} N^delta_{gamma,alpha}
+    # every shape up to three boxes, and 3,2,1, whose table holds
+    # N^{3,2,1}_{2,1;2,1} = 2, the smallest LR coefficient above 1
+    shapes = [lam for n in range(4) for lam in sf.partitions_of(n)] + [P("3,2,1")]
+    for eta in shapes:
+        for delta in shapes:
+            expected = {}
+            for beta in sf.subpartitions(eta):
+                for gamma in sf.subpartitions(delta):
+                    for alpha in sf.partitions_of(eta.size() - beta.size()):
+                        c = sf.lr_coefficient(beta, alpha, eta) * sf.lr_coefficient(
+                            gamma, alpha, delta
+                        )
+                        if c:
+                            key = (beta, gamma)
+                            expected[key] = expected.get(key, 0) + c
+            assert sf.composite_product_expansion(eta, delta) == expected, (eta, delta)
 
 
 def test_format_expansion_golden():
@@ -220,29 +317,27 @@ def _reduced(expansion, N):
 
 
 def test_composite_adams_finite_rank_oracle():
-    shapes = [EMPTY, P("1"), P("2"), P("1,1")]
-    for lam in shapes:
-        for mu in shapes:
-            base = max(len(lam) + len(mu), 1)
-            for r in (1, 2, 3):
-                expansion = sf.composite_adams(lam, mu, r)
-                for N in range(base, base + 4):
-                    zeta = compose_at_N(lam, mu, N)
-                    direct = _reduced(sf.adams_at_rank(zeta, r, N), N)
-                    assembled = {}
-                    for (beta, gamma), c in expansion.items():
-                        for key, k in sf.composite_schur_at_rank(
-                            beta, gamma, N
-                        ).items():
-                            assembled[key] = assembled.get(key, 0) + c * k
-                    assembled = {k: v for k, v in assembled.items() if v}
-                    assert assembled == direct, (lam, mu, r, N)
-                    # keys that fit at this rank project to plain diagrams
-                    from comphomfly.partitions import reduce_columns
+    from comphomfly.partitions import reduce_columns
 
-                    for (beta, gamma), c in expansion.items():
-                        if len(beta) + len(gamma) <= N:
-                            shape = reduce_columns(compose_at_N(beta, gamma, N), N)
-                            assert sf.composite_schur_at_rank(beta, gamma, N) == {
-                                shape: 1
-                            }, (beta, gamma, N)
+    for lam, mu in SMALL_COLORS:
+        base = max(len(lam) + len(mu), 1)
+        # four ranks while both slots have at most two boxes, two beyond
+        ranks = 4 if max(lam.size(), mu.size()) <= 2 else 2
+        for r in (1, 2, 3):
+            expansion = sf.composite_adams(lam, mu, r)
+            for N in range(base, base + ranks):
+                zeta = compose_at_N(lam, mu, N)
+                direct = _reduced(sf.adams_at_rank(zeta, r, N), N)
+                assembled = {}
+                for (beta, gamma), c in expansion.items():
+                    for key, k in sf.composite_schur_at_rank(beta, gamma, N).items():
+                        assembled[key] = assembled.get(key, 0) + c * k
+                assembled = {k: v for k, v in assembled.items() if v}
+                assert assembled == direct, (lam, mu, r, N)
+                # keys that fit at this rank project to plain diagrams
+                for (beta, gamma), c in expansion.items():
+                    if len(beta) + len(gamma) <= N:
+                        shape = reduce_columns(compose_at_N(beta, gamma, N), N)
+                        assert sf.composite_schur_at_rank(beta, gamma, N) == {
+                            shape: 1
+                        }, (beta, gamma, N)
