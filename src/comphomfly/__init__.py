@@ -9,14 +9,12 @@ exceptional-series identities.
 
 from .partitions import (
     CompositeDiagram,
-    NPolynomial,
     Partition,
     RankTooSmallError,
     compose_at_N,
     conjugate,
     join,
     kappa,
-    kappa_composite,
 )
 from .qexact import (
     Bracket,
@@ -51,7 +49,6 @@ __all__ = [
     "IntegralityError",
     "InvariantResult",
     "Laurent",
-    "NPolynomial",
     "Partition",
     "RankTooSmallError",
     "ResidualRankError",
@@ -67,7 +64,6 @@ __all__ = [
     "finite_N_oracle",
     "join",
     "kappa",
-    "kappa_composite",
     "parse_expr",
     "quantum_dimension",
     "tilde_normalize",

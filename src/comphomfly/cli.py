@@ -116,11 +116,8 @@ def cmd_verify(args):
     try:
         fixtures = verify.load_fixtures(root)
     except (FileNotFoundError, ValueError) as err:
-        if args.strict:
-            print("fixture error: %s" % err, file=sys.stderr)
-            return 2
         print("fixture error: %s" % err, file=sys.stderr)
-        return 1
+        return 2 if args.strict else 1
     try:
         reports = verify.run_suite(args.suite, fixtures)
     except KeyError as err:

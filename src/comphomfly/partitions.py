@@ -8,15 +8,9 @@ flat block of rows of length lambda_1 fills the middle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class RankTooSmallError(ValueError):
     """The finite rank N cannot hold the requested composite diagram."""
-
-
-class DegreeCapError(ArithmeticError):
-    """An NPolynomial operation produced degree > 2; upstream formula bug."""
 
 
 class Partition:
@@ -162,99 +156,6 @@ def reduce_columns(lam, N):
     return Partition(r - c for r in lam.rows)
 
 
-class NPolynomial:
-    """Polynomial in the rank N of degree <= 2, with exact rational coefficients.
-
-    Degree 2 suffices for every composite content sum; exceeding the cap is
-    a formula bug and raises immediately.
-    """
-
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0=0, c1=0, c2=0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NPolynomial is immutable")
-
-    def __add__(self, other):
-        other = _as_npoly(other)
-        return NPolynomial(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NPolynomial(-self.c0, -self.c1, -self.c2)
-
-    def __sub__(self, other):
-        return self + (-_as_npoly(other))
-
-    def __mul__(self, other):
-        other = _as_npoly(other)
-        coeffs = [Fraction(0)] * 5
-        for i, a in enumerate((self.c0, self.c1, self.c2)):
-            for j, b in enumerate((other.c0, other.c1, other.c2)):
-                coeffs[i + j] += a * b
-        if coeffs[3] or coeffs[4]:
-            raise DegreeCapError("product exceeds degree 2 in N")
-        return NPolynomial(*coeffs[:3])
-
-    __rmul__ = __mul__
-
-    def __call__(self, N):
-        return self.c0 + self.c1 * N + self.c2 * N * N
-
-    def __eq__(self, other):
-        other = _as_npoly(other)
-        return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
-
-    def __hash__(self):
-        return hash((self.c0, self.c1, self.c2))
-
-    def __repr__(self):
-        return "NPolynomial(%s, %s, %s)" % (self.c0, self.c1, self.c2)
-
-    def __str__(self):
-        parts = []
-        for coeff, sym in ((self.c2, "N^2"), (self.c1, "N"), (self.c0, "")):
-            if coeff:
-                parts.append("%s%s" % (coeff, "*" + sym if sym else ""))
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-def _as_npoly(x):
-    if isinstance(x, NPolynomial):
-        return x
-    return NPolynomial(x)
-
-
-def kappa_composite(lam, mu):
-    """Content-sum polynomial of the composite diagram, as a function of N.
-
-    kappa_lam + kappa_mu + N*lam_1*(lam_1+1) - lam_1*N*(N+1) + 2*lam_1*|mu|
-    - 2*|lam|*(lam_1 - N); evaluating at any N >= len(lam)+len(mu) agrees
-    with kappa(compose_at_N(lam, mu, N)).
-    """
-    l1 = lam.width
-    m, n = lam.size(), mu.size()
-    base = NPolynomial(kappa(lam) + kappa(mu))
-    big_n = NPolynomial(0, 1)
-    return (
-        base
-        + big_n * (l1 * (l1 + 1))
-        - big_n * (big_n + 1) * l1
-        + NPolynomial(2 * l1 * n)
-        - (NPolynomial(l1) - big_n) * (2 * m)
-    )
-
-
-def charge_at_N(lam, mu):
-    """Box count of the composite diagram at rank N: |mu| - |lam| + lam_1*N."""
-    return NPolynomial(mu.size() - lam.size(), lam.width)
-
-
 class CompositeDiagram:
     """An ordered pair [lam, mu] of partitions.
 
@@ -278,9 +179,6 @@ class CompositeDiagram:
         if not sep:
             raise ValueError("composite diagram needs a '|': %r" % text)
         return cls(Partition.parse(left), Partition.parse(right))
-
-    def at_N(self, N):
-        return compose_at_N(self.lam, self.mu, N)
 
     def __eq__(self, other):
         return (

@@ -309,15 +309,6 @@ class Laurent:
                 del acc[key]
         return _build(new_vars, acc, den * scale)
 
-    def rename(self, mapping):
-        """Plain variable renaming (no merging allowed)."""
-        new = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new)) != len(new):
-            raise ValueError("rename collides variables")
-        order = sorted(range(len(new)), key=lambda i: _storage_rank(new[i]))
-        terms = {tuple(exps[i] for i in order): c for exps, c in self.terms.items()}
-        return _build(tuple(new[i] for i in order), terms, self.den)
-
 
 def _canonical(terms, den):
     """Int-keyed terms over den in lowest terms: gcd(den, every entry) == 1."""

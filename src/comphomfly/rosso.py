@@ -19,9 +19,7 @@ from .partitions import (
     Partition,
     RankTooSmallError,
     compose_at_N,
-    charge_at_N,
     kappa,
-    kappa_composite,
     reduce_columns,
 )
 from .qexact import (
@@ -69,17 +67,27 @@ class TorusKnot:
 def braiding_eigenvalue(lam, mu):
     """Braiding eigenvalue of the composite diagram [lam, mu].
 
-    q to the power -(kappa_[lam,mu] + c*N - c^2/N)/2 with c the rank-N box
-    count; the N^2 parts cancel inside a single eigenvalue, the 1/N parts
-    only after the full torus-knot combination.
+    At rank N the eigenvalue is q to the power -(kappa + c*N - c^2/N)/2,
+    with kappa twice the content sum and c the box count of the composed
+    diagram:
+
+        kappa = -lam_1*N^2 + (lam_1^2 + 2|lam|)*N + kappa_lam + kappa_mu
+                + 2*lam_1*(|mu| - |lam|)
+        c     = lam_1*N + |mu| - |lam|
+
+    The N^2 parts cancel inside every eigenvalue, leaving
+
+        -(|lam| + |mu|)/2 * N - (kappa_lam + kappa_mu)/2 + (|mu| - |lam|)^2/(2N);
+
+    the 1/N parts cancel only after the full torus-knot combination.
     """
-    kap = kappa_composite(lam, mu)
-    c = charge_at_N(lam, mu)
-    e2 = kap.c2 + c.c1  # c*N contributes c1 at N^2
-    e1 = kap.c1 + c.c0 - c.c1 * c.c1
-    e0 = kap.c0 - 2 * c.c0 * c.c1
-    em1 = -c.c0 * c.c0
-    exponent = SymExponent.make(e2, e1, e0, em1).scale(Fraction(-1, 2))
+    m, n = lam.size(), mu.size()
+    exponent = SymExponent.make(
+        0,
+        Fraction(-(m + n), 2),
+        Fraction(-(kappa(lam) + kappa(mu)), 2),
+        Fraction((n - m) ** 2, 2),
+    )
     return SymMonomial(1, exponent)
 
 
@@ -152,13 +160,16 @@ class InvariantResult:
     mu: Partition
     normalized: Laurent
     terms: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
 
     def diagnostics_text(self):
         lines = [
             "knot %s color %s|%s: %d terms" % (self.knot, self.lam, self.mu, len(self.terms))
         ]
-        lines.extend(self.diagnostics)
+        lines.extend(
+            "term %s|%s c=%d exponent %s"
+            % (t.beta, t.gamma, t.coefficient, t.twist.exponent.render())
+            for t in self.terms
+        )
         return "\n".join(lines)
 
 
@@ -188,15 +199,10 @@ def _assemble(knot, lam, mu, expansion, theta_color):
     pref = theta_color.power(-r * s)
     color_dim = quantum_dimension(lam, mu)
     terms = []
-    diagnostics = []
     fractions = []
     for beta, gamma in _sorted_keys(expansion):
         coeff = expansion[(beta, gamma)]
         twist = pref * braiding_eigenvalue(beta, gamma).power(power)
-        # rank-cancellation: N^2 and 1/N parts must vanish term by term
-        diagnostics.append(
-            "term %s|%s c=%d exponent %s" % (beta, gamma, coeff, twist.exponent.render())
-        )
         term = FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))
         terms.append(term)
         ratio = term.dimension / color_dim
@@ -221,7 +227,6 @@ def _assemble(knot, lam, mu, expansion, theta_color):
         mu=mu,
         normalized=total,
         terms=terms,
-        diagnostics=diagnostics,
     )
 
 

@@ -171,12 +171,6 @@ def expansion_pairs(eta):
 # symmetric-group characters (Murnaghan-Nakayama)
 
 
-# memo table for character values keyed by (shape, class); values are pure
-# functions of the key, so concurrent inserts are idempotent and an evicted
-# entry is only recomputed
-character_cache = {}
-
-
 def _beta_set(lam, slots):
     return tuple(lam.row(i) + slots - i for i in range(1, slots + 1))
 
@@ -203,17 +197,12 @@ def sym_character(lam, mu):
     return _mn(lam, mu.rows)
 
 
+@lru_cache(maxsize=None)
 def _mn(lam, parts):
     if not parts:
         return 1 if not lam else 0
-    key = (lam, parts)
-    hit = character_cache.get(key)
-    if hit is not None:
-        return hit
     k, rest = parts[0], parts[1:]
-    value = sum(sign * _mn(shape, rest) for shape, sign in _strip_removals(lam, k))
-    character_cache[key] = value
-    return value
+    return sum(sign * _mn(shape, rest) for shape, sign in _strip_removals(lam, k))
 
 
 def zclass(mu):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .partitions import CompositeDiagram, Partition, conjugate, join
@@ -121,14 +122,9 @@ def load_fixtures(root=None):
 
 
 # engine results are pure functions of the color; share them across checks
-_engine_cache = {}
-
-
+@lru_cache(maxsize=None)
 def engine(knot, lam, mu):
-    key = (knot.r, knot.s, lam.rows, mu.rows)
-    if key not in _engine_cache:
-        _engine_cache[key] = composite_homfly(knot, lam, mu)
-    return _engine_cache[key]
+    return composite_homfly(knot, lam, mu)
 
 
 # the composite fixtures with a defined engine color; prefactor exponents

@@ -194,6 +194,33 @@ def test_expand_outputs_match_recorded_checksums(capsys):
         assert digest == recorded["expand [%s] r=3" % color], color
 
 
+TRACED_COMPUTE = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import tracing
+from comphomfly import cli
+tracer = tracing.install()
+code = cli.main(["compute", "--knot", "3,2", "--color", "1|1"])
+metrics = tracer.metrics()
+print(code, metrics["rosso.engine.calls"], metrics["rosso.out_terms"])
+"""
+
+
+def test_benchmark_tracing_wraps_the_engine():
+    # the benchmark's tracer patches functions of the package by name, so a
+    # rename in the package must fail here, not only in the benchmark's tests
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_COMPUTE, str(root / "src"), str(root / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, calls, out_terms = proc.stdout.splitlines()[-1].split()
+    assert (code, calls, out_terms) == ("0", "1", "16")
+
+
 def test_verify_connection_has_eight_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "connection")
     assert code == 0

@@ -5,17 +5,13 @@ import pytest
 from comphomfly.partitions import (
     EMPTY,
     CompositeDiagram,
-    DegreeCapError,
-    NPolynomial,
     Partition,
     RankTooSmallError,
-    charge_at_N,
     compose_at_N,
     conjugate,
     dual_at_N,
     join,
     kappa,
-    kappa_composite,
     parse_weight,
     reduce_columns,
 )
@@ -103,31 +99,6 @@ def test_compose_size_and_row_bound():
             zeta = compose_at_N(lam, mu, N)
             assert zeta.size() == mu.size() - lam.size() + lam.width * N
             assert len(zeta) <= N - 1 or lam.width == 0
-            assert charge_at_N(lam, mu)(N) == zeta.size()
-
-
-def test_kappa_composite_examples():
-    assert kappa_composite(P("1"), P("1")) == NPolynomial(0, 3, -1)
-    # empty first slot kills every N term
-    for mu in (P("1"), P("3,1"), P("2,2")):
-        poly = kappa_composite(EMPTY, mu)
-        assert poly == NPolynomial(kappa(mu))
-    assert kappa_composite(P("1"), EMPTY)(2) == kappa(compose_at_N(P("1"), EMPTY, 2))
-
-
-def test_kappa_composite_matches_composed_diagram():
-    rng = random.Random(23)
-    seen = 0
-    while seen < 120:
-        lam = random_partition(rng, 5)
-        mu = random_partition(rng, 5)
-        if len(lam) + len(mu) > 5:
-            continue
-        seen += 1
-        poly = kappa_composite(lam, mu)
-        base = max(len(lam) + len(mu), 1)
-        for N in range(base, base + 5):
-            assert poly(N) == kappa(compose_at_N(lam, mu, N))
 
 
 def test_dual_and_column_reduction():
@@ -137,14 +108,6 @@ def test_dual_and_column_reduction():
     assert reduce_columns(P("3,1"), 5) == P("3,1")
     with pytest.raises(RankTooSmallError):
         reduce_columns(P("1,1,1"), 2)
-
-
-def test_npolynomial_arithmetic():
-    n = NPolynomial(0, 1)
-    assert (n * n + 2 * n + 1)(3) == 16
-    assert str(NPolynomial(1, -2)) == "-2*N + 1"
-    with pytest.raises(DegreeCapError):
-        (n * n) * n
 
 
 def test_weight_parsing():

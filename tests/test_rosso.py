@@ -1,8 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from comphomfly.partitions import EMPTY, Partition, RankTooSmallError, compose_at_N
+from comphomfly.partitions import (
+    EMPTY,
+    Partition,
+    RankTooSmallError,
+    compose_at_N,
+    kappa,
+)
 from comphomfly.qexact import (
     Bracket,
     BracketProduct,
@@ -20,6 +27,7 @@ from comphomfly.rosso import (
     qdim_at_rank,
     quantum_dimension,
 )
+from comphomfly.symfunc import partitions_of
 
 P = Partition.parse
 QA = ("q", "a")
@@ -64,11 +72,14 @@ def test_braiding_eigenvalue_composite_table():
 
 
 def test_braiding_eigenvalue_matches_finite_rank():
-    from comphomfly.partitions import kappa
-
-    for lam, mu in [(P("2"), P("1")), (P("1"), P("2,1")), (P("2,1"), P("1,1"))]:
+    # the closed form against the rank-N exponent of the composed diagram,
+    # on random colors with up to five boxes per slot
+    rng = random.Random(23)
+    for _ in range(120):
+        lam, mu = (rng.choice(partitions_of(rng.randrange(6))) for _ in range(2))
         theta = braiding_eigenvalue(lam, mu)
-        for N in range(len(lam) + len(mu), len(lam) + len(mu) + 3):
+        base = max(len(lam) + len(mu), 1)
+        for N in range(base, base + 5):
             zeta = compose_at_N(lam, mu, N)
             n = zeta.size()
             direct = Fraction(-(kappa(zeta) + n * N), 2) + Fraction(n * n, 2 * N)
@@ -214,8 +225,8 @@ def test_stabilization_off_fixture_colors():
 
 
 def test_concurrent_evaluation_is_deterministic():
-    # pure computation over immutable inputs plus an idempotent character
-    # cache: concurrent runs must reproduce the serial results exactly
+    # pure computation over immutable inputs plus memoized characters:
+    # concurrent runs must reproduce the serial results exactly
     from concurrent.futures import ThreadPoolExecutor
 
     from comphomfly import symfunc
@@ -227,7 +238,7 @@ def test_concurrent_evaluation_is_deterministic():
         (T43, P("1"), P("1")),
     ]
     serial = [composite_homfly(k, l, m).normalized for k, l, m in colors]
-    symfunc.character_cache.clear()
+    symfunc._mn.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [
             pool.submit(lambda c: composite_homfly(*c).normalized, c)
@@ -264,13 +275,25 @@ def test_stabilization_grid():
     # oracle at four ranks from the smallest one the color fits
     cases = [(knot, color) for knot in GRID_KNOTS for color in GRID_COLORS]
     cases += [(TREFOIL, "2,1|2,1"), (TREFOIL, "2,2|1")]
+    results = {}
     for knot, color in cases:
         lam, mu = (P(side) if side else EMPTY for side in color.split("|"))
-        engine = composite_homfly(knot, lam, mu).normalized
+        engine = results[knot, color] = composite_homfly(knot, lam, mu).normalized
         base = max(len(lam) + len(mu), 2)
         for N in range(base, base + 4):
             specialized = engine.substitute({"a": (1, {"q": N})})
             assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, color, N)
+    # the two slots may be exchanged, and [lam|] is the classical path's lam
+    for knot in GRID_KNOTS:
+        assert results[knot, "2|1"] == results[knot, "1|2"], knot
+        assert results[knot, "1,1|1"] == results[knot, "1|1,1"], knot
+        for color in GRID_COLORS:
+            lam, _, mu = color.partition("|")
+            if not mu:
+                classical = classical_homfly(knot, P(lam)).normalized
+                assert classical == results[knot, color], (knot, color)
+    swapped = composite_homfly(TREFOIL, P("1"), P("2,2")).normalized
+    assert swapped == results[TREFOIL, "2,2|1"]
 
 
 def test_diagnostics_present():
