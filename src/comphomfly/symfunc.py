@@ -2,9 +2,10 @@
 
 Littlewood-Richardson coefficients by tableau counting, symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
-coefficients, and the composite-character expansions that drive the
-torus-knot engine.  Everything is integer-exact; partitions are the
-`partitions.Partition` type throughout.
+coefficients, the composite-character expansions that drive the torus-knot
+engine, and the finite-rank Adams expansion of the oracle.  Everything is
+integer-exact.  Partitions are the `partitions.Partition` type at every
+interface; both border-strip steps run on beta-sets (see `_slide`).
 """
 
 from __future__ import annotations
@@ -171,38 +172,44 @@ def expansion_pairs(eta):
 # symmetric-group characters (Murnaghan-Nakayama)
 
 
-def _beta_set(lam, slots):
-    return tuple(lam.row(i) + slots - i for i in range(1, slots + 1))
+def _slide(beads, k):
+    """Every way to move one bead of a beta-set k places onto a free slot.
 
-
-def _strip_removals(lam, k):
-    """All ways to remove a border strip of k boxes: (smaller shape, sign)."""
-    slots = len(lam) + 1
-    beta = set(_beta_set(lam, slots))
-    out = []
-    for b in sorted(beta):
-        if b - k < 0 or b - k in beta:
+    A beta-set writes a shape as a strictly decreasing tuple of n bead
+    positions, row i = bead_i - (n - i) for i = 1..n.  Sliding a bead up k
+    places adds a border strip of k boxes, sliding it down (k < 0) removes
+    one, and the strip's sign is (-1)^(number of beads jumped).  Yields
+    (beads, sign).
+    """
+    n = len(beads)
+    for j, b in enumerate(beads):
+        target = b + k
+        if target < 0 or target in beads:
             continue
-        height = sum(1 for c in beta if b - k < c < b)
-        new = sorted(beta - {b} | {b - k})
-        rows = [x - i for i, x in enumerate(new)]
-        out.append((Partition(r for r in reversed(rows) if r), (-1) ** height))
-    return out
+        t = j  # the moved bead's index in the new tuple
+        while t and beads[t - 1] < target:
+            t -= 1
+        while t < n - 1 and beads[t + 1] > target:
+            t += 1
+        rest = beads[:j] + beads[j + 1 :]
+        yield rest[:t] + (target,) + rest[t:], -1 if (j - t) % 2 else 1
 
 
 def sym_character(lam, mu):
     """chi^lam evaluated on the conjugacy class of cycle type mu."""
     if lam.size() != mu.size():
         raise SizeMismatchError("|%s| != |%s|" % (lam, mu))
-    return _mn(lam, mu.rows)
+    n = len(lam)
+    return _mn(tuple(r + n - i for i, r in enumerate(lam.rows, 1)), mu.rows)
 
 
 @lru_cache(maxsize=None)
-def _mn(lam, parts):
+def _mn(beads, parts):
+    """Murnaghan-Nakayama on a beta-set: one border strip off per part."""
     if not parts:
-        return 1 if not lam else 0
+        return 1 if not beads or beads[0] < len(beads) else 0
     k, rest = parts[0], parts[1:]
-    return sum(sign * _mn(shape, rest) for shape, sign in _strip_removals(lam, k))
+    return sum(sign * _mn(new, rest) for new, sign in _slide(beads, -k))
 
 
 def zclass(mu):
@@ -354,63 +361,54 @@ def format_expansion(expansion):
 # finite-rank expansions (the independent route used by the oracles)
 
 
-def _strip_additions(lam, k, slots):
-    """All ways to add a border strip of k boxes within `slots` rows."""
-    beta = set(_beta_set(lam, slots))
-    out = []
-    for b in sorted(beta):
-        if b + k in beta:
-            continue
-        height = sum(1 for c in beta if b < c < b + k)
-        new = sorted(beta - {b} | {b + k})
-        rows = [x - i for i, x in enumerate(new)]
-        out.append((Partition(r for r in reversed(rows) if r), (-1) ** height))
-    return out
-
-
-def _pk_times_schur(expansion, k, max_rows):
+def _pk_times_beta(expansion, k):
+    """p_k times a Schur expansion keyed on beta-sets: slide one bead up k."""
     out = {}
-    for nu, coeff in expansion.items():
-        for shape, sign in _strip_additions(nu, k, max_rows):
-            out[shape] = out.get(shape, 0) + sign * coeff
+    for beads, coeff in expansion.items():
+        for new, sign in _slide(beads, k):
+            out[new] = out.get(new, 0) + sign * coeff
     return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def power_schur_expansion(parts, max_rows):
-    """Schur expansion of p_{parts} keeping at most max_rows rows.
+    """Schur expansion of p_{parts} over shapes with at most max_rows rows.
 
-    Dropping longer shapes is sound: border strips only grow rows, so
-    shapes past the cap can never shrink back under it.
+    Keys are beta-sets of max_rows beads.  Dropping longer shapes is sound:
+    border strips only grow rows, so shapes past the cap can never shrink
+    back under it, and a fixed number of beads never holds them.
     """
     if not parts:
-        return {EMPTY: 1}
+        return {tuple(range(max_rows - 1, -1, -1)): 1}
     tail = power_schur_expansion(parts[1:], max_rows)
-    return _pk_times_schur(tail, parts[0], max_rows)
+    return _pk_times_beta(tail, parts[0])
 
 
 def adams_at_rank(zeta, r, max_rows):
     """Schur expansion of s_zeta(x^r) over shapes with at most max_rows rows.
 
     Character route: sum over classes mu of chi^zeta(mu)/z_mu p_{r*mu},
-    expanded by iterated border-strip multiplication.  Independent of the
-    composite-character machinery above.
+    expanded by sliding beads.  The sum runs in integers over L, the lcm of
+    the z_mu used, so a coefficient L does not divide is a hard error, not a
+    floor.  Independent of the composite-character machinery above.
     """
-    acc = {}
+    weights = []
     for mu in partitions_of(zeta.size()):
         chi = sym_character(zeta, mu)
-        if not chi:
-            continue
-        w = Fraction(chi, zclass(mu))
-        stretched = tuple(sorted((r * p for p in mu.rows), reverse=True))
-        for nu, c in power_schur_expansion(stretched, max_rows).items():
-            acc[nu] = acc.get(nu, Fraction(0)) + w * c
+        if chi:
+            weights.append((chi, zclass(mu), tuple(r * p for p in mu.rows)))
+    L = math.lcm(*(z for _, z, _ in weights))
+    acc = {}
+    for chi, z, stretched in weights:
+        w = chi * (L // z)
+        for beads, c in power_schur_expansion(stretched, max_rows).items():
+            acc[beads] = acc.get(beads, 0) + w * c
     out = {}
-    for nu, c in acc.items():
+    for beads, c in acc.items():
         if c:
-            if c.denominator != 1:
+            if c % L:
                 raise IntegralityError("non-integer finite-rank expansion")
-            out[nu] = int(c)
+            out[Partition(b - max_rows + i for i, b in enumerate(beads, 1))] = c // L
     return out
 
 

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from comphomfly import cli, verify
-from comphomfly.qexact import ResidualRankError
+from comphomfly.partitions import CompositeDiagram
+from comphomfly.qexact import ResidualRankError, dumps_poly
+from comphomfly.rosso import TorusKnot, finite_N_oracle
 
 
 def run(capsys, *argv):
@@ -107,6 +109,12 @@ except IntegralityError:
     pass
 true_zclass = symfunc.zclass
 symfunc.zclass = lambda mu: true_zclass(mu) + 1
+try:
+    rosso.finite_N_oracle(rosso.TorusKnot(3, 2), EMPTY, Partition((2,)), 3)
+    sys.exit("non-integer finite-rank expansion passed")
+except IntegralityError as exc:
+    if str(exc) != "non-integer finite-rank expansion":
+        sys.exit("wrong integrality error: %s" % exc)
 sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
 """
 
@@ -194,21 +202,40 @@ def test_expand_outputs_match_recorded_checksums(capsys):
         assert digest == recorded["expand [%s] r=3" % color], color
 
 
+def test_oracle_outputs_match_recorded_checksums():
+    # the benchmark's finite-rank oracle runs, term files byte for byte
+    recorded = recorded_checksums("oracle-ranks")
+    assert len(recorded) == 4
+    knot, color = "3,2", "2,1|2,1"
+    diagram = CompositeDiagram.parse(color)
+    for N in (4, 5, 6, 7):
+        poly = finite_N_oracle(TorusKnot.parse(knot), diagram.lam, diagram.mu, N)
+        out = dumps_poly(poly, {"knot": knot, "color": color, "N": N})
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == recorded["oracle T(%s) [%s] N=%d" % (knot, color, N)], N
+
+
 TRACED_COMPUTE = """
 import sys
 sys.path[:0] = sys.argv[1:]
 import tracing
-from comphomfly import cli
+from comphomfly import cli, rosso
+from comphomfly.partitions import Partition
 tracer = tracing.install()
 code = cli.main(["compute", "--knot", "3,2", "--color", "1|1"])
+one = Partition((1,))
+rosso.finite_N_oracle(rosso.TorusKnot(3, 2), one, one, 3)
 metrics = tracer.metrics()
-print(code, metrics["rosso.engine.calls"], metrics["rosso.out_terms"])
+names = ("rosso.engine.calls", "rosso.out_terms", "rosso.oracle.calls",
+         "symfunc.adams_at_rank.calls", "symfunc.adams_at_rank.keys")
+print(code, *(metrics[name] for name in names))
 """
 
 
 def test_benchmark_tracing_wraps_the_engine():
     # the benchmark's tracer patches functions of the package by name, so a
-    # rename in the package must fail here, not only in the benchmark's tests
+    # rename in the package must fail here, not only in the benchmark's tests;
+    # the oracle's T(3,2) [1|1] at N = 3 has 4 Adams keys
     root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_COMPUTE, str(root / "src"), str(root / "perfbench")],
@@ -217,8 +244,7 @@ def test_benchmark_tracing_wraps_the_engine():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, calls, out_terms = proc.stdout.splitlines()[-1].split()
-    assert (code, calls, out_terms) == ("0", "1", "16")
+    assert proc.stdout.splitlines()[-1].split() == ["0", "1", "16", "1", "1", "4"]
 
 
 def test_verify_connection_has_eight_passes(capsys):
@@ -229,7 +255,7 @@ def test_verify_connection_has_eight_passes(capsys):
 
 
 def test_verify_failure_exit_code(capsys, tmp_path):
-    from comphomfly.qexact import dumps_poly, loads_poly
+    from comphomfly.qexact import loads_poly
 
     src = verify.fixture_root()
     dst = tmp_path / "fixtures"

@@ -268,21 +268,27 @@ GRID_COLORS = [
 ]
 
 
+def stabilized_engine(knot, lam, mu):
+    """The engine's normalized invariant, checked at a = q^N against the
+    finite-rank oracle at four ranks from the smallest one the color fits."""
+    engine = composite_homfly(knot, lam, mu).normalized
+    base = max(len(lam) + len(mu), 2)
+    for N in range(base, base + 4):
+        specialized = engine.substitute({"a": (1, {"q": N})})
+        assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, lam, mu, N)
+    return engine
+
+
 @pytest.mark.slow
 def test_stabilization_grid():
     # every color with |lam|+|mu| <= 3 on six torus knots, plus two larger
-    # colors on the trefoil: the engine at a = q^N against the finite-rank
-    # oracle at four ranks from the smallest one the color fits
+    # colors on the trefoil
     cases = [(knot, color) for knot in GRID_KNOTS for color in GRID_COLORS]
     cases += [(TREFOIL, "2,1|2,1"), (TREFOIL, "2,2|1")]
     results = {}
     for knot, color in cases:
         lam, mu = (P(side) if side else EMPTY for side in color.split("|"))
-        engine = results[knot, color] = composite_homfly(knot, lam, mu).normalized
-        base = max(len(lam) + len(mu), 2)
-        for N in range(base, base + 4):
-            specialized = engine.substitute({"a": (1, {"q": N})})
-            assert specialized == finite_N_oracle(knot, lam, mu, N), (knot, color, N)
+        results[knot, color] = stabilized_engine(knot, lam, mu)
     # the two slots may be exchanged, and [lam|] is the classical path's lam
     for knot in GRID_KNOTS:
         assert results[knot, "2|1"] == results[knot, "1|2"], knot
@@ -294,6 +300,23 @@ def test_stabilization_grid():
                 assert classical == results[knot, color], (knot, color)
     swapped = composite_homfly(TREFOIL, P("1"), P("2,2")).normalized
     assert swapped == results[TREFOIL, "2,2|1"]
+
+
+@pytest.mark.slow
+def test_stabilization_grid_four_boxes():
+    # every color with |lam|+|mu| = 4 on the two-strand knots of the grid;
+    # the two slots may be exchanged
+    colors = [
+        (lam, mu)
+        for a in range(5)
+        for lam in partitions_of(a)
+        for mu in partitions_of(4 - a)
+    ]
+    assert len(colors) == 20
+    for knot in (TREFOIL, TorusKnot(5, 2)):
+        results = {(lam, mu): stabilized_engine(knot, lam, mu) for lam, mu in colors}
+        for lam, mu in colors:
+            assert results[lam, mu] == results[mu, lam], (knot, lam, mu)
 
 
 def test_diagnostics_present():

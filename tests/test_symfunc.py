@@ -336,3 +336,64 @@ def test_composite_adams_finite_rank_oracle():
                         assert sf.composite_schur_at_rank(beta, gamma, N) == {
                             shape: 1
                         }, (beta, gamma, N)
+
+
+def _shape(beads):
+    n = len(beads)
+    return Partition(b - n + i for i, b in enumerate(beads, 1))
+
+
+def reference_strip_additions(lam, k, slots):
+    """Border strips of k boxes added to lam within `slots` rows, on
+    Partitions: (larger shape, sign)."""
+    beta = {lam.row(i) + slots - i for i in range(1, slots + 1)}
+    out = []
+    for b in sorted(beta):
+        if b + k in beta:
+            continue
+        height = sum(1 for c in beta if b < c < b + k)
+        new = sorted(beta - {b} | {b + k})
+        rows = [x - i for i, x in enumerate(new)]
+        out.append((Partition(r for r in reversed(rows) if r), (-1) ** height))
+    return out
+
+
+def reference_power_schur(parts, max_rows):
+    expansion = {EMPTY: 1}
+    for k in reversed(parts):
+        out = {}
+        for nu, coeff in expansion.items():
+            for shape, sign in reference_strip_additions(nu, k, max_rows):
+                out[shape] = out.get(shape, 0) + sign * coeff
+        expansion = {key: v for key, v in out.items() if v}
+    return expansion
+
+
+def test_power_schur_matches_partition_strips():
+    # every stretched class r*mu with |mu| <= 5, r <= 3, at 1 to 7 rows
+    for size in range(6):
+        for mu in sf.partitions_of(size):
+            for r in (1, 2, 3):
+                parts = tuple(r * p for p in mu.rows)
+                for max_rows in range(1, 8):
+                    expansion = sf.power_schur_expansion(parts, max_rows)
+                    assert all(len(beads) == max_rows for beads in expansion)
+                    shapes = {_shape(beads): c for beads, c in expansion.items()}
+                    assert len(shapes) == len(expansion)
+                    assert shapes == reference_power_schur(parts, max_rows), (
+                        parts,
+                        max_rows,
+                    )
+
+
+def test_adams_at_rank_truncates_adams_coefficients():
+    checks = 0
+    for size in range(6):
+        for zeta in sf.partitions_of(size):
+            for r in (1, 2, 3):
+                full = sf.adams_coefficients(zeta, r)
+                for N in range(max(len(zeta), 1), 7):
+                    expected = {nu: c for nu, c in full.items() if len(nu) <= N}
+                    assert sf.adams_at_rank(zeta, r, N) == expected, (zeta, r, N)
+                    checks += 1
+    assert checks == 270
