@@ -3,14 +3,15 @@
 A checker layer, not a production Macdonald engine.  Polynomials are built
 as eigenfunctions of the first Macdonald q-difference operator, which is
 dominance-triangular on monomial symmetric functions with polynomial
-entries; the only divisions are by eigenvalue differences.  The rational
-functions in (q, t) still cancel their bivariate gcd, for size rather than
-correctness: without it the test suite stays green but runs about three
-times slower (tests/test_macdonald.py, 1.4 s -> 4.1 s on a 2-vCPU Xeon,
-CPython 3.11).  The defining power-sum-pairing orthogonality
-<P_lam, m_mu> = 0 for mu < lam is verified by the test suite rather than
-used for construction.  Hard degree and rank caps keep everything at desk
-scale.
+entries; the only divisions are by eigenvalue differences.  The solve runs
+on the integral form J_lam = c_lam P_lam, whose monomial coefficients are
+polynomials in (q, t) (Macdonald, Symmetric Functions and Hall Polynomials,
+VI (8.11)), so every step is one qexact.exact_divide and a failure of the
+theorem raises InexactDivisionError.  P_lam's coefficients are J_lam's
+over c_lam, reduced without a gcd.  The defining
+power-sum-pairing orthogonality <P_lam, m_mu> = 0 for mu < lam is verified
+by the test suite rather than used for construction.  Hard degree and rank
+caps keep everything at desk scale.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .partitions import Partition, dual_at_N
+from .partitions import Partition, conjugate, dual_at_N
 from .qexact import InexactDivisionError, Laurent, common_terms, exact_divide
 from .symfunc import (
     monomial_power_matrix,
@@ -47,176 +48,11 @@ def _mono(**exps):
 _ONE = Laurent.one(QT)
 
 
-# ---------------------------------------------------------------------------
-# bivariate gcd (subresultant PRS), private to this module
-#
-# Coefficients of Macdonald polynomials are ratios whose reduced forms are
-# small products of binomials; without cancellation the triangular solve
-# accumulates unusable multi-hundred-term fractions.  Polynomials here are
-# tiny (degrees a few dozen), so a plain subresultant PRS is plenty.
-
-
-def _tpoly_strip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _tpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _tpoly_strip(out)
-
-
-def _tpoly_sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _tpoly_strip(out)
-
-
-def _tpoly_scale(a, c):
-    return [x * c for x in a] if c else []
-
-
-def _tpoly_divexact(a, b):
-    """Exact division in Z[t]; remainder must vanish."""
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c, r = divmod(a[-1], b[-1])
-        if r:
-            raise InexactDivisionError("inexact Z[t] division")
-        out[k] = c
-        for i, y in enumerate(b):
-            a[i + k] -= c * y
-        _tpoly_strip(a)
-    if a:
-        raise InexactDivisionError("inexact Z[t] division")
-    return _tpoly_strip(out)
-
-
-def _tpoly_gcd(a, b):
-    """Primitive-PRS gcd in Z[t]."""
-    a, b = _tpoly_strip(list(a)), _tpoly_strip(list(b))
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    c = math.gcd(ca, cb)
-    if not a:
-        return b and _tpoly_scale(b, cb and c // cb) or ([c] if c else [])
-    if not b:
-        return _tpoly_scale(a, ca and c // ca) or ([c] if c else [])
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    while b:
-        # pseudo-remainder of a by b, then make primitive again
-        r = list(a)
-        lb = b[-1]
-        while len(r) >= len(b) and r:
-            k = len(r) - len(b)
-            lead = r[-1]
-            r = _tpoly_scale(r, lb)
-            for i, y in enumerate(b):
-                r[i + k] -= lead * y
-            _tpoly_strip(r)
-        cr = math.gcd(*r)
-        a, b = b, ([x // cr for x in r] if cr else [])
-    if a and a[-1] < 0:
-        a = _tpoly_scale(a, -1)
-    return _tpoly_scale(a, c) if c else a
-
-
-def _biv_from_terms(terms):
-    """{(qdeg, tdeg): int} -> {qdeg: Z[t] poly}."""
-    out = {}
-    for (dq, dt), c in terms.items():
-        row = out.setdefault(dq, [])
-        if len(row) <= dt:
-            row.extend([0] * (dt + 1 - len(row)))
-        row[dt] += c
-    return {dq: _tpoly_strip(row) for dq, row in out.items() if _tpoly_strip(row)}
-
-
-def _biv_content(A):
-    g = []
-    for row in A.values():
-        g = _tpoly_gcd(g, row)
-    return g
-
-
-def _biv_scale_div(A, g):
-    return {dq: _tpoly_divexact(row, g) for dq, row in A.items()}
-
-
-def _biv_prem(A, B):
-    """Pseudo-remainder of A by B in (Z[t])[q]."""
-    da, db = max(A), max(B)
-    lb = B[db]
-    R = {dq: list(row) for dq, row in A.items()}
-    for _ in range(da - db + 1):
-        dr = max(R) if R else -1
-        if dr < db:
-            break
-        lead = R[dr]
-        R = {dq: _tpoly_mul(row, lb) for dq, row in R.items()}
-        for dq, row in B.items():
-            k = dq + dr - db
-            cur = R.get(k, [])
-            nxt = _tpoly_sub(cur, _tpoly_mul(row, lead))
-            if nxt:
-                R[k] = nxt
-            else:
-                R.pop(k, None)
-    return R
-
-
-def _biv_gcd(A, B):
-    """gcd in Z[q, t] of terms dicts with nonnegative integer exponents."""
-    A, B = _biv_from_terms(A), _biv_from_terms(B)
-    if not A:
-        return B
-    if not B:
-        return A
-    ca, cb = _biv_content(A), _biv_content(B)
-    cont = _tpoly_gcd(ca, cb)
-    A, B = _biv_scale_div(A, ca), _biv_scale_div(B, cb)
-    if max(A) < max(B):
-        A, B = B, A
-    while B:
-        R = _biv_prem(A, B)
-        if not R:
-            result = B
-            break
-        if max(R) == 0:
-            result = {0: [1]}
-            break
-        cr = _biv_content(R)
-        A, B = B, _biv_scale_div(R, cr)
-    else:
-        result = A
-    result = _biv_scale_div(result, _biv_content(result))
-    return {dq: _tpoly_mul(row, cont) for dq, row in result.items()}
-
-
-def _biv_to_terms(A):
-    return {
-        (dq, dt): c for dq, row in A.items() for dt, c in enumerate(row) if c
-    }
-
-
 class QTFraction:
     """Exact rational function in (q, t) over integer-coefficient Laurent
-    polynomials.  Reduction is opportunistic: shared integer content,
-    shared monomial content, and one exact-division attempt; equality is
-    decided by cross-multiplication."""
+    polynomials.  Reduction is opportunistic, with no gcd: shared integer
+    content, shared monomial content, and one exact-division attempt;
+    equality is decided by cross-multiplication."""
 
     __slots__ = ("num", "den")
 
@@ -252,21 +88,9 @@ class QTFraction:
 
             num = Laurent(num.vars, shifted(nterms), scale)
             den = Laurent(den.vars, shifted(dterms), scale)
-        num, den = QTFraction._cancel_gcd(num, den)
         if den.leading()[1] < 0:
             num, den = -num, -den
         return num, den
-
-    @staticmethod
-    def _cancel_gcd(num, den):
-        # exponents are nonnegative here, and the int keys over the common
-        # denominator are the integer grid _biv_gcd works on
-        nterms, dterms, scale = common_terms(num, den)
-        gterms = _biv_to_terms(_biv_gcd(nterms, dterms))
-        if len(gterms) <= 1:
-            return num, den
-        gpoly = Laurent(QT, gterms, scale)
-        return exact_divide(num, gpoly), exact_divide(den, gpoly)
 
     @classmethod
     def of(cls, value):
@@ -280,6 +104,14 @@ class QTFraction:
         other = QTFraction.of(other)
         if self.den == other.den:
             return QTFraction(self.num + other.num, self.den)
+        # without a gcd, only a denominator that divides the other keeps
+        # repeated sums from multiplying their denominators together
+        for small, large in ((self, other), (other, self)):
+            try:
+                lift = exact_divide(large.den, small.den)
+            except InexactDivisionError:
+                continue
+            return QTFraction(small.num * lift + large.num, large.den)
         return QTFraction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -298,30 +130,12 @@ class QTFraction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = QTFraction.of(other)
-        if not other.num:
-            raise ZeroDivisionError
-        return QTFraction(self.num * other.den, self.den * other.num)
-
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
         other = QTFraction.of(other)
         return self.num * other.den == other.num * self.den
-
-    def substituted(self, assignments):
-        num = self.num.substitute(assignments)
-        den = self.den.substitute(assignments)
-        vars = num.vars if len(num.vars) >= len(den.vars) else den.vars
-        num = _embed(num, vars)
-        den = _embed(den, vars)
-        if not den:
-            raise ZeroDivisionError("substitution killed the denominator")
-        out = QTFraction.__new__(QTFraction)
-        out.num, out.den = QTFraction._reduce(num, den)
-        return out
 
     def __str__(self):
         if self.den == _ONE:
@@ -521,12 +335,21 @@ def _eigenvalue(lam, n):
     return out
 
 
+def _integral_constant(lam):
+    """c_lam = prod over boxes s of (1 - q^{arm(s)} t^{leg(s)+1})."""
+    cols = conjugate(lam)
+    out = _ONE
+    for i, j in lam.boxes():
+        out = out * (_ONE - _mono(q=lam.row(i) - j, t=cols.row(j) - i + 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _p_coefficients(lam, n):
     """Expansion of P_lam over m_nu in n variables, by triangular solve.
 
-    u_nu = (sum over mu strictly above nu of c[mu][nu] u_mu) divided by
-    eig(lam) - eig(nu); only those small denominators ever appear.
+    J_lam's coefficient u_nu is (sum over mu strictly above nu of
+    c[mu][nu] u_mu) divided exactly by eig(lam) - eig(nu).
     """
     if lam.size() > MAX_INTERNAL_DEGREE:
         raise RankBoundError("degree %d beyond the desk-scale cap" % lam.size())
@@ -537,19 +360,19 @@ def _p_coefficients(lam, n):
         key=lambda p: p.rows,
         reverse=True,
     )
-    coeffs = {lam: QTF_ONE}
+    c_lam = _integral_constant(lam)
+    coeffs = {lam: c_lam}
     for nu in order:
         if nu == lam or not _dominates(lam, nu):
             continue
-        rhs = QTF_ZERO
+        rhs = Laurent.zero(QT)
         for mu, u in coeffs.items():
             c = matrix[mu].get(nu)
             if c:
-                rhs = rhs + u * QTFraction(c)
+                rhs = rhs + u * c
         if rhs:
-            gap = eig_lam - _eigenvalue(nu, n)
-            coeffs[nu] = rhs / QTFraction(gap)
-    return {nu: u for nu, u in coeffs.items() if u}
+            coeffs[nu] = exact_divide(rhs, eig_lam - _eigenvalue(nu, n))
+    return {nu: QTFraction(u, c_lam) for nu, u in coeffs.items()}
 
 
 def _dominates(lam, mu):

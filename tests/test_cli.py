@@ -89,12 +89,21 @@ from comphomfly import cli, macdonald, rosso, symfunc
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
     InexactDivisionError, IntegralityError, SymExponent, SymMonomial,
+    exact_divide, parse_expr,
 )
 
 assert not __debug__, "must run under python -O"
 try:
-    macdonald._tpoly_divexact([1, 0, 1], [1, 1])
-    sys.exit("inexact Z[t] division passed")
+    exact_divide(parse_expr("1+t^2"), parse_expr("1+t"))
+    sys.exit("inexact division passed")
+except InexactDivisionError:
+    pass
+# with c_lam = 1 the solve must divide (1+q)(1-t) by 1-qt for P_[2]
+macdonald._integral_constant = lambda lam: macdonald.Laurent.one(macdonald.QT)
+macdonald._p_coefficients.cache_clear()
+try:
+    macdonald.macdonald_p(Partition((2,)), 2)
+    sys.exit("non-integral Macdonald solve passed")
 except InexactDivisionError:
     pass
 lam = Partition((1,))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from comphomfly.partitions import Partition
-from comphomfly.qexact import parse_expr
+from comphomfly.qexact import exact_divide, parse_expr
 from comphomfly import macdonald as md
 from comphomfly.symfunc import partitions_of
 
@@ -137,3 +137,62 @@ def test_qtfraction_reduction_and_equality():
     assert c * md.QTFraction(parse_expr("1 - t", QT)) == md.QTFraction(
         parse_expr("1 - q*t", QT)
     )
+
+
+def test_duality_check_fails_on_a_wrong_dual(monkeypatch):
+    true_dual = md.dual_at_N
+
+    def wrong_dual(lam, n):
+        return P("1") if (lam, n) == (P("1"), 3) else true_dual(lam, n)
+
+    monkeypatch.setattr(md, "dual_at_N", wrong_dual)
+    report = md.duality_check(P("1"), 3)
+    assert report.inversion_ok is False
+    assert report.evaluation_ok is True
+    assert not report.ok and report.detail
+    assert md.duality_check(P("2"), 3).ok
+
+
+def test_evaluation_formula_rejects_a_mismatched_weight():
+    # same-size weights of A_2; a weight and its dual share the evaluation
+    for size in range(2, 5):
+        weights = [lam for lam in partitions_of(size) if len(lam) <= 2]
+        for lam in weights:
+            p = md.principal_specialization(md.macdonald_p(lam, 3), 3)
+            for other in weights:
+                if other != lam:
+                    assert p != md.evaluation_formula(other, 2), (lam, other)
+
+
+def test_qtfraction_sum_lifts_to_a_dividing_denominator():
+    import random
+
+    rng = random.Random(5)
+    one = parse_expr("1", QT)
+
+    def binomials(k):
+        out = one
+        for _ in range(k):
+            a, b = rng.randint(0, 2), rng.randint(1, 2)
+            out = out * parse_expr("1 - q^%d*t^%d" % (a, b), QT)
+        return out
+
+    def numerator():
+        out = one
+        for _ in range(3):
+            c, a, b = rng.randint(-3, 3), rng.randint(0, 2), rng.randint(0, 2)
+            out = out + parse_expr("%d*q^%d*t^%d" % (c, a, b), QT)
+        return out or one
+
+    for _ in range(60):
+        small = binomials(rng.randint(0, 2))
+        dividing = rng.random() < 0.5
+        large = small * binomials(rng.randint(1, 2)) if dividing else binomials(2)
+        a = md.QTFraction(numerator(), small)
+        b = md.QTFraction(numerator(), large)
+        for x, y in ((a, b), (b, a)):
+            total = x + y
+            assert total == md.QTFraction(x.num * y.den + y.num * x.den, x.den * y.den)
+            if dividing:
+                # the lifted sum never needs more than the larger denominator
+                exact_divide(large, total.den)

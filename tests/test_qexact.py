@@ -1,8 +1,10 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from comphomfly import qexact
 from comphomfly.qexact import (
     Bracket,
     BracketProduct,
@@ -123,6 +125,17 @@ def test_exact_divide_failure_carries_remainder():
         exact_divide(parse_expr("q^2 + 1", QA), parse_expr("q + 1", QA))
     assert err.value.remainder is not None
     assert err.value.remainder
+
+
+def test_exact_divide_is_the_only_inexact_division_site():
+    # one exact-division primitive: no module grows a second division routine
+    package = pathlib.Path(qexact.__file__).parent
+    raisers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if "raise InexactDivisionError" in path.read_text()
+    )
+    assert raisers == ["qexact.py"]
 
 
 def reference_remainder(num, den):
