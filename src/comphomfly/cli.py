@@ -30,8 +30,7 @@ def _parse_color(args):
         if not sep:
             raise ValueError("weight color needs a '|': %r" % args.weight)
         return parse_weight(left), parse_weight(right)
-    diagram = CompositeDiagram.parse(args.color)
-    return diagram.lam, diagram.mu
+    return CompositeDiagram.parse(args.color)
 
 
 def cmd_compute(args):

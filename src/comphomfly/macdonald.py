@@ -17,6 +17,7 @@ caps keep everything at desk scale.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -264,7 +265,7 @@ def _xvars(n):
 def _monomial_sym(mu, n):
     """m_mu as an explicit polynomial in x1..xn (coefficients in q, t)."""
     vars = _xvars(n)
-    padded = tuple(mu.rows) + (0,) * (n - len(mu))
+    padded = mu + (0,) * (n - len(mu))
     out = Laurent.zero(vars)
     for perm in set(permutations(padded)):
         out = out + Laurent.monomial(
@@ -357,7 +358,6 @@ def _p_coefficients(lam, n):
     eig_lam = _eigenvalue(lam, n)
     order = sorted(
         (mu for mu in partitions_of(lam.size()) if len(mu) <= n),
-        key=lambda p: p.rows,
         reverse=True,
     )
     c_lam = _integral_constant(lam)
@@ -393,8 +393,7 @@ def macdonald_p(lam, n):
     under the (q, t) power-sum pairing (the tested characterization); at
     t = q it degenerates to the Schur polynomial.
     """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = Partition(lam)
     if n > MAX_VARIABLES or n < 1:
         raise RankBoundError("variable count %d outside 1..%d" % (n, MAX_VARIABLES))
     if lam.size() > MAX_WEIGHT:
@@ -409,7 +408,7 @@ def _restrict(lam, n):
         return SymLaurent(n, {(0,) * n: QTF_ONE})
     out = {}
     for nu, u in _p_coefficients(lam, n).items():
-        out[tuple(nu.rows) + (0,) * (n - len(nu))] = u
+        out[nu + (0,) * (n - len(nu))] = u
     return SymLaurent(n, out)
 
 
@@ -418,7 +417,7 @@ def schur_restricted(lam, n):
     out = {}
     for mu, k in schur_in_monomials(lam).items():
         if len(mu) <= n:
-            out[tuple(mu.rows) + (0,) * (n - len(mu))] = QTFraction(k)
+            out[mu + (0,) * (n - len(mu))] = QTFraction(k)
     return SymLaurent(n, out)
 
 
@@ -431,7 +430,7 @@ def _power_norm(rho):
     """<p_rho, p_rho> = z_rho prod_i (1 - q^{rho_i})/(1 - t^{rho_i})."""
     num = zclass(rho) * _ONE
     den = _ONE
-    for part in rho.rows:
+    for part in rho:
         num = num * (_ONE - _mono(q=part))
         den = den * (_ONE - _mono(t=part))
     return QTFraction(num, den)
@@ -484,8 +483,7 @@ def evaluation_formula(b, rank):
     0 <= j < (alpha_check, b) of
     (1 - q^j t^{(rho,alpha)+1}) / (1 - q^j t^{(rho,alpha)}).
     """
-    if not isinstance(b, Partition):
-        b = Partition(b)
+    b = Partition(b)
     if rank >= MAX_VARIABLES or rank < 1:
         raise RankBoundError("rank %d outside 1..%d" % (rank, MAX_VARIABLES - 1))
     if len(b) > rank:
@@ -511,37 +509,26 @@ def evaluation_formula(b, rank):
 # duality
 
 
+@dataclass(frozen=True)
 class DualityReport:
     """Outcome of the inversion/evaluation identities for one weight."""
 
-    __slots__ = ("lam", "n", "inversion_ok", "evaluation_ok", "detail")
-
-    def __init__(self, lam, n, inversion_ok, evaluation_ok, detail=""):
-        self.lam = lam
-        self.n = n
-        self.inversion_ok = inversion_ok
-        self.evaluation_ok = evaluation_ok
-        self.detail = detail
+    lam: Partition
+    n: int
+    inversion_ok: bool
+    evaluation_ok: bool
+    detail: str = ""
 
     @property
     def ok(self):
         return self.inversion_ok and self.evaluation_ok
-
-    def __repr__(self):
-        return "DualityReport(%s, n=%d, inversion=%s, evaluation=%s)" % (
-            self.lam,
-            self.n,
-            self.inversion_ok,
-            self.evaluation_ok,
-        )
 
 
 def duality_check(lam, n):
     """Verify P_lam(X^{-1}) (x_1...x_n)^{lam_1} = P_{lam*} with lam* the
     rank-n dual diagram, and the equality of the two principal evaluations,
     both as exact identities of rational functions."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = Partition(lam)
     if n > MAX_VARIABLES or len(lam) > n:
         raise RankBoundError("duality check outside desk bounds")
     p = macdonald_p(lam, n)

@@ -1,5 +1,10 @@
 """Young diagrams, composite diagrams, and their box statistics.
 
+Both are tuples: a `Partition` is a tuple of rows validated at
+construction, and a `CompositeDiagram` is a named pair of partitions, so
+the stdlib's tuple equality, hashing and ordering serve every dict key and
+sort in the package.
+
 A composite diagram is an ordered pair [lambda, mu] of partitions.  At any
 finite rank N >= len(lambda) + len(mu) it materializes as a single partition:
 mu sits in the top rows, the rank-N dual of lambda in the bottom rows, and a
@@ -8,30 +13,31 @@ flat block of rows of length lambda_1 fills the middle.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 class RankTooSmallError(ValueError):
     """The finite rank N cannot hold the requested composite diagram."""
 
 
-class Partition:
-    """A partition as a weakly decreasing tuple of positive ints.
+class Partition(tuple):
+    """A partition: a validated tuple of weakly decreasing positive ints.
 
-    Canonical at construction: zeros are stripped, so structural equality
-    is partition equality and instances are safe dict keys.
+    Zeros are stripped at construction, so tuple equality, hashing and
+    ordering are partition equality, hashing and ordering; a Partition
+    compares equal to the plain tuple of its rows, by design.  Empty slots
+    leave no instance dict, so instances are immutable dict keys.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows=()):
+    def __new__(cls, rows=()):
         rows = tuple(int(r) for r in rows if r != 0)
         if any(r < 0 for r in rows):
             raise ValueError("negative row length: %r" % (rows,))
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError("rows not weakly decreasing: %r" % (rows,))
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return super().__new__(cls, rows)
 
     @classmethod
     def parse(cls, text):
@@ -41,57 +47,32 @@ class Partition:
             return cls()
         return cls(int(part) for part in text.split(","))
 
-    # -- basic statistics ------------------------------------------------
-
     def size(self):
-        return sum(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __bool__(self):
-        return bool(self.rows)
+        return sum(self)
 
     def row(self, i):
         """Row length with 1-based index i; zero beyond the last row."""
-        return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     @property
     def width(self):
-        return self.rows[0] if self.rows else 0
+        return self[0] if self else 0
 
     def contains(self, other):
         """Containment of diagrams, row by row."""
-        return all(self.row(i) >= r for i, r in enumerate(other.rows, start=1))
+        return all(self.row(i) >= r for i, r in enumerate(other, start=1))
 
     def boxes(self):
         """All boxes (i, j), 1-based row i and column j."""
-        for i, r in enumerate(self.rows, start=1):
+        for i, r in enumerate(self, start=1):
             for j in range(1, r + 1):
                 yield (i, j)
 
-    # -- hashing / ordering ----------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __lt__(self, other):
-        return self.rows < other.rows
-
-    def __le__(self, other):
-        return self.rows <= other.rows
-
     def __str__(self):
-        return ",".join(str(r) for r in self.rows) if self.rows else "0"
+        return ",".join(map(str, self)) if self else "0"
 
     def __repr__(self):
-        return "Partition(%r)" % (self.rows,)
+        return "Partition(%r)" % (tuple(self),)
 
 
 EMPTY = Partition()
@@ -99,10 +80,10 @@ EMPTY = Partition()
 
 def conjugate(lam):
     """Transpose of the diagram; an involution."""
-    if not lam.rows:
+    if not lam:
         return EMPTY
     cols = [0] * lam.width
-    for r in lam.rows:
+    for r in lam:
         for j in range(r):
             cols[j] += 1
     return Partition(cols)
@@ -130,7 +111,7 @@ def compose_at_N(lam, mu, N):
         raise RankTooSmallError(
             "rank %d < %d rows needed by [%s|%s]" % (N, len(lam) + len(mu), lam, mu)
         )
-    head = [mu.rows[k] + lam.width for k in range(len(mu))]
+    head = [row + lam.width for row in mu]
     middle = [lam.width] * (N - len(lam) - len(mu))
     tail = [lam.width - lam.row(N + 1 - k) for k in range(N - len(lam) + 1, N + 1)]
     return Partition(head + middle + tail)
@@ -152,25 +133,19 @@ def reduce_columns(lam, N):
         raise RankTooSmallError("%s has more than %d rows" % (lam, N))
     if len(lam) < N:
         return lam
-    c = lam.rows[-1]
-    return Partition(r - c for r in lam.rows)
+    c = lam[-1]
+    return Partition(r - c for r in lam)
 
 
-class CompositeDiagram:
+class CompositeDiagram(NamedTuple):
     """An ordered pair [lam, mu] of partitions.
 
     Stored ordered; order-insensitivity of derived invariants is a tested
     property, not a type-level identification.
     """
 
-    __slots__ = ("lam", "mu")
-
-    def __init__(self, lam, mu):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompositeDiagram is immutable")
+    lam: Partition
+    mu: Partition
 
     @classmethod
     def parse(cls, text):
@@ -180,20 +155,8 @@ class CompositeDiagram:
             raise ValueError("composite diagram needs a '|': %r" % text)
         return cls(Partition.parse(left), Partition.parse(right))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompositeDiagram)
-            and (self.lam, self.mu) == (other.lam, other.mu)
-        )
-
-    def __hash__(self):
-        return hash((self.lam, self.mu))
-
     def __str__(self):
         return "%s|%s" % (self.lam, self.mu)
-
-    def __repr__(self):
-        return "CompositeDiagram(%r, %r)" % (self.lam, self.mu)
 
 
 def weight_to_partition(coeffs):
@@ -203,7 +166,7 @@ def weight_to_partition(coeffs):
     for b in reversed(list(coeffs)):
         total += b
         rows.append(total)
-    return Partition(reversed([r for r in rows]))
+    return Partition(reversed(rows))
 
 
 def parse_weight(text):

@@ -173,10 +173,6 @@ class InvariantResult:
         return "\n".join(lines)
 
 
-def _sorted_keys(expansion):
-    return sorted(expansion, key=lambda bg: (bg[0].rows, bg[1].rows), reverse=True)
-
-
 def _bracket_fraction(dim):
     """Bracket multisets (num, den) with dim = prod num / prod den as
     polynomials: each bracket [b] is bracket_numerator(b) over the unit
@@ -200,7 +196,7 @@ def _assemble(knot, lam, mu, expansion, theta_color):
     color_dim = quantum_dimension(lam, mu)
     terms = []
     fractions = []
-    for beta, gamma in _sorted_keys(expansion):
+    for beta, gamma in sorted(expansion, reverse=True):
         coeff = expansion[(beta, gamma)]
         twist = pref * braiding_eigenvalue(beta, gamma).power(power)
         term = FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))

@@ -4,8 +4,7 @@ Littlewood-Richardson coefficients by tableau counting, symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
 coefficients, the composite-character expansions that drive the torus-knot
 engine, and the finite-rank Adams expansion of the oracle.  Everything is
-integer-exact.  Partitions are the `partitions.Partition` type at every
-interface; both border-strip steps run on beta-sets (see `_slide`).
+integer-exact.  Both border-strip steps run on beta-sets (see `_slide`).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def partitions_of(n, max_part=None):
     out = []
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
-            out.append(Partition((first,) + rest.rows))
+            out.append(Partition((first,) + rest))
     return tuple(out)
 
 
@@ -57,11 +56,11 @@ def subpartitions(lam):
         out.add(Partition(acc))
         if i >= len(lam):
             return
-        for r in range(1, min(lam.rows[i], prev) + 1):
+        for r in range(1, min(lam[i], prev) + 1):
             fill(i + 1, r, acc + (r,))
 
     fill(0, lam.width, ())
-    return tuple(sorted(out, key=lambda p: p.rows))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def lr_coefficient(lam, mu, nu):
         i, j = cells[pos]
         total = 0
         for v in range(1, len(mu) + 1):
-            if counts[v] >= mu.rows[v - 1]:
+            if counts[v] >= mu[v - 1]:
                 continue
             if v >= 2 and counts[v] >= counts[v - 1]:
                 continue  # lattice word
@@ -142,7 +141,7 @@ def schur_product(lam, mu):
             grow(i + 1, r, acc + (r,), remaining - r)
 
     grow(1, target, (), target)
-    return dict(out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +199,7 @@ def sym_character(lam, mu):
     if lam.size() != mu.size():
         raise SizeMismatchError("|%s| != |%s|" % (lam, mu))
     n = len(lam)
-    return _mn(tuple(r + n - i for i, r in enumerate(lam.rows, 1)), mu.rows)
+    return _mn(tuple(r + n - i for i, r in enumerate(lam, 1)), mu)
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +215,7 @@ def zclass(mu):
     """Centralizer order z_mu = prod_i i^{m_i} m_i!."""
     z = 1
     mults = {}
-    for part in mu.rows:
+    for part in mu:
         mults[part] = mults.get(part, 0) + 1
     for part, m in mults.items():
         z *= part**m * math.factorial(m)
@@ -233,7 +232,7 @@ def conjugacy_size(mu):
 
 
 def _stretch(mu, r):
-    return Partition(sorted((r * part for part in mu.rows), reverse=True))
+    return Partition(sorted((r * part for part in mu), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +262,7 @@ def adams_coefficients(lam, r):
             if total.denominator != 1:
                 raise IntegralityError("non-integer Adams coefficient")
             out[nu] = int(total)
-    return dict(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +340,13 @@ def format_expansion(expansion):
     the row tuples, matching the printed tables.
     """
 
-    def key_of(item):
-        if isinstance(item, Partition):
-            return (item.rows,)
-        return tuple(part.rows for part in item)
-
     def text_of(item):
         if isinstance(item, Partition):
             return str(item)
         return "|".join(str(part) for part in item)
 
     lines = []
-    for item in sorted(expansion, key=key_of, reverse=True):
+    for item in sorted(expansion, reverse=True):
         lines.append("%s\t%d" % (text_of(item), expansion[item]))
     return "\n".join(lines)
 
@@ -396,7 +390,7 @@ def adams_at_rank(zeta, r, max_rows):
     for mu in partitions_of(zeta.size()):
         chi = sym_character(zeta, mu)
         if chi:
-            weights.append((chi, zclass(mu), tuple(r * p for p in mu.rows)))
+            weights.append((chi, zclass(mu), tuple(r * p for p in mu)))
     L = math.lcm(*(z for _, z, _ in weights))
     acc = {}
     for chi, z, stretched in weights:
@@ -476,7 +470,7 @@ def schur_monomials(lam, nvars):
         cell(1, 1, ())
 
     rows_fill(1, None, ())
-    return dict(out)
+    return out
 
 
 def monomial_to_schur(monomials, nvars):
@@ -516,7 +510,7 @@ def power_monomial_matrix(degree):
     out = {}
     for rho in partitions_of(degree):
         poly = {(0,) * nvars: 1}
-        for part in rho.rows:
+        for part in rho:
             nxt = {}
             for exps, c in poly.items():
                 for i in range(nvars):

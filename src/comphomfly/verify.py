@@ -266,7 +266,7 @@ def check_q1_eval(fixture, factors):
     diagram = fixture.diagram()
     columns = []
     for side in (diagram.lam, diagram.mu):
-        columns.extend(conjugate(side).rows)
+        columns.extend(conjugate(side))
     target = _product_over(columns, factors)
     if target is None:
         return CheckReport(cid, "SKIP", note="column factor not printed")
@@ -280,7 +280,7 @@ def check_t1_eval(fixture, factors):
     """Fixture at t = 1 against the product of per-row factors."""
     cid = "t1-eval:%s" % fixture.id
     diagram = fixture.diagram()
-    rows = list(diagram.lam.rows) + list(diagram.mu.rows)
+    rows = diagram.lam + diagram.mu
     target = _product_over(rows, factors)
     if target is None:
         return CheckReport(cid, "SKIP", note="row factor not printed")
@@ -488,7 +488,7 @@ def suite_oracle(fixtures):
     for fid, _ in CONNECTION_TABLE:
         fixture = fixtures[fid]
         diagram = fixture.diagram()
-        key = (fixture.knot.r, fixture.knot.s, diagram.lam.rows, diagram.mu.rows)
+        key = (fixture.knot, diagram)
         if key in seen:
             continue
         seen.add(key)

@@ -42,6 +42,24 @@ def test_compute_show_terms_table(capsys):
     assert lines[0] == "1|1\ttheta=a^(-1)\tc=0\tdim=[N-1][N+1]"
     assert lines[-1] == "0|0\ttheta=1\tc=1\tdim=1"
     assert "theta=a^(-2)*q^(-2)\tc=1\tdim=[N-1][N]^2[N+3]/[2]^2" in lines[1]
+    # the full factored tables pin the term order, which is descending
+    # tuple order on (beta, gamma)
+    for flag, count, digest in (
+        (
+            "--show-terms",
+            67,
+            "cbeb24002fc8f189fe95b1647be91a193bdf33caf3bf9247f05b907ad9ab8259",
+        ),
+        (
+            "--unnormalized",
+            66,
+            "d339b9d6584831fd407d002c805893a4a31c09fd2478f362141f5c66d2b7bbe8",
+        ),
+    ):
+        code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", "2,1|2,1", flag)
+        assert code == 0
+        assert len(out.splitlines()) == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_unknot(capsys):

@@ -32,8 +32,8 @@ def random_partition(rng, max_size=12):
 
 
 def test_construction_canonical():
-    assert Partition((3, 1, 0, 0)).rows == (3, 1)
-    assert Partition(()).rows == ()
+    assert tuple(Partition((3, 1, 0, 0))) == (3, 1)
+    assert tuple(Partition(())) == ()
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -48,6 +48,32 @@ def test_text_round_trip():
     assert CompositeDiagram.parse("0|3").lam == EMPTY
     with pytest.raises(ValueError):
         CompositeDiagram.parse("2,1")
+
+
+def test_partition_is_its_row_tuple():
+    """A Partition equals, and hashes like, the plain tuple of its rows.
+
+    This is intended: Partition is a validated tuple, so tuple equality is
+    partition equality and either form finds the same dict entry.
+    """
+    assert Partition((1,)) == (1,)
+    assert hash(Partition((1,))) == hash((1,))
+    assert Partition((2, 1, 0)) == (2, 1) and EMPTY == ()
+    assert {(2, 1): "x"}[P("2,1")] == "x"
+    assert sorted([P("1,1"), P("2"), P("1")]) == [(1,), (1, 1), (2,)]
+    assert CompositeDiagram.parse("2,1|1") == (P("2,1"), P("1"))
+
+
+def test_partition_is_immutable():
+    lam = P("2,1")
+    with pytest.raises(AttributeError):
+        lam.width = 3
+    with pytest.raises(AttributeError):
+        lam.anything = 1
+    assert not hasattr(lam, "__dict__")
+    diagram = CompositeDiagram.parse("2,1|1")
+    with pytest.raises(AttributeError):
+        diagram.lam = EMPTY
 
 
 def test_conjugate_examples():

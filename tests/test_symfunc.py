@@ -374,7 +374,7 @@ def test_power_schur_matches_partition_strips():
     for size in range(6):
         for mu in sf.partitions_of(size):
             for r in (1, 2, 3):
-                parts = tuple(r * p for p in mu.rows)
+                parts = tuple(r * p for p in mu)
                 for max_rows in range(1, 8):
                     expansion = sf.power_schur_expansion(parts, max_rows)
                     assert all(len(beads) == max_rows for beads in expansion)
