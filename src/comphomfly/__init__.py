@@ -24,7 +24,6 @@ from .qexact import (
     Laurent,
     ResidualRankError,
     SymExponent,
-    SymMonomial,
     exact_divide,
     parse_expr,
     tilde_normalize,
@@ -53,7 +52,6 @@ __all__ = [
     "RankTooSmallError",
     "ResidualRankError",
     "SymExponent",
-    "SymMonomial",
     "TorusKnot",
     "braiding_eigenvalue",
     "classical_homfly",

@@ -61,7 +61,7 @@ def cmd_compute(args):
                 % (
                     beta,
                     gamma,
-                    braiding_eigenvalue(beta, gamma).render(),
+                    braiding_eigenvalue(beta, gamma).render_power(),
                     coeff,
                     quantum_dimension(beta, gamma).render(),
                 )

@@ -180,6 +180,8 @@ def parse_weight(text):
         if not sep or not idx.isdigit():
             raise ValueError("bad weight term: %r" % piece)
         i = int(idx)
+        if i < 1:
+            raise ValueError("fundamental weights start at w1: %r" % piece)
         coeffs[i] = coeffs.get(i, 0) + (int(mult) if mult else 1)
     top = max(coeffs)
     return weight_to_partition([coeffs.get(i, 0) for i in range(1, top + 1)])

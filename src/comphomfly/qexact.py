@@ -19,7 +19,7 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from operator import add, sub
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 class ResidualRankError(ArithmeticError):
-    """A symbolic exponent kept N^2 or 1/N parts where they must cancel."""
+    """A symbolic exponent kept a 1/N part where it must cancel."""
 
 
 class IntegralityError(ArithmeticError):
@@ -147,9 +147,9 @@ class Laurent:
                     key = (a1 + a2, b1 + b2)
                     acc[key] = get(key, 0) + c1 * c2
         else:
-            for e1, c1 in small.items():
-                for e2, c2 in large.items():
-                    key = tuple(map(add, e1, e2))
+            for k1, c1 in small.items():
+                for k2, c2 in large.items():
+                    key = tuple(map(add, k1, k2))
                     acc[key] = get(key, 0) + c1 * c2
         return _build(self.vars, {k: c for k, c in acc.items() if c}, den)
 
@@ -435,123 +435,70 @@ def tilde_normalize(p):
 
 
 class SymExponent(NamedTuple):
-    """q-exponent of the shape e2*N^2 + e1*N + e0 + em1/N with exact parts."""
+    """q-exponent of the shape e1*N + e0 + em1/N with exact parts."""
 
-    e2: Fraction
     e1: Fraction
     e0: Fraction
     em1: Fraction
 
     @classmethod
-    def make(cls, e2=0, e1=0, e0=0, em1=0):
-        return cls(Fraction(e2), Fraction(e1), Fraction(e0), Fraction(em1))
+    def make(cls, e1=0, e0=0, em1=0):
+        return cls(Fraction(e1), Fraction(e0), Fraction(em1))
 
     def __add__(self, other):
-        return SymExponent(
-            self.e2 + other.e2,
-            self.e1 + other.e1,
-            self.e0 + other.e0,
-            self.em1 + other.em1,
-        )
+        return SymExponent(self.e1 + other.e1, self.e0 + other.e0, self.em1 + other.em1)
 
     def __neg__(self):
-        return SymExponent(-self.e2, -self.e1, -self.e0, -self.em1)
+        return SymExponent(-self.e1, -self.e0, -self.em1)
 
     def scale(self, f):
         f = Fraction(f)
-        return SymExponent(self.e2 * f, self.e1 * f, self.e0 * f, self.em1 * f)
+        return SymExponent(self.e1 * f, self.e0 * f, self.em1 * f)
 
     def is_rank_free(self):
-        return self.e2 == 0 and self.em1 == 0
+        return self.em1 == 0
 
     def at_rank(self, N):
-        return self.e2 * N * N + self.e1 * N + self.e0 + Fraction(self.em1, N)
+        return self.e1 * N + self.e0 + Fraction(self.em1, N)
 
     def render(self):
+        """Human form e1*N + e0 + em1/N, leaving out zero parts."""
         bits = []
-        for coeff, sym in (
-            (self.e2, "N^2"),
-            (self.e1, "N"),
-            (self.e0, ""),
-            (self.em1, "/N"),
-        ):
-            if not coeff:
-                continue
-            if sym == "/N":
-                bits.append("%s/N" % coeff)
-            elif sym:
-                bits.append(("%s*%s" % (coeff, sym)) if abs(coeff) != 1 else
-                            ("%s%s" % ("-" if coeff < 0 else "", sym)))
-            else:
-                bits.append(str(coeff))
-        if not bits:
-            return "0"
-        text = " + ".join(bits).replace("+ -", "- ")
-        return text
+        if self.e1:
+            bits.append({1: "N", -1: "-N"}.get(self.e1, "%s*N" % self.e1))
+        if self.e0:
+            bits.append(str(self.e0))
+        if self.em1:
+            bits.append("%s/N" % self.em1)
+        return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
-
-SYM_ZERO = SymExponent.make()
-
-
-class SymMonomial(NamedTuple):
-    """A signed q-power with symbolic-rank exponent: sign * q^(exponent)."""
-
-    sign: int
-    exponent: SymExponent
-
-    @classmethod
-    def one(cls):
-        return cls(1, SYM_ZERO)
-
-    def __mul__(self, other):
-        return SymMonomial(self.sign * other.sign, self.exponent + other.exponent)
-
-    def power(self, f):
-        f = Fraction(f)
-        if self.sign == -1:
-            if f.denominator != 1:
-                raise SignedExponentError("(-1)^(%s) undefined" % f)
-            sign = -1 if f.numerator % 2 else 1
-        else:
-            sign = 1
-        return SymMonomial(sign, self.exponent.scale(f))
-
-    def render(self):
-        """Human form with q^N written as a: sign a^{e1} q^{e0 + em1/N}."""
-        e = self.exponent
+    def render_power(self):
+        """Human form of q^(self) with q^N written as a: a^{e1} q^{e0 + em1/N}."""
         bits = []
-        if e.e2:
-            bits.append("q^(%s*N^2)" % e.e2)
-        if e.e1:
-            bits.append("a" if e.e1 == 1 else "a^%s" % _fmt_frac(e.e1))
-        if e.em1:
-            inner = []
-            if e.e0:
-                inner.append(str(e.e0))
-            inner.append("%s/N" % e.em1)
-            bits.append("q^(%s)" % " + ".join(inner).replace("+ -", "- "))
-        elif e.e0:
-            bits.append("q" if e.e0 == 1 else "q^%s" % _fmt_frac(e.e0))
-        body = "*".join(bits) if bits else "1"
-        return "-" + body if self.sign < 0 else body
+        if self.e1:
+            bits.append("a" if self.e1 == 1 else "a^%s" % _fmt_frac(self.e1))
+        if self.em1:
+            bits.append("q^(%s)" % self._replace(e1=0).render())
+        elif self.e0:
+            bits.append("q" if self.e0 == 1 else "q^%s" % _fmt_frac(self.e0))
+        return "*".join(bits) if bits else "1"
 
 
 def _fmt_frac(f):
     return str(f) if f.denominator == 1 and f >= 0 else "(%s)" % f
 
 
-def sym_to_qa(mono):
-    """Lower a rank-free symbolic monomial into the (q, a) ring.
+def sym_to_qa(e):
+    """Lower a rank-free symbolic exponent into the (q, a) ring.
 
-    Exponent e1*N + e0 becomes a^e1 q^e0.  Surviving N^2 or 1/N parts mean
-    an upstream cancellation failed, which is always a bug.
+    q^(e1*N + e0) becomes a^e1 q^e0.  A surviving 1/N part means an
+    upstream cancellation failed, which is always a bug.
     """
-    e = mono.exponent
     if not e.is_rank_free():
         raise ResidualRankError(
             "exponent %s retains rank-dependent parts" % (e.render(),)
         )
-    return Laurent(("q", "a"), {(e.e0, e.e1): mono.sign})
+    return Laurent(("q", "a"), {(e.e0, e.e1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -591,33 +538,27 @@ def bracket_at_rank(b, N):
 
 
 class BracketProduct:
-    """A signed monomial times a quotient of bracket multisets, canonical.
+    """A quotient of bracket multisets, canonical.
 
-    Construction cancels identical brackets between numerator and
-    denominator, discards unit brackets [1], and flips bracket signs so
-    every stored bracket has positive leading part.
+    Every bracket must have a positive leading part (u > 0, or u == 0 and
+    v > 0), else ValueError.  Construction cancels identical brackets
+    between numerator and denominator and discards unit brackets [1].
     """
 
-    __slots__ = ("prefactor", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, prefactor=None, num=(), den=()):
-        sign_flips = 0
-        norm_num, norm_den = [], []
-        for target, source in ((norm_num, num), (norm_den, den)):
+    def __init__(self, num=(), den=()):
+        kept_num, kept_den = [], []
+        for target, source in ((kept_num, num), (kept_den, den)):
             for b in source:
-                u, v = b
-                if u == 0 and v == 0:
-                    raise ValueError("zero bracket [0]")
-                if u < 0 or (u == 0 and v < 0):
-                    u, v = -u, -v
-                    sign_flips += 1
-                if (u, v) != (0, 1):
-                    target.append(Bracket(u, v))
-        num_count, den_count = Counter(norm_num), Counter(norm_den)
-        pre = prefactor if prefactor is not None else SymMonomial.one()
-        if sign_flips % 2:
-            pre = SymMonomial(-pre.sign, pre.exponent)
-        self.prefactor = pre
+                # tuple order: (u, v) > (0, 0) is exactly a positive leading part
+                if b <= (0, 0):
+                    raise ValueError(
+                        "bracket %s has no positive leading part" % Bracket(*b).render()
+                    )
+                if b != UNIT_BRACKET:
+                    target.append(b)
+        num_count, den_count = Counter(kept_num), Counter(kept_den)
         self.num = tuple(sorted((num_count - den_count).elements()))
         self.den = tuple(sorted((den_count - num_count).elements()))
 
@@ -626,29 +567,20 @@ class BracketProduct:
         return cls()
 
     def __mul__(self, other):
-        return BracketProduct(
-            self.prefactor * other.prefactor,
-            self.num + other.num,
-            self.den + other.den,
-        )
+        return BracketProduct(self.num + other.num, self.den + other.den)
 
     def __truediv__(self, other):
-        return BracketProduct(
-            self.prefactor * other.prefactor.power(-1),
-            self.num + other.den,
-            self.den + other.num,
-        )
+        return BracketProduct(self.num + other.den, self.den + other.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, BracketProduct)
-            and self.prefactor == other.prefactor
             and self.num == other.num
             and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.prefactor, self.num, self.den))
+        return hash((self.num, self.den))
 
     def at_rank(self, N):
         """Evaluate at a = q^N as an exact Laurent in q^{1/2}."""
@@ -657,26 +589,17 @@ class BracketProduct:
             num = num * bracket_at_rank(b, N)
         for b in self.den:
             num = exact_divide(num, bracket_at_rank(b, N))
-        exp = self.prefactor.exponent.at_rank(N)
-        mono = _build(("q",), {(exp.numerator,): self.prefactor.sign}, exp.denominator)
-        return num * mono
+        return num
 
     def render(self):
         def block(brackets):
             pieces = []
-            seen = []
-            for b in brackets:
-                if seen and seen[-1][0] == b:
-                    seen[-1][1] += 1
-                else:
-                    seen.append([b, 1])
-            for b, k in seen:
+            for b, run in groupby(brackets):
+                k = len(list(run))
                 pieces.append(b.render() + ("^%d" % k if k > 1 else ""))
             return "".join(pieces)
 
-        pre = self.prefactor.render()
-        num = block(self.num) or "1"
-        text = num if pre == "1" else ("%s*%s" % (pre, num) if num != "1" else pre)
+        text = block(self.num) or "1"
         if self.den:
             text += "/" + block(self.den)
         return text

@@ -28,7 +28,6 @@ from .qexact import (
     IntegralityError,
     Laurent,
     SymExponent,
-    SymMonomial,
     UNIT_BRACKET,
     bracket_numerator,
     exact_divide,
@@ -77,18 +76,18 @@ def braiding_eigenvalue(lam, mu):
 
     The N^2 parts cancel inside every eigenvalue, leaving
 
-        -(|lam| + |mu|)/2 * N - (kappa_lam + kappa_mu)/2 + (|mu| - |lam|)^2/(2N);
+        -(|lam| + |mu|)/2 * N - (kappa_lam + kappa_mu)/2 + (|mu| - |lam|)^2/(2N).
 
-    the 1/N parts cancel only after the full torus-knot combination.
+    The 1/N part survives here.  It cancels in each twisted term, where the
+    term's eigenvalue to the power r/s meets the color's eigenvalue to the
+    power -r*s, and `sym_to_qa` raises ResidualRankError if it does not.
     """
     m, n = lam.size(), mu.size()
-    exponent = SymExponent.make(
-        0,
+    return SymExponent.make(
         Fraction(-(m + n), 2),
         Fraction(-(kappa(lam) + kappa(mu)), 2),
         Fraction((n - m) ** 2, 2),
     )
-    return SymMonomial(1, exponent)
 
 
 def quantum_dimension(beta, gamma):
@@ -100,7 +99,7 @@ def quantum_dimension(beta, gamma):
     pairs give constant brackets, head-middle and middle-tail telescopes
     leave one bracket per box of gamma resp. beta, head-tail pairs give one
     bracket each, and middle-middle pairs cancel outright.  Every surviving
-    bracket is [N + const] or a constant, independent of N.
+    bracket is [N + const] or a positive constant, independent of N.
     """
     h, t = len(gamma), len(beta)
     num, den = [], []
@@ -124,7 +123,7 @@ def quantum_dimension(beta, gamma):
         for k in range(1, beta.row(p) + 1):
             num.append(Bracket(1, k - p - h))
             den.append(Bracket(0, t - p + k))
-    return BracketProduct(SymMonomial.one(), num, den)
+    return BracketProduct(num, den)
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,13 @@ class FactoredTerm:
     beta: Partition
     gamma: Partition
     coefficient: int
-    twist: SymMonomial  # combined eigenvalue monomial, rank parts cancelled
+    twist: SymExponent  # q-exponent of the combined eigenvalues, 1/N part cancelled
     dimension: BracketProduct
 
     def render(self):
         return "%d * %s * %s  [%s|%s]" % (
             self.coefficient,
-            self.twist.render(),
+            self.twist.render_power(),
             self.dimension.render(),
             self.beta,
             self.gamma,
@@ -167,7 +166,7 @@ class InvariantResult:
         ]
         lines.extend(
             "term %s|%s c=%d exponent %s"
-            % (t.beta, t.gamma, t.coefficient, t.twist.exponent.render())
+            % (t.beta, t.gamma, t.coefficient, t.twist.render())
             for t in self.terms
         )
         return "\n".join(lines)
@@ -192,18 +191,18 @@ def _assemble(knot, lam, mu, expansion, theta_color):
     """
     r, s = knot.r, knot.s
     power = Fraction(r, s)  # the fractional eigenvalue power max/min
-    pref = theta_color.power(-r * s)
+    pref = theta_color.scale(-r * s)
     color_dim = quantum_dimension(lam, mu)
     terms = []
     fractions = []
     for beta, gamma in sorted(expansion, reverse=True):
         coeff = expansion[(beta, gamma)]
-        twist = pref * braiding_eigenvalue(beta, gamma).power(power)
+        twist = pref + braiding_eigenvalue(beta, gamma).scale(power)
         term = FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))
         terms.append(term)
         ratio = term.dimension / color_dim
         num, den = _bracket_fraction(ratio)
-        fractions.append((sym_to_qa(twist * ratio.prefactor) * coeff, num, den))
+        fractions.append((sym_to_qa(twist) * coeff, num, den))
 
     common = Counter()
     for _, _, den in fractions:
@@ -272,7 +271,7 @@ def qdim_at_rank(shape, N):
         for j in range(i + 1, N + 1):
             num.append(Bracket(0, shape.row(i) - shape.row(j) + j - i))
             den.append(Bracket(0, j - i))
-    return BracketProduct(None, num, den).at_rank(N)
+    return BracketProduct(num, den).at_rank(N)
 
 
 def finite_N_oracle(knot, lam, mu, N):

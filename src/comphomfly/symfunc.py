@@ -153,11 +153,12 @@ def expansion_pairs(eta):
     joins of two such tables on alpha.
     """
     n = eta.size()
+    subs = subpartitions(eta)
     by_size = {}
-    for beta in subpartitions(eta):
+    for beta in subs:
         by_size.setdefault(beta.size(), []).append(beta)
     out = {}
-    for alpha in subpartitions(eta):
+    for alpha in subs:
         row = []
         for beta in by_size[n - alpha.size()]:
             c = lr_coefficient(beta, alpha, eta)
@@ -269,7 +270,6 @@ def adams_coefficients(lam, r):
 # composite characters
 
 
-@lru_cache(maxsize=None)
 def composite_character_expansion(lam, mu):
     """Coefficients of s_nu(x) s_xi(y) in the universal composite character.
 
@@ -307,7 +307,6 @@ def composite_product_expansion(eta, delta):
     return out
 
 
-@lru_cache(maxsize=None)
 def composite_adams(lam, mu, r):
     """Composite-character expansion of the r-th Adams image of s_[lam,mu].
 

@@ -15,7 +15,6 @@ from comphomfly.qexact import (
     Bracket,
     Laurent,
     SymExponent,
-    SymMonomial,
     UNIT_BRACKET,
     bracket_at_rank,
     bracket_numerator,
@@ -52,13 +51,12 @@ def fixtures():
 def test_criterion_1_table_reproduction():
     started = time.time()
 
-    def sym(e1=0, e0=0, em1=0):
-        return SymMonomial(1, SymExponent.make(0, e1, e0, em1))
+    sym = SymExponent.make
 
     def bp(num, den=()):
         from comphomfly.qexact import BracketProduct
 
-        return BracketProduct(None, [Bracket(*b) for b in num], [Bracket(*b) for b in den])
+        return BracketProduct([Bracket(*b) for b in num], [Bracket(*b) for b in den])
 
     # single-diagram table: eigenvalues, Adams column, dimensions
     assert braiding_eigenvalue(EMPTY, P("1")) == sym(Fraction(-1, 2), 0, Fraction(1, 2))

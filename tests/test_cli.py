@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_star_import_binds_every_public_name():
+    # a stale __all__ entry makes the star import raise AttributeError
+    import comphomfly
+
+    namespace = {}
+    exec("from comphomfly import *", namespace)
+    assert [name for name in comphomfly.__all__ if name not in namespace] == []
+
+
 def test_compute_fundamental(capsys):
     code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", "0|1")
     assert code == 0
@@ -43,20 +52,35 @@ def test_compute_show_terms_table(capsys):
     assert lines[-1] == "0|0\ttheta=1\tc=1\tdim=1"
     assert "theta=a^(-2)*q^(-2)\tc=1\tdim=[N-1][N]^2[N+3]/[2]^2" in lines[1]
     # the full factored tables pin the term order, which is descending
-    # tuple order on (beta, gamma)
-    for flag, count, digest in (
+    # tuple order on (beta, gamma); the unbalanced [2|2,1] prints eigenvalues
+    # with a 1/N part, as in q^(-1 + 1/2/N)
+    for color, flag, count, digest in (
         (
+            "2,1|2,1",
             "--show-terms",
             67,
             "cbeb24002fc8f189fe95b1647be91a193bdf33caf3bf9247f05b907ad9ab8259",
         ),
         (
+            "2,1|2,1",
             "--unnormalized",
             66,
             "d339b9d6584831fd407d002c805893a4a31c09fd2478f362141f5c66d2b7bbe8",
         ),
+        (
+            "2|2,1",
+            "--show-terms",
+            31,
+            "013af8857829df56ea09d8fada0818c66f404c2d9b96a6be528d210133abe1cb",
+        ),
+        (
+            "2|2,1",
+            "--unnormalized",
+            30,
+            "a5735e4105b45cbae9711ccf5612d6ce25b350800240a0e2cd1119490e646840",
+        ),
     ):
-        code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", "2,1|2,1", flag)
+        code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", color, flag)
         assert code == 0
         assert len(out.splitlines()) == count
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -89,6 +113,9 @@ def test_compute_parse_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "compute", "--knot", "3,2", "--weight", "w1")
     assert code == 2
+    for weight in ("w0|w1", "2w0+w1|w1"):
+        code, out, err = run(capsys, "compute", "--knot", "3,2", "--weight", weight)
+        assert code == 2 and out == "" and "argument error" in err, weight
 
 
 def test_compute_engine_failure_exit_code(capsys, monkeypatch):
@@ -106,8 +133,7 @@ from fractions import Fraction
 from comphomfly import cli, macdonald, rosso, symfunc
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
-    InexactDivisionError, IntegralityError, SymExponent, SymMonomial,
-    exact_divide, parse_expr,
+    InexactDivisionError, IntegralityError, SymExponent, exact_divide, parse_expr,
 )
 
 assert not __debug__, "must run under python -O"
@@ -125,9 +151,7 @@ try:
 except InexactDivisionError:
     pass
 lam = Partition((1,))
-shifted = rosso.braiding_eigenvalue(EMPTY, lam) * SymMonomial(
-    1, SymExponent.make(e0=Fraction(1, 7))
-)
+shifted = rosso.braiding_eigenvalue(EMPTY, lam) + SymExponent.make(e0=Fraction(1, 7))
 try:
     expansion = symfunc.composite_adams(EMPTY, lam, 2)
     rosso._assemble(rosso.TorusKnot(3, 2), EMPTY, lam, expansion, shifted)

@@ -144,3 +144,6 @@ def test_weight_parsing():
     assert parse_weight("w1+w2") == P("2,1")
     with pytest.raises(ValueError):
         parse_weight("2x1")
+    for text in ("w0", "2w0+w1"):
+        with pytest.raises(ValueError):
+            parse_weight(text)

@@ -13,7 +13,6 @@ from comphomfly.qexact import (
     ResidualRankError,
     SignedExponentError,
     SymExponent,
-    SymMonomial,
     UNIT_BRACKET,
     bracket_at_rank,
     bracket_numerator,
@@ -201,23 +200,31 @@ def test_tilde_normalize():
 
 
 def test_sym_exponent_algebra():
-    e = SymExponent.make(0, Fraction(-1, 2), 0, Fraction(1, 2))
+    assert SymExponent._fields == ("e1", "e0", "em1")
+    e = SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2))
     assert (e + (-e)).is_rank_free()
     scaled = e.scale(-6)
-    assert scaled == SymExponent.make(0, 3, 0, -3)
+    assert scaled == SymExponent.make(3, 0, -3)
     assert e.at_rank(2) == Fraction(-3, 4)
     assert not e.is_rank_free()
+    assert e.render() == "-1/2*N + 1/2/N"
+    assert e.render_power() == "a^(-1/2)*q^(1/2/N)"
+    shifted = SymExponent.make(-1, -2, Fraction(-1, 3))
+    assert shifted.render() == "-N - 2 - 1/3/N"
+    assert shifted.render_power() == "a^(-1)*q^(-2 - 1/3/N)"
+    assert SymExponent.make(1, 1).render_power() == "a*q"
+    assert SymExponent.make().render() == "0"
+    assert SymExponent.make().render_power() == "1"
 
 
 def test_sym_monomial_and_lowering():
-    theta = SymMonomial(1, SymExponent.make(0, -1, 0, 0))
-    assert sym_to_qa(theta) == Laurent.monomial(QA, 1, a=-1)
-    assert sym_to_qa(SymMonomial.one()) == Laurent.one(QA)
+    assert sym_to_qa(SymExponent.make(-1)) == Laurent.monomial(QA, 1, a=-1)
+    assert sym_to_qa(SymExponent.make(3, Fraction(-1, 2))) == Laurent.monomial(
+        QA, 1, a=3, q=Fraction(-1, 2)
+    )
+    assert sym_to_qa(SymExponent.make()) == Laurent.one(QA)
     with pytest.raises(ResidualRankError):
-        sym_to_qa(SymMonomial(1, SymExponent.make(0, Fraction(-1, 2), 0, Fraction(1, 2))))
-    with pytest.raises(SignedExponentError):
-        SymMonomial(-1, SymExponent.make()).power(Fraction(3, 2))
-    assert SymMonomial(-1, SymExponent.make()).power(2).sign == 1
+        sym_to_qa(SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2)))
 
 
 def test_bracket_fraction():
@@ -261,15 +268,21 @@ def test_bracket_product_canonical_form():
     )
     assert bp.num == (Bracket(1, 1),)
     assert bp.den == (Bracket(1, -1),)
-    flipped = BracketProduct(num=[Bracket(-1, 1)])
-    assert flipped.prefactor.sign == -1 and flipped.num == (Bracket(1, -1),)
-    with pytest.raises(ValueError):
-        BracketProduct(num=[Bracket(0, 0)])
+    # a bracket without a positive leading part is refused, not sign-flipped
+    for bad in (Bracket(0, 0), Bracket(0, -2), Bracket(-1, 1)):
+        with pytest.raises(ValueError):
+            BracketProduct(num=[bad])
+        with pytest.raises(ValueError):
+            BracketProduct(den=[bad])
     assert BracketProduct.one().render() == "1"
     assert bp.render() == "[N+1]/[N-1]"
-    ratio = bp / flipped
-    assert ratio.prefactor.sign == -1 and ratio.den == (Bracket(1, -1),) * 2
-    assert ratio * flipped == bp
+    other = BracketProduct(num=[Bracket(1, -1)], den=[Bracket(0, 3)])
+    ratio = bp / other
+    assert ratio.num == (Bracket(0, 3), Bracket(1, 1))
+    assert ratio.den == (Bracket(1, -1),) * 2
+    assert ratio.render() == "[3][N+1]/[N-1]^2"
+    assert ratio * other == bp
+    assert hash(ratio * other) == hash(bp)
 
 
 def test_serialization_round_trip():

@@ -15,7 +15,6 @@ from comphomfly.qexact import (
     BracketProduct,
     Laurent,
     SymExponent,
-    SymMonomial,
     parse_expr,
 )
 from comphomfly.rosso import (
@@ -43,8 +42,7 @@ ADJOINT32 = parse_expr(
 )
 
 
-def sym(e1=0, e0=0, em1=0):
-    return SymMonomial(1, SymExponent.make(0, e1, e0, em1))
+sym = SymExponent.make
 
 
 def test_torus_knot_validation():
@@ -83,11 +81,11 @@ def test_braiding_eigenvalue_matches_finite_rank():
             zeta = compose_at_N(lam, mu, N)
             n = zeta.size()
             direct = Fraction(-(kappa(zeta) + n * N), 2) + Fraction(n * n, 2 * N)
-            assert theta.exponent.at_rank(N) == direct, (lam, mu, N)
+            assert theta.at_rank(N) == direct, (lam, mu, N)
 
 
 def bp(num, den=()):
-    return BracketProduct(None, [Bracket(*b) for b in num], [Bracket(*b) for b in den])
+    return BracketProduct([Bracket(*b) for b in num], [Bracket(*b) for b in den])
 
 
 def test_quantum_dimension_tables():
@@ -108,10 +106,15 @@ def test_quantum_dimension_tables():
 
 
 def test_quantum_dimension_bracket_shapes():
-    for beta, gamma in [(P("3,1"), P("2,2")), (P("2,2,1"), P("1")), (EMPTY, P("4"))]:
-        dim = quantum_dimension(beta, gamma)
-        for b in dim.num + dim.den:
-            assert b.u in (-1, 0, 1)
+    # every bracket is [N + v] or a positive constant [v], as BracketProduct
+    # requires; checked on each (beta, gamma) with at most 3 boxes per slot
+    shapes = [shape for n in range(4) for shape in partitions_of(n)]
+    assert len(shapes) == 7
+    for beta in shapes:
+        for gamma in shapes:
+            dim = quantum_dimension(beta, gamma)
+            for b in dim.num + dim.den:
+                assert b.u in (0, 1) and (b.u or b.v > 0), (beta, gamma, b)
 
 
 def test_quantum_dimension_finite_rank():
@@ -170,8 +173,7 @@ def test_rank_cancellation_per_term():
     for lam, mu in [(P("1"), P("1")), (P("2"), P("1,1")), (P("2,1"), P("1"))]:
         result = composite_homfly(TREFOIL, lam, mu)
         for term in result.terms:
-            assert term.twist.exponent.e2 == 0
-            assert term.twist.exponent.em1 == 0
+            assert term.twist.em1 == 0
 
 
 def test_normalization_identity():
@@ -186,8 +188,8 @@ def test_normalization_identity():
             lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim.at_rank(N)
             rhs = Laurent.zero(("q",))
             for t in result.terms:
-                summand = BracketProduct(t.twist) * t.dimension
-                rhs = rhs + summand.at_rank(N) * t.coefficient
+                twist = Laurent(("q",), {(t.twist.at_rank(N),): t.coefficient})
+                rhs = rhs + twist * t.dimension.at_rank(N)
             assert lhs == rhs, (lam, mu, N)
 
 
@@ -321,6 +323,11 @@ def test_stabilization_grid_four_boxes():
 
 def test_diagnostics_present():
     result = composite_homfly(TREFOIL, P("1"), P("1"))
-    text = result.diagnostics_text()
-    assert "5 terms" in text
-    assert "exponent" in text
+    assert result.diagnostics_text().splitlines() == [
+        "knot 3,2 color 1|1: 5 terms",
+        "term 2|2 c=1 exponent 3*N - 3",
+        "term 2|1,1 c=-1 exponent 3*N",
+        "term 1,1|2 c=-1 exponent 3*N",
+        "term 1,1|1,1 c=1 exponent 3*N + 3",
+        "term 0|0 c=1 exponent 6*N",
+    ]
