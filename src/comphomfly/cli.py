@@ -120,8 +120,9 @@ def cmd_verify(args):
     try:
         reports = verify.run_suite(args.suite, fixtures)
     except KeyError as err:
-        print("argument error: %s" % err, file=sys.stderr)
-        return 2
+        # the suite name is one of argparse's choices, so a fixture is missing
+        print("fixture error: missing fixture %s" % err.args[0], file=sys.stderr)
+        return 2 if args.strict else 1
     for report in reports:
         print(report.line())
         if report.status == "FAIL":

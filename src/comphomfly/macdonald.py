@@ -24,12 +24,7 @@ from itertools import permutations
 
 from .partitions import Partition, conjugate, dual_at_N
 from .qexact import InexactDivisionError, Laurent, common_terms, exact_divide
-from .symfunc import (
-    monomial_power_matrix,
-    partitions_of,
-    schur_in_monomials,
-    zclass,
-)
+from .symfunc import monomial_power_matrix, partitions_of, schur_monomials, zclass
 
 QT = ("q", "t")
 
@@ -413,12 +408,15 @@ def _restrict(lam, n):
 
 
 def schur_restricted(lam, n):
-    """Schur polynomial as a SymLaurent, from the character-based Kostka row."""
-    out = {}
-    for mu, k in schur_in_monomials(lam).items():
-        if len(mu) <= n:
-            out[mu + (0,) * (n - len(mu))] = QTFraction(k)
-    return SymLaurent(n, out)
+    """Schur polynomial as a SymLaurent, from the tableau-counted Kostka row."""
+    return SymLaurent(
+        n,
+        {
+            exps: QTFraction(k)
+            for exps, k in schur_monomials(lam, n).items()
+            if list(exps) == sorted(exps, reverse=True)
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

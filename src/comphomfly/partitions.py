@@ -13,6 +13,7 @@ flat block of rows of length lambda_1 fills the middle.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -161,11 +162,7 @@ class CompositeDiagram(NamedTuple):
 
 def weight_to_partition(coeffs):
     """Fundamental-weight coordinates b_i (list, 1-based as index+1) to rows."""
-    rows = []
-    total = 0
-    for b in reversed(list(coeffs)):
-        total += b
-        rows.append(total)
+    rows = list(accumulate(reversed(list(coeffs))))
     return Partition(reversed(rows))
 
 

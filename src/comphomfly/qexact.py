@@ -9,18 +9,21 @@ boundary (term files, parsing, printing, inspection and substitution
 arguments).  Engine output uses variables (q, a), fixtures (q, t, a),
 finite-rank cross-checks (q,).  Canonical term order is lexicographic on
 (a-exponent, q-exponent, t-exponent), which makes every printed or
-serialized form deterministic.
+serialized form deterministic.  `parse_expr` reads Python expression syntax
+with `^` for power, fractional exponents in parentheses (q^(-1/2)) and `/`
+as exact division.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import heapq
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, groupby
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 
@@ -670,134 +673,72 @@ def loads_poly(text):
 
 
 # ---------------------------------------------------------------------------
-# expression parsing (readable expected values in tests and fixture building)
+# expression parsing (readable expected values in tests)
 
-
-class _ExprParser:
-    def __init__(self, text, vars):
-        self.text = text
-        self.pos = 0
-        self.vars = tuple(vars)
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self):
-        ch = self.peek()
-        sign = 1
-        while ch in "+-":
-            if ch == "-":
-                sign = -sign
-            self.pos += 1
-            ch = self.peek()
-        value = self.term() * sign
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                value = value * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                value = exact_divide(value, self.factor())
-            else:
-                return value
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            power = self.exponent()
-            if power.denominator != 1:
-                if len(base.terms) != 1:
-                    raise ValueError("fractional power of a non-monomial")
-                ((exps, coeff),) = base.terms.items()
-                if coeff != 1:
-                    raise ValueError("fractional power of signed monomial")
-                return Laurent(
-                    base.vars, {tuple(e * power for e in exps): 1}, base.den
-                )
-            n = power.numerator
-            if n >= 0:
-                return base**n
-            if len(base.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            ((exps, coeff),) = base.terms.items()
-            if abs(coeff) != 1:
-                raise ValueError("negative power with non-unit coefficient")
-            return Laurent(
-                base.vars, {tuple(e * n for e in exps): coeff if n % 2 else 1}, base.den
-            )
-        return base
-
-    def exponent(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.number_fraction()
-            if self.peek() != ")":
-                raise ValueError("unclosed exponent parenthesis")
-            self.pos += 1
-            return value
-        return self.number_fraction()
-
-    def number_fraction(self):
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            return Fraction(sign * num, self.integer())
-        return Fraction(sign * num)
-
-    def integer(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError("expected integer at %d" % start)
-        return int(self.text[start : self.pos])
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ValueError("unbalanced parentheses")
-            self.pos += 1
-            return value
-        if ch.isdigit():
-            return Laurent(self.vars, {(0,) * len(self.vars): self.integer()})
-        if ch.isalpha():
-            name = ch
-            self.pos += 1
-            if name not in self.vars:
-                raise ValueError("unknown variable %r" % name)
-            return Laurent.var(self.vars, name)
-        raise ValueError("unexpected character %r at %d" % (ch, self.pos))
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: exact_divide}
 
 
 def parse_expr(text, vars=("q", "t", "a")):
-    """Parse an explicit expression like '1 + q*t - a^2*q^(1/2)'."""
-    parser = _ExprParser(text, vars)
-    value = parser.expr()
-    if parser.peek():
-        raise ValueError("trailing input at %d: %r" % (parser.pos, text[parser.pos :]))
-    return value
+    """Parse an explicit expression like '1 + q*t - a^2*q^(1/2)'.
+
+    Int literals, the names in `vars`, unary and binary + and -, *, `/` as
+    exact division and `^` (or `**`) for power; a bare q^1/2 reads as
+    (q^1)/2.  The text is parsed with `ast` and walked over that whitelist,
+    never evaluated; anything else raises ValueError.
+    """
+    vars = tuple(vars)
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as err:
+        raise ValueError("cannot parse %r: %s" % (text, err.msg)) from None
+
+    def walk(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return _power(walk(node.left), _exponent(node.right))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = walk(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node, ast.Name):
+            if node.id not in vars:
+                raise ValueError("unknown variable %r" % node.id)
+            return Laurent.var(vars, node.id)
+        return Laurent(vars, {(0,) * len(vars): _int(node)})
+
+    return walk(tree.body)
+
+
+def _int(node):
+    """The value of an int literal node; bool, float and the rest raise."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise ValueError("unsupported expression %r" % ast.unparse(node))
+
+
+def _exponent(node):
+    """A power's exponent, [-]int or [-]int/int, as a Fraction."""
+    den = 1
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        node, den = node.left, _int(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Fraction(-_int(node.operand), den)
+    return Fraction(_int(node), den)
+
+
+def _power(base, power):
+    """base^power: any base to a nonnegative int power; otherwise the base
+    must be a monomial, with coefficient 1 for a fractional power and +-1
+    for a negative one."""
+    if power.denominator == 1 and power >= 0:
+        return base ** int(power)
+    if len(base.terms) != 1:
+        kind = "negative" if power.denominator == 1 else "fractional"
+        raise ValueError("%s power of a non-monomial" % kind)
+    ((exps, coeff),) = base.terms.items()
+    if power.denominator != 1 and coeff != 1:
+        raise ValueError("fractional power of signed monomial")
+    if abs(coeff) != 1:
+        raise ValueError("negative power with non-unit coefficient")
+    sign = coeff if power.numerator % 2 else 1
+    return Laurent(base.vars, {tuple(e * power for e in exps): sign}, base.den)

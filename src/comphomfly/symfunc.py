@@ -10,6 +10,7 @@ integer-exact.  Both border-strip steps run on beta-sets (see `_slide`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,7 +46,6 @@ def partitions_of(n, max_part=None):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def subpartitions(lam):
     """All partitions whose diagram fits inside lam."""
     if not lam:
@@ -214,13 +214,7 @@ def _mn(beads, parts):
 
 def zclass(mu):
     """Centralizer order z_mu = prod_i i^{m_i} m_i!."""
-    z = 1
-    mults = {}
-    for part in mu:
-        mults[part] = mults.get(part, 0) + 1
-    for part, m in mults.items():
-        z *= part**m * math.factorial(m)
-    return z
+    return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
 
 
 def conjugacy_size(mu):
@@ -552,28 +546,4 @@ def monomial_power_matrix(degree):
         out[mu] = {
             rhos[i]: aug[j][n + i] for i in range(n) if aug[j][n + i]
         }
-    return out
-
-
-@lru_cache(maxsize=None)
-def schur_in_monomials(lam):
-    """Kostka row of s_lam via characters; exact integers."""
-    degree = lam.size()
-    if degree == 0:
-        return {EMPTY: 1}
-    pm = power_monomial_matrix(degree)
-    acc = {}
-    for rho in partitions_of(degree):
-        chi = sym_character(lam, rho)
-        if not chi:
-            continue
-        w = Fraction(chi, zclass(rho))
-        for mu, c in pm[rho].items():
-            acc[mu] = acc.get(mu, Fraction(0)) + w * c
-    out = {}
-    for mu, c in acc.items():
-        if c:
-            if c.denominator != 1:
-                raise IntegralityError("non-integer Kostka number")
-            out[mu] = int(c)
     return out

@@ -11,6 +11,8 @@ specializations, canceling differentials, and the finite-rank oracle.
 from __future__ import annotations
 
 import importlib.resources
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,21 +55,14 @@ class CheckReport:
     note: str = ""
     left: str = ""
     right: str = ""
-    extracted: tuple = ()
     conjecture: bool = False
 
     @classmethod
-    def compare(cls, check_id, left, right, note="", conjecture=False, extracted=()):
+    def compare(cls, check_id, left, right, note="", conjecture=False):
         if left == right:
-            return cls(check_id, "PASS", note, conjecture=conjecture, extracted=extracted)
+            return cls(check_id, "PASS", note, conjecture=conjecture)
         return cls(
-            check_id,
-            "FAIL",
-            note,
-            left=str(left),
-            right=str(right),
-            conjecture=conjecture,
-            extracted=extracted,
+            check_id, "FAIL", note, left=str(left), right=str(right), conjecture=conjecture
         )
 
     def line(self):
@@ -107,11 +102,17 @@ def load_fixtures(root=None):
     root = Path(root) if root else fixture_root()
     out = {}
     for path in sorted(root.glob("*/*.poly")):
-        poly, meta = loads_poly(path.read_text())
+        try:
+            poly, meta = loads_poly(path.read_text())
+            if "knot" not in meta:
+                raise ValueError("no #knot header")
+            knot = TorusKnot.parse(meta["knot"])
+        except ValueError as err:
+            raise ValueError("fixture %s: %s" % (path, err)) from None
         fid = meta.get("id", path.stem)
         out[fid] = Fixture(
             id=fid,
-            knot=TorusKnot.parse(meta["knot"]),
+            knot=knot,
             color=meta.get("color", ""),
             poly=poly,
             source=meta.get("source", ""),
@@ -184,7 +185,7 @@ def check_connection(fixture, prefactor="auto"):
     """Substituted fixture against the engine polynomial, exactly.
 
     Printed mode multiplies by the stated a^i q^j; auto mode
-    tilde-normalizes both sides and reports the extracted monomials.
+    tilde-normalizes both sides.
     """
     diagram = fixture.diagram()
     eng = engine(fixture.knot, diagram.lam, diagram.mu).normalized
@@ -196,11 +197,9 @@ def check_connection(fixture, prefactor="auto"):
         return CheckReport.compare(
             cid, shifted, eng, note="printed prefactor a^%s q^%s" % (apow, qpow)
         )
-    left, lex = tilde_normalize(specialized)
-    right, rex = tilde_normalize(eng)
-    return CheckReport.compare(
-        cid, left, right, note="auto prefactor", extracted=(lex, rex)
-    )
+    left, _ = tilde_normalize(specialized)
+    right, _ = tilde_normalize(eng)
+    return CheckReport.compare(cid, left, right, note="auto prefactor")
 
 
 def check_superduality(fa, fb, printed=None):
@@ -211,9 +210,9 @@ def check_superduality(fa, fb, printed=None):
     """
     cid = "superduality:%s~%s" % (fa.id, fb.id)
     flipped = _sub_duality(fb.poly)
-    left, lex = tilde_normalize(fa.poly)
-    right, rex = tilde_normalize(flipped)
-    report = CheckReport.compare(cid, left, right, note="auto", extracted=(lex, rex))
+    left, _ = tilde_normalize(fa.poly)
+    right, _ = tilde_normalize(flipped)
+    report = CheckReport.compare(cid, left, right, note="auto")
     if report.status != "PASS" or printed is None:
         return report
     tpow, qpow = printed
@@ -248,16 +247,10 @@ def _row_factors_t1(fixtures, knot_tag):
 
 
 def _product_over(parts, factors):
-    vars = None
-    for f in factors.values():
-        vars = f.vars
-        break
-    out = Laurent.one(vars)
-    for k in parts:
-        if k not in factors:
-            return None
-        out = out * factors[k]
-    return out
+    if any(k not in factors for k in parts):
+        return None
+    vars = next(iter(factors.values())).vars
+    return math.prod((factors[k] for k in parts), start=Laurent.one(vars))
 
 
 def check_q1_eval(fixture, factors):
@@ -271,9 +264,9 @@ def check_q1_eval(fixture, factors):
     if target is None:
         return CheckReport(cid, "SKIP", note="column factor not printed")
     value = fixture.poly.substitute({"q": (1, {})})
-    left, lex = tilde_normalize(value)
-    right, rex = tilde_normalize(target)
-    return CheckReport.compare(cid, left, right, extracted=(lex, rex))
+    left, _ = tilde_normalize(value)
+    right, _ = tilde_normalize(target)
+    return CheckReport.compare(cid, left, right)
 
 
 def check_t1_eval(fixture, factors):
@@ -307,11 +300,9 @@ def check_exceptional(had, entry, target):
     if target is None:
         return CheckReport(cid, "SKIP", note="series target not printed")
     value = had.poly.substitute({"a": (-1, {"t": entry.nu})})
-    left, lex = tilde_normalize(value)
-    right, rex = tilde_normalize(target)
-    return CheckReport.compare(
-        cid, left, right, note="a = -t^%s" % entry.nu, extracted=(lex, rex)
-    )
+    left, _ = tilde_normalize(value)
+    right, _ = tilde_normalize(target)
+    return CheckReport.compare(cid, left, right, note="a = -t^%s" % entry.nu)
 
 
 def check_canceling(had, pivot_qpow):
@@ -519,7 +510,6 @@ def run_suite(name, fixtures=None):
 
 
 def summarize(reports):
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for report in reports:
-        counts[report.status] = counts.get(report.status, 0) + 1
+    counts = Counter({"PASS": 0, "FAIL": 0, "SKIP": 0})
+    counts.update(report.status for report in reports)
     return counts

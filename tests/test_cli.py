@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -27,6 +28,25 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from comphomfly import *", namespace)
     assert [name for name in comphomfly.__all__ if name not in namespace] == []
+
+
+def test_package_is_stdlib_only():
+    # the runtime imports only the standard library, declares no
+    # dependencies and never runs text as code
+    package = pathlib.Path(cli.__file__).parent
+    imported, called = set(), set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+    assert imported and imported <= sys.stdlib_module_names, imported
+    assert not called & {"eval", "exec", "compile"}
+    pyproject = package.parents[1] / "pyproject.toml"
+    assert "dependencies = []" in pyproject.read_text().splitlines()
 
 
 def test_compute_fundamental(capsys):
@@ -341,6 +361,24 @@ def test_verify_missing_fixtures(capsys, tmp_path):
         capsys, "verify", "--suite", "connection", "--fixtures", str(tmp_path)
     )
     assert code == 1
+
+
+def test_verify_partial_fixtures(capsys, tmp_path):
+    # a fixture file without a #knot header, then a directory that lacks the
+    # fixtures the suite needs: a fixture error line either way, no traceback
+    target = tmp_path / "3_2" / "x.poly"
+    target.parent.mkdir()
+    cases = (
+        ("", "fixture %s: no #knot header" % target),
+        ("#knot 3,2\n#color 1|1\n", "missing fixture 3_2:hd_1__1"),
+    )
+    for header, message in cases:
+        target.write_text("#vars q t a\n#id x\n" + header + "1\t0\t0\t0\n")
+        for flags, want in ((), 1), (("--strict",), 2):
+            result = run(
+                capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags
+            )
+            assert result == (want, "", "fixture error: %s\n" % message)
 
 
 def test_verify_env_override(capsys, monkeypatch, tmp_path):

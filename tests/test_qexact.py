@@ -306,12 +306,40 @@ def test_serialization_checksum_detects_damage():
         loads_poly("\n".join(lines))
 
 
+def qa_mono(coeff=1, **exps):
+    return Laurent.monomial(QA, coeff, **exps)
+
+
+PARSED = [
+    ("q^(-1/2)*a", qa_mono(q=Fraction(-1, 2), a=1)),
+    ("q^-1", qa_mono(q=-1)),
+    ("--q", qa_mono(q=1)),
+    ("-q^2", qa_mono(-1, q=2)),
+    ("(1+q)^2", qa_mono() + qa_mono(2, q=1) + qa_mono(q=2)),
+    ("1 + 2*q + q^2", qa_mono() + qa_mono(2, q=1) + qa_mono(q=2)),
+    ("q/q", qa_mono()),
+    ("-3 + q/q", qa_mono(-2)),
+    ("(-q)^-3 * a^(2/3)", qa_mono(-1, q=-3, a=Fraction(2, 3))),
+    ("1 + -q", qa_mono() + qa_mono(-1, q=1)),
+    ("q**2", qa_mono(q=2)),
+]
+
+UNPARSEABLE = [
+    "1.5", "1e3", "True", "q.real", "f(q)", "[q]", "q // q", "q % q", "q^q",
+    "q^(1/2)^2", "(1+q)^(1/2)", "2^(-1)", "(-q)^(1/2)", "1 +", "2q", "x",
+    "1 + x", "__import__('os')",
+]
+
+
 def test_parse_expr():
-    assert parse_expr("(1+q)^2", QA) == parse_expr("1 + 2*q + q^2", QA)
-    assert parse_expr("q^(-1/2)*a", QA) == Laurent.monomial(QA, 1, q=Fraction(-1, 2), a=1)
-    assert parse_expr("-3 + q/q", QA) == parse_expr("-2", QA)
-    with pytest.raises(ValueError):
-        parse_expr("1 + x", QA)
+    for text, expected in PARSED:
+        assert parse_expr(text, QA) == expected, text
+    for text in UNPARSEABLE:
+        with pytest.raises(ValueError):
+            parse_expr(text, QA)
+    # a fractional exponent needs its parentheses: q^1/2 is (q^1)/2
+    with pytest.raises(InexactDivisionError):
+        parse_expr("q^1/2", QA)
 
 
 def test_canonical_order_is_deterministic():

@@ -202,8 +202,9 @@ def test_composite_adams_order_symmetry():
 def _scanned_pairs(eta):
     """{(beta, alpha): N^eta_{beta,alpha}} by scanning pairs of subdiagrams."""
     out = {}
-    for alpha in sf.subpartitions(eta):
-        for beta in sf.subpartitions(eta):
+    subs = sf.subpartitions(eta)
+    for alpha in subs:
+        for beta in subs:
             if beta.size() + alpha.size() != eta.size():
                 continue
             c = sf.lr_coefficient(beta, alpha, eta)
@@ -245,8 +246,9 @@ def reference_composite_adams(lam, mu, r):
         for eta, a1 in sf.adams_coefficients(nu, r).items():
             pairs = _scanned_pairs(eta)
             for delta, a2 in sf.adams_coefficients(xi, r).items():
+                gammas = sf.subpartitions(delta)
                 for (beta, alpha), n1 in pairs.items():
-                    for gamma in sf.subpartitions(delta):
+                    for gamma in gammas:
                         if gamma.size() != delta.size() - alpha.size():
                             continue
                         n2 = sf.lr_coefficient(gamma, alpha, delta)
