@@ -1,6 +1,7 @@
 """Symmetric-function combinatorics over exact integers.
 
-Littlewood-Richardson coefficients by tableau counting, symmetric-group
+Littlewood-Richardson coefficients as skew rows (the LR tableaux of a skew
+shape eta/alpha counted by content, in one cache), symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
 coefficients, the composite-character expansions that drive the torus-knot
 engine, and the finite-rank Adams expansion of the oracle.  Everything is
@@ -46,6 +47,7 @@ def partitions_of(n, max_part=None):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def subpartitions(lam):
     """All partitions whose diagram fits inside lam."""
     if not lam:
@@ -68,55 +70,51 @@ def subpartitions(lam):
 
 
 @lru_cache(maxsize=None)
-def lr_coefficient(lam, mu, nu):
-    """N^nu_{lam,mu}: LR skew tableaux of shape nu/lam and content mu.
+def skew_row(eta, alpha):
+    """The LR row of eta over alpha: sorted (beta, N^eta_{alpha,beta}) pairs.
 
-    Cells are filled right-to-left along rows, top to bottom, so the
-    lattice condition on the reverse reading word can be enforced as the
-    filling proceeds.
+    One pass over the LR tableaux of the skew shape eta/alpha, counted by
+    content beta; empty when alpha does not fit in eta.  Cells are filled
+    right-to-left along rows, top to bottom, so the lattice condition on the
+    reverse reading word holds as the filling proceeds.  An entry of row i
+    is at most i: the rightmost one is the row's largest, and the lattice
+    word bounds it.  Every LR value in the package comes from here.
     """
-    if nu.size() != lam.size() + mu.size():
-        return 0
-    if not nu.contains(lam):
-        return 0
-    if not mu:
-        return 1 if nu == lam else 0
-    if mu.size() > lam.size():
-        # symmetric in lam, mu; put the smaller one as the content
-        return lr_coefficient(mu, lam, nu)
-
-    nrows = len(nu)
-    cells = []
-    for i in range(1, nrows + 1):
-        for j in range(nu.row(i), lam.row(i), -1):
-            cells.append((i, j))
+    if not eta.contains(alpha):
+        return ()
+    cells = [
+        (i, j)
+        for i in range(1, len(eta) + 1)
+        for j in range(eta.row(i), alpha.row(i), -1)
+    ]
     values = {}
-    counts = [0] * (len(mu) + 1)
+    # counts[v] is the number of v placed; counts[0] lets every 1 through
+    counts = [len(cells) + 1] + [0] * len(eta)
+    rows = Counter()
 
     def place(pos):
         if pos == len(cells):
-            return 1
+            rows[tuple(c for c in counts[1:] if c)] += 1
+            return
         i, j = cells[pos]
-        total = 0
-        for v in range(1, len(mu) + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v >= 2 and counts[v] >= counts[v - 1]:
-                continue  # lattice word
-            right = values.get((i, j + 1))
-            if right is not None and v > right:
-                continue  # rows weakly increase
-            above = values.get((i - 1, j))
-            if above is not None and v <= above:
-                continue  # columns strictly increase
-            values[(i, j)] = v
-            counts[v] += 1
-            total += place(pos + 1)
-            counts[v] -= 1
-            del values[(i, j)]
-        return total
+        lo = values.get((i - 1, j), 0) + 1  # columns strictly increase
+        hi = values.get((i, j + 1), i)  # rows weakly increase
+        for v in range(lo, hi + 1):
+            if counts[v] < counts[v - 1]:  # lattice word
+                values[(i, j)] = v
+                counts[v] += 1
+                place(pos + 1)
+                counts[v] -= 1
 
-    return place(0)
+    place(0)
+    # rows share the cached partitions_of instances, not a Partition per entry
+    shapes = {beta: beta for beta in partitions_of(len(cells))}
+    return tuple(sorted((shapes[beta], c) for beta, c in rows.items()))
+
+
+def lr_coefficient(lam, mu, nu):
+    """N^nu_{lam,mu}, looked up in the skew row of nu over lam."""
+    return dict(skew_row(nu, lam)).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
@@ -141,30 +139,6 @@ def schur_product(lam, mu):
             grow(i + 1, r, acc + (r,), remaining - r)
 
     grow(1, target, (), target)
-    return out
-
-
-@lru_cache(maxsize=None)
-def expansion_pairs(eta):
-    """The LR table of eta indexed by content.
-
-    Returns {alpha: ((beta, N^eta_{beta,alpha}), ...)} over the alpha and
-    beta with N^eta_{beta,alpha} != 0.  The composite expansions below are
-    joins of two such tables on alpha.
-    """
-    n = eta.size()
-    subs = subpartitions(eta)
-    by_size = {}
-    for beta in subs:
-        by_size.setdefault(beta.size(), []).append(beta)
-    out = {}
-    for alpha in subs:
-        row = []
-        for beta in by_size[n - alpha.size()]:
-            c = lr_coefficient(beta, alpha, eta)
-            if c:
-                row.append((beta, c))
-        out[alpha] = tuple(row)
     return out
 
 
@@ -274,11 +248,10 @@ def composite_character_expansion(lam, mu):
     The sign depends only on |tau| = |lam| - |nu|, so no term cancels.
     """
     out = {}
-    right = expansion_pairs(mu)
-    for tau, lefts in expansion_pairs(lam).items():
-        rights = right.get(conjugate(tau), ())
+    for tau in subpartitions(lam):
+        rights = skew_row(mu, conjugate(tau))
         sign = -1 if tau.size() % 2 else 1
-        for nu, c1 in lefts:
+        for nu, c1 in skew_row(lam, tau):
             for xi, c2 in rights:
                 key = (nu, xi)
                 out[key] = out.get(key, 0) + sign * c1 * c2
@@ -288,13 +261,13 @@ def composite_character_expansion(lam, mu):
 def composite_product_expansion(eta, delta):
     """Expansion of s_eta(x) s_delta(y) over composite characters s_[beta,gamma].
 
-    The coefficient is sum over alpha of N^eta_{beta,alpha} N^delta_{gamma,alpha}.
+    The coefficient is sum over alpha of N^eta_{beta,alpha} N^delta_{gamma,alpha},
+    so alpha runs over the diagrams inside both eta and delta.
     """
     out = {}
-    right = expansion_pairs(delta)
-    for alpha, lefts in expansion_pairs(eta).items():
-        rights = right.get(alpha, ())
-        for beta, c1 in lefts:
+    for alpha in subpartitions(Partition(map(min, eta, delta))):
+        rights = skew_row(delta, alpha)
+        for beta, c1 in skew_row(eta, alpha):
             for gamma, c2 in rights:
                 key = (beta, gamma)
                 out[key] = out.get(key, 0) + c1 * c2

@@ -223,12 +223,19 @@ def check_superduality(fa, fb, printed=None):
     )
 
 
+# the trefoil fixtures printed for one column (at q = 1) or one row (at
+# t = 1) of k boxes; each is the factor for k, so checking it against its
+# own factor would compare the fixture with itself
+COLUMN_SOURCES_Q1 = {1: "3_2:hd_0__1", 2: "3_2:hd_0__1-1"}
+ROW_SOURCES_T1 = {1: "3_2:hd_0__1", 2: "3_2:hd_0__2"}
+
+
 def _column_factors_q1(fixtures, knot_tag):
     """Column factors HD(omega_i; q=1, t, a), from printed data only."""
     if knot_tag == "3_2":
         return {
-            1: fixtures["3_2:hd_0__1"].poly.substitute({"q": (1, {})}),
-            2: fixtures["3_2:hd_0__1-1"].poly.substitute({"q": (1, {})}),
+            k: fixtures[fid].poly.substitute({"q": (1, {})})
+            for k, fid in COLUMN_SOURCES_Q1.items()
         }
     # 4,3: the printed t=1 row factor, carried through super-duality
     factor = fixtures["4_3:factor_t1_row1"].poly.substitute({"q": (1, {"t": -1})})
@@ -240,8 +247,8 @@ def _row_factors_t1(fixtures, knot_tag):
     """Row factors HD(k omega_1; q, t=1, a), from printed data only."""
     if knot_tag == "3_2":
         return {
-            1: fixtures["3_2:hd_0__1"].poly.substitute({"t": (1, {})}),
-            2: fixtures["3_2:hd_0__2"].poly.substitute({"t": (1, {})}),
+            k: fixtures[fid].poly.substitute({"t": (1, {})})
+            for k, fid in ROW_SOURCES_T1.items()
         }
     return {1: fixtures["4_3:factor_t1_row1"].poly}
 
@@ -256,6 +263,8 @@ def _product_over(parts, factors):
 def check_q1_eval(fixture, factors):
     """Fixture at q = 1 against the product of per-column factors."""
     cid = "q1-eval:%s" % fixture.id
+    if fixture.id in COLUMN_SOURCES_Q1.values():
+        return CheckReport(cid, "SKIP", note="factor source")
     diagram = fixture.diagram()
     columns = []
     for side in (diagram.lam, diagram.mu):
@@ -272,6 +281,8 @@ def check_q1_eval(fixture, factors):
 def check_t1_eval(fixture, factors):
     """Fixture at t = 1 against the product of per-row factors."""
     cid = "t1-eval:%s" % fixture.id
+    if fixture.id in ROW_SOURCES_T1.values():
+        return CheckReport(cid, "SKIP", note="factor source")
     diagram = fixture.diagram()
     rows = diagram.lam + diagram.mu
     target = _product_over(rows, factors)
@@ -355,10 +366,11 @@ def check_color_exchange(fixtures):
     """The unit-slope color-exchange instance at t = q^{-1}.
 
     The two-row/two-row polynomial is constructed from the two-column
-    fixture via super-duality, both sides are specialized to t = q^{-1} and
-    compared after tilde-normalization; a wrong-slope control at t = q^{-2}
-    must mismatch.  The ordering check compares the [w2, 2w1] fixture under
-    the connection substitution with the engine's reversed color [2w1, w2].
+    fixture via super-duality.  At t = q^{-1} the two sides agree for any
+    polynomial, since (q, t) -> (1/t, 1/q) fixes that slice, so the unit
+    slope is reported SKIP; a wrong-slope control at t = q^{-2} must
+    mismatch.  The ordering check compares the [w2, 2w1] fixture under the
+    connection substitution with the engine's reversed color [2w1, w2].
     """
     w2w2 = fixtures["3_2:hd_1-1__1-1"].poly
     r2r2 = _sub_duality(w2w2)  # the [2|2]-colored polynomial, up to a monomial
@@ -368,13 +380,11 @@ def check_color_exchange(fixtures):
         out, _ = tilde_normalize(value)
         return out
 
-    reports = []
-    left, right = at_slope(w2w2, 1), at_slope(r2r2, 1)
-    reports.append(
-        CheckReport.compare(
-            "color-exchange:3_2:w2w2~2w12w1", left, right, note="t = q^-1"
+    reports = [
+        CheckReport(
+            "color-exchange:3_2:w2w2~2w12w1", "SKIP", note="identity on t = q^-1"
         )
-    )
+    ]
     swapped = fixtures["3_2:hd_1-1__2"]
     diagram = swapped.diagram()
     reordered = engine(swapped.knot, diagram.mu, diagram.lam).normalized

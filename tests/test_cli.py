@@ -49,6 +49,19 @@ def test_package_is_stdlib_only():
     assert "dependencies = []" in pyproject.read_text().splitlines()
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant the package relies
+    # on must raise a typed error instead
+    package = pathlib.Path(cli.__file__).parent
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_compute_fundamental(capsys):
     code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", "0|1")
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from comphomfly.partitions import EMPTY, Partition, compose_at_N, conjugate
@@ -23,6 +25,68 @@ def test_lr_coefficient_examples():
             assert sf.lr_coefficient(lam, EMPTY, nu) == (1 if nu == lam else 0)
     # wrong size is always zero
     assert sf.lr_coefficient(P("1"), P("1"), P("3")) == 0
+
+
+def fixed_content_count(lam, mu, nu):
+    """N^nu_{lam,mu} by filling nu/lam with content mu, cell by cell.
+
+    Independent of `skew_row`: cells are filled right-to-left along rows,
+    top to bottom, and only fillings of the one content mu are counted.
+    """
+    if nu.size() != lam.size() + mu.size() or not nu.contains(lam):
+        return 0
+    cells = [
+        (i, j) for i in range(1, len(nu) + 1) for j in range(nu.row(i), lam.row(i), -1)
+    ]
+    values = {}
+    counts = [0] * (len(mu) + 1)
+
+    def place(pos):
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        total = 0
+        for v in range(1, len(mu) + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v >= 2 and counts[v] >= counts[v - 1]:
+                continue  # lattice word
+            right = values.get((i, j + 1))
+            if right is not None and v > right:
+                continue  # rows weakly increase
+            above = values.get((i - 1, j))
+            if above is not None and v <= above:
+                continue  # columns strictly increase
+            values[(i, j)] = v
+            counts[v] += 1
+            total += place(pos + 1)
+            counts[v] -= 1
+            del values[(i, j)]
+        return total
+
+    return place(0)
+
+
+def test_skew_rows_match_fixed_content_count():
+    # every skew shape eta/alpha with |eta| <= 8, every content beta
+    rows = compared = nonzero = 0
+    for n in range(9):
+        for eta in sf.partitions_of(n):
+            for alpha in sf.subpartitions(eta):
+                row = sf.skew_row(eta, alpha)
+                assert list(row) == sorted(row), (eta, alpha)
+                expected = {}
+                for beta in sf.partitions_of(n - alpha.size()):
+                    c = fixed_content_count(alpha, beta, eta)
+                    if c:
+                        expected[beta] = c
+                    compared += 1
+                assert dict(row) == expected, (eta, alpha)
+                rows += 1
+                nonzero += len(row)
+    assert (rows, compared, nonzero) == (862, 4136, 1330)
+    assert sf.skew_row(P("2,1"), P("3")) == ()
+    assert sf.skew_row(P("2"), P("1,1")) == ()
 
 
 def test_lr_symmetry():
@@ -288,6 +352,16 @@ def test_composite_product_matches_lr_scan():
                             key = (beta, gamma)
                             expected[key] = expected.get(key, 0) + c
             assert sf.composite_product_expansion(eta, delta) == expected, (eta, delta)
+
+
+def test_unbalanced_color_builds_only_the_rows_it_joins():
+    # [0|3,1] at r = 4 pairs an empty slot with 16-box Adams shapes: only
+    # the rows over alpha = 0 are joined, not the 16-box shapes' whole tables
+    sf.skew_row.cache_clear()
+    expansion = sf.composite_adams(EMPTY, P("3,1"), 4)
+    assert sf.skew_row.cache_info().misses <= 100
+    digest = hashlib.sha256(sf.format_expansion(expansion).encode()).hexdigest()
+    assert digest == "f86fa8888d7f87302f1895e1aee347c38dacbb3329e53c5aac834967a8f0ec43"
 
 
 def test_format_expansion_golden():

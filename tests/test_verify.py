@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import shutil
 
@@ -52,9 +53,11 @@ def test_connection_suite(fixtures):
 
 def test_duality_suite(fixtures):
     reports = verify.suite_duality(fixtures)
-    assert all(r.status == "PASS" for r in reports), [r.line() for r in reports]
-    ids = [r.check_id for r in reports]
-    assert "color-exchange:3_2:negative-control" in ids
+    statuses = {r.check_id: r.status for r in reports}
+    # (q, t) -> (1/t, 1/q) fixes the slice t = q^-1, so that check cannot fail
+    assert statuses.pop("color-exchange:3_2:w2w2~2w12w1") == "SKIP"
+    assert all(s == "PASS" for s in statuses.values()), [r.line() for r in reports]
+    assert "color-exchange:3_2:negative-control" in statuses
 
 
 def test_evaluation_suite(fixtures):
@@ -62,7 +65,14 @@ def test_evaluation_suite(fixtures):
     failures = [r for r in reports if r.status == "FAIL"]
     assert not failures, [r.line() for r in failures]
     skips = [r.check_id for r in reports if r.status == "SKIP"]
-    assert skips == ["q1-eval:3_2:hd_1__1-1-1"]
+    # one factor not printed, and four fixtures that are their own factor
+    assert skips == [
+        "q1-eval:3_2:hd_1__1-1-1",
+        "q1-eval:3_2:hd_0__1",
+        "t1-eval:3_2:hd_0__1",
+        "q1-eval:3_2:hd_0__1-1",
+        "t1-eval:3_2:hd_0__2",
+    ]
     degrees = {
         r.check_id: r for r in reports if r.check_id.startswith("a-degree")
     }
@@ -130,6 +140,27 @@ def test_perturbed_fixture_fails_with_diff(fixtures):
     report = verify.check_connection(damaged, (2, -2))
     assert report.status == "FAIL"
     assert report.left and report.right
+
+
+def test_evaluation_fails_on_a_raised_factor_source(fixtures):
+    # hd_0__1 is the one-box factor at q = 1 and at t = 1, so a wrong
+    # coefficient in it must break the checks whose product it enters
+    targets = ("q1-eval:3_2:hd_0__2", "t1-eval:3_2:hd_0__1-1")
+
+    def statuses(fixture_set):
+        reports = verify.suite_evaluation(fixture_set)
+        return [r.status for r in reports if r.check_id in targets]
+
+    assert statuses(fixtures) == ["PASS", "PASS"]
+    original = fixtures["3_2:hd_0__1"]
+    raised_terms = dict(original.poly.terms)
+    key = next(iter(raised_terms))
+    raised_terms[key] += 1
+    poly = Laurent(original.poly.vars, raised_terms, original.poly.den)
+    assert len(changed_exponents(poly, original.poly)) == 1
+    damaged = dict(fixtures)
+    damaged[original.id] = dataclasses.replace(original, poly=poly)
+    assert statuses(damaged) == ["FAIL", "FAIL"]
 
 
 def test_color_exchange_ordering_fails_on_flipped_coefficient(fixtures):
