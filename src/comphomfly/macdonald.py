@@ -3,15 +3,19 @@
 A checker layer, not a production Macdonald engine.  Polynomials are built
 as eigenfunctions of the first Macdonald q-difference operator, which is
 dominance-triangular on monomial symmetric functions with polynomial
-entries; the only divisions are by eigenvalue differences.  The solve runs
-on the integral form J_lam = c_lam P_lam, whose monomial coefficients are
-polynomials in (q, t) (Macdonald, Symmetric Functions and Hall Polynomials,
-VI (8.11)), so every step is one qexact.exact_divide and a failure of the
-theorem raises InexactDivisionError.  P_lam's coefficients are J_lam's
-over c_lam, reduced without a gcd.  The defining
-power-sum-pairing orthogonality <P_lam, m_mu> = 0 for mu < lam is verified
-by the test suite rather than used for construction.  Hard degree and rank
-caps keep everything at desk scale.
+entries; the only divisions are by eigenvalue differences.  Its matrix
+comes from the operator's alternant form (Macdonald, Symmetric Functions
+and Hall Polynomials, VI (3.4)): each term a_{beta+delta}/a_delta is a
+signed Schur function, read off its Kostka row.  The solve runs on the
+integral form J_lam = c_lam P_lam, whose monomial coefficients are
+polynomials in (q, t) (VI (8.11)), so every step is one
+qexact.exact_divide and a failure of the theorem raises
+InexactDivisionError.  P_lam's coefficients are J_lam's over c_lam,
+reduced without a gcd.  The defining power-sum-pairing orthogonality
+<P_lam, m_mu> = 0 for mu < lam is verified by the test suite rather than
+used for construction; the pairing writes m_mu in power sums through the
+Schur basis and the character table.  Hard degree and rank caps keep
+everything at desk scale.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .partitions import Partition, conjugate, dual_at_N
 from .qexact import InexactDivisionError, Laurent, common_terms, exact_divide
@@ -141,18 +145,6 @@ class QTFraction:
     __repr__ = __str__
 
 
-def _embed(p, vars):
-    """Reinterpret a Laurent over a subset of `vars` as one over `vars`."""
-    if p.vars == tuple(vars):
-        return p
-    idx = [p.vars.index(v) if v in p.vars else None for v in vars]
-    terms = {
-        tuple(exps[i] if i is not None else 0 for i in idx): c
-        for exps, c in p.terms.items()
-    }
-    return Laurent(vars, terms, p.den)
-
-
 QTF_ZERO = QTFraction(0)
 QTF_ONE = QTFraction(1)
 
@@ -253,73 +245,41 @@ class SymLaurent:
 # the q-difference operator on monomial symmetric functions
 
 
-def _xvars(n):
-    return QT + tuple("x%d" % i for i in range(1, n + 1))
-
-
-def _monomial_sym(mu, n):
-    """m_mu as an explicit polynomial in x1..xn (coefficients in q, t)."""
-    vars = _xvars(n)
-    padded = mu + (0,) * (n - len(mu))
-    out = Laurent.zero(vars)
-    for perm in set(permutations(padded)):
-        out = out + Laurent.monomial(
-            vars, 1, **{"x%d" % (i + 1): e for i, e in enumerate(perm)}
-        )
-    return out
-
-
 @lru_cache(maxsize=None)
 def _operator_matrix(degree, n):
     """Matrix of the first Macdonald operator on {m_mu : mu |- degree}.
 
     Returns {mu: {nu: Laurent in (q, t)}} reading D m_mu = sum_nu c[mu][nu] m_nu.
     The operator is sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j) shift_i
-    with shift_i: x_i -> q x_i; the rational pieces are summed over the
-    Vandermonde common denominator and divided out exactly.
+    with shift_i: x_i -> q x_i.  In alternant form (Macdonald VI (3.4)),
+    with delta = (n-1, ..., 0),
+        D m_mu = sum over beta in S_n mu of
+                 (sum_i q^{beta_i} t^{n-i}) a_{beta+delta} / a_delta,
+    and a_{beta+delta} / a_delta is 0 when beta+delta repeats an entry, else
+    sign(sigma) s_kappa, where sigma sorts beta+delta decreasingly and
+    kappa = sorted(beta+delta) - delta; s_kappa is read off its Kostka row.
     """
-    vars = _xvars(n)
-    x = ["x%d" % i for i in range(1, n + 1)]
-    vandermonde = Laurent.one(vars)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vandermonde = vandermonde * (
-                Laurent.var(vars, x[i]) - Laurent.var(vars, x[j])
-            )
-    cofactors = []
-    for i in range(n):
-        denom = Laurent.one(vars)
-        numer = Laurent.one(vars)
-        for j in range(n):
-            if j == i:
-                continue
-            denom = denom * (Laurent.var(vars, x[i]) - Laurent.var(vars, x[j]))
-            numer = numer * (
-                Laurent.monomial(vars, 1, t=1, **{x[i]: 1}) - Laurent.var(vars, x[j])
-            )
-        cofactors.append((numer, exact_divide(vandermonde, denom)))
+    delta = tuple(range(n - 1, -1, -1))
     out = {}
     for mu in partitions_of(degree):
         if len(mu) > n:
             continue
-        f = _monomial_sym(mu, n)
-        total = Laurent.zero(vars)
-        for i in range(n):
-            shifted = f.substitute({x[i]: (1, {"q": 1, x[i]: 1})})
-            shifted = _embed(shifted, vars)
-            numer, cof = cofactors[i]
-            total = total + numer * shifted * cof
-        action = exact_divide(total, vandermonde)
         row = {}
-        xslice = slice(2, 2 + n)
-        for exps, coeff in action.terms.items():
-            xs = exps[xslice]
-            if tuple(sorted(xs, reverse=True)) != xs:
+        for beta in set(permutations(mu + (0,) * (n - len(mu)))):
+            shifted = [b + d for b, d in zip(beta, delta)]
+            if len(set(shifted)) < n:
                 continue
-            nu = Partition(e // action.den for e in xs)
-            entry = row.setdefault(nu, Laurent.zero(QT))
-            row[nu] = entry + Laurent(QT, {exps[:2]: coeff}, action.den)
-        out[mu] = {nu: c for nu, c in row.items() if c}
+            sign = (-1) ** sum(a < b for a, b in combinations(shifted, 2))
+            kappa = Partition(
+                e - d for e, d in zip(sorted(shifted, reverse=True), delta)
+            )
+            for exps, k in schur_monomials(kappa, n).items():
+                if list(exps) != sorted(exps, reverse=True):
+                    continue
+                terms = row.setdefault(Partition(exps), {})
+                for b, d in zip(beta, delta):
+                    terms[b, d] = terms.get((b, d), 0) + sign * k
+        out[mu] = {nu: c for nu, terms in row.items() if (c := Laurent(QT, terms))}
     return out
 
 

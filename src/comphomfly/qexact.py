@@ -57,8 +57,9 @@ def _var_rank(name):
 
 
 def _storage_rank(name):
-    """Variable-tuple layout: q, t, a (the term-file column order)."""
-    return _STORAGE.get(name, 3 + ord(name[0]))
+    """Variable-tuple layout: q, t, a (the term-file column order), then the
+    other names in string order, so the layout never depends on set order."""
+    return _STORAGE.get(name, 3), name
 
 
 class Laurent:

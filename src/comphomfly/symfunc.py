@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from .partitions import (
     EMPTY,
@@ -466,57 +467,23 @@ def monomial_to_schur(monomials, nvars):
 
 
 @lru_cache(maxsize=None)
-def power_monomial_matrix(degree):
-    """Rows: p_rho expanded over monomial symmetric functions, degree fixed.
+def monomial_power_matrix(degree):
+    """m_mu in the power-sum basis: {mu: {rho: Fraction}}, mu, rho |- degree.
 
-    Returned as {rho: {mu: int}} with both indices partitions of `degree`,
-    computed by explicit polynomial expansion in `degree` variables.
+    m_mu is rewritten in Schur functions by `monomial_to_schur` on its orbit
+    in max(degree, 1) variables, where the Schur functions of that degree
+    stay independent; each s_lam is then read through the character table,
+    s_lam = sum_rho chi^lam(rho) / z_rho p_rho.
     """
     nvars = max(degree, 1)
     out = {}
-    for rho in partitions_of(degree):
-        poly = {(0,) * nvars: 1}
-        for part in rho:
-            nxt = {}
-            for exps, c in poly.items():
-                for i in range(nvars):
-                    key = tuple(
-                        e + (part if j == i else 0) for j, e in enumerate(exps)
-                    )
-                    nxt[key] = nxt.get(key, 0) + c
-            poly = nxt
+    for mu in partitions_of(degree):
+        orbit = set(permutations(mu + (0,) * (nvars - len(mu))))
+        schur = monomial_to_schur(dict.fromkeys(orbit, 1), nvars)
         row = {}
-        for exps, c in poly.items():
-            if tuple(sorted(exps, reverse=True)) == exps:
-                row[Partition(exps)] = c
-        out[rho] = row
-    return out
-
-
-@lru_cache(maxsize=None)
-def monomial_power_matrix(degree):
-    """Inverse transition: m_mu written in the power-sum basis, Fractions."""
-    rhos = list(partitions_of(degree))
-    mat = power_monomial_matrix(degree)
-    n = len(rhos)
-    aug = [
-        [Fraction(mat[rhos[i]].get(rhos[j], 0)) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    # aug now holds R^{-1} on the right; m = R^{-1} p reading p = R m
-    out = {}
-    for j, mu in enumerate(rhos):
-        out[mu] = {
-            rhos[i]: aug[j][n + i] for i in range(n) if aug[j][n + i]
-        }
+        for rho in partitions_of(degree):
+            c = sum(k * sym_character(lam, rho) for lam, k in schur.items())
+            if c:
+                row[rho] = Fraction(c, zclass(rho))
+        out[mu] = row
     return out

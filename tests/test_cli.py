@@ -218,6 +218,29 @@ def test_typed_errors_survive_python_O():
     assert "engine failure: non-integer Adams coefficient" in proc.stderr
 
 
+def test_stdout_ignores_hash_seed():
+    # the benchmark pins PYTHONHASHSEED=0, so its checksums cannot see a
+    # result that follows set iteration order
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = (
+        ["expand", "--color", "2,1|2,1", "--r", "3"],
+        ["verify", "--suite", "duality"],
+    )
+    for argv in commands:
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "comphomfly.cli", *argv],
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(outputs) == 1, argv
+
+
 def test_expand(capsys):
     code, out, _ = run(capsys, "expand", "--color", "0|1", "--r", "2")
     assert code == 0

@@ -1,11 +1,14 @@
+import math
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from comphomfly.partitions import Partition
 from comphomfly.qexact import exact_divide, parse_expr
 from comphomfly import macdonald as md
-from comphomfly.symfunc import partitions_of
+from comphomfly.symfunc import monomial_power_matrix, partitions_of
 
 P = Partition.parse
 QT = ("q", "t")
@@ -196,3 +199,49 @@ def test_qtfraction_sum_lifts_to_a_dividing_denominator():
             if dividing:
                 # the lifted sum never needs more than the larger denominator
                 exact_divide(large, total.den)
+
+
+def _monomial_at(mu, x):
+    """m_mu at the point x, summed over the distinct exponent vectors."""
+    padded = tuple(mu) + (0,) * (len(x) - len(mu))
+    return sum(
+        math.prod(xi**e for xi, e in zip(x, perm))
+        for perm in set(permutations(padded))
+    )
+
+
+def test_operator_matrix_matches_the_operator_at_rational_points():
+    # D acts on m_mu at a rational point exactly as the matrix row says
+    rng = random.Random(12)
+    for n in range(1, 5):
+        x = [Fraction(k, rng.randint(1, 9)) for k in rng.sample(range(1, 60), n)]
+        q, t = Fraction(rng.randint(2, 9), 7), Fraction(rng.randint(2, 9), 5)
+        for degree in range(5):
+            matrix = md._operator_matrix(degree, n)
+            for mu in partitions_of(degree):
+                if len(mu) > n:
+                    continue
+                lhs = 0
+                for i in range(n):
+                    factor = math.prod(
+                        (t * x[i] - x[j]) / (x[i] - x[j]) for j in range(n) if j != i
+                    )
+                    shifted = x[:i] + [q * x[i]] + x[i + 1 :]
+                    lhs += factor * _monomial_at(mu, shifted)
+                rhs = 0
+                for nu, c in matrix[mu].items():
+                    assert c.den == 1
+                    value = sum(k * q**a * t**b for (a, b), k in c.terms.items())
+                    rhs += value * _monomial_at(nu, x)
+                assert lhs == rhs, (n, mu)
+
+
+def test_monomial_power_matrix_at_rational_points():
+    # m_mu(x) = sum_rho M[mu][rho] p_rho(x) at a seeded rational point
+    rng = random.Random(13)
+    for degree in range(6):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
+        power = {k: sum(xi**k for xi in x) for k in range(1, degree + 1)}
+        for mu, row in monomial_power_matrix(degree).items():
+            expanded = sum(c * math.prod(power[k] for k in rho) for rho, c in row.items())
+            assert _monomial_at(mu, x) == expanded, mu

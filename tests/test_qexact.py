@@ -1,5 +1,8 @@
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -350,3 +353,24 @@ def test_canonical_order_is_deterministic():
         (Fraction(0), Fraction(2)),
     ]
     assert str(p) == "q^-1*a + q*a - a^2"
+
+
+SEEDED_SUBSTITUTION = """
+from comphomfly.qexact import Laurent
+V = ("q", "t", "x1", "x2", "x3")
+out = Laurent.monomial(V, 1, x1=1).substitute({"x1": (1, {"q": 1, "x1": 1})})
+print(",".join(out.vars), out == Laurent.monomial(V, 1, q=1, x1=1))
+"""
+
+
+def test_substitute_layout_ignores_hash_seed():
+    # names sharing a first letter must not tie in the layout key, or the
+    # variable order follows set iteration, which PYTHONHASHSEED moves
+    src = str(pathlib.Path(qexact.__file__).resolve().parents[1])
+    for seed in range(3):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", SEEDED_SUBSTITUTION],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout == "q,t,x1,x2,x3 True\n", (seed, proc.stdout, proc.stderr)
