@@ -110,19 +110,24 @@ def cmd_expand(args):
     return 0
 
 
+def _fixture_error(message, strict):
+    print("fixture error: %s" % message, file=sys.stderr)
+    return 2 if strict else 1
+
+
 def cmd_verify(args):
     root = args.fixtures or os.environ.get("COMPHOMFLY_FIXTURES")
     try:
         fixtures = verify.load_fixtures(root)
     except (FileNotFoundError, ValueError) as err:
-        print("fixture error: %s" % err, file=sys.stderr)
-        return 2 if args.strict else 1
+        return _fixture_error(err, args.strict)
     try:
         reports = verify.run_suite(args.suite, fixtures)
     except KeyError as err:
         # the suite name is one of argparse's choices, so a fixture is missing
-        print("fixture error: missing fixture %s" % err.args[0], file=sys.stderr)
-        return 2 if args.strict else 1
+        return _fixture_error("missing fixture %s" % err.args[0], args.strict)
+    except verify.FixtureError as err:
+        return _fixture_error(err, args.strict)
     for report in reports:
         print(report.line())
         if report.status == "FAIL":

@@ -16,6 +16,11 @@ reduced without a gcd.  The defining power-sum-pairing orthogonality
 used for construction; the pairing writes m_mu in power sums through the
 Schur basis and the character table.  Hard degree and rank caps keep
 everything at desk scale.
+
+A symmetric polynomial in n variables is a plain dict from dominant
+exponent tuples (length n, weakly decreasing), each standing for its
+monomial orbit, to QTFraction coefficients.  No coefficient is stored as
+zero, so two polynomials are equal exactly when their dicts are.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .partitions import Partition, conjugate, dual_at_N
-from .qexact import InexactDivisionError, Laurent, common_terms, exact_divide
+from .qexact import InexactDivisionError, Laurent, exact_divide
 from .symfunc import monomial_power_matrix, partitions_of, schur_monomials, zclass
 
 QT = ("q", "t")
@@ -75,19 +80,12 @@ class QTFraction:
             return exact_divide(num, den), _ONE
         except InexactDivisionError:
             pass
-        nterms, dterms, scale = common_terms(num, den)
-        content = math.gcd(*nterms.values(), *dterms.values())
-        shift = [min(col) for col in zip(*nterms, *dterms)]
-        if content > 1 or any(shift):
-
-            def shifted(terms):
-                return {
-                    tuple(e - s for e, s in zip(exps, shift)): c // content
-                    for exps, c in terms.items()
-                }
-
-            num = Laurent(num.vars, shifted(nterms), scale)
-            den = Laurent(den.vars, shifted(dterms), scale)
+        content = math.gcd(*num.terms.values(), *den.terms.values())
+        ranges = zip(num.exponent_range(), den.exponent_range())
+        low = [min(a, b) for (a, _), (b, _) in ranges]
+        if content > 1 or any(low):
+            common = Laurent.monomial(num.vars, content, **dict(zip(num.vars, low)))
+            num, den = exact_divide(num, common), exact_divide(den, common)
         if den.leading()[1] < 0:
             num, den = -num, -den
         return num, den
@@ -116,19 +114,12 @@ class QTFraction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QTFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-QTFraction.of(other))
 
     def __mul__(self, other):
         other = QTFraction.of(other)
         return QTFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __bool__(self):
         return bool(self.num)
@@ -147,98 +138,6 @@ class QTFraction:
 
 QTF_ZERO = QTFraction(0)
 QTF_ONE = QTFraction(1)
-
-
-class SymLaurent:
-    """Symmetric Laurent polynomial in n variables over QTFraction.
-
-    Stored on dominant representatives: keys are length-n exponent tuples
-    sorted decreasingly, each standing for its full monomial orbit.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        for key, value in (coeffs or {}).items():
-            key = tuple(key)
-            if len(key) != n or tuple(sorted(key, reverse=True)) != key:
-                raise ValueError("non-dominant key %r" % (key,))
-            value = QTFraction.of(value)
-            if value:
-                self.coeffs[key] = value
-
-    def __eq__(self, other):
-        if not isinstance(other, SymLaurent) or self.n != other.n:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, QTF_ZERO) == other.coeffs.get(k, QTF_ZERO)
-            for k in keys
-        )
-
-    def scaled(self, factor):
-        factor = QTFraction.of(factor)
-        return SymLaurent(self.n, {k: v * factor for k, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k, QTF_ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        result = SymLaurent(self.n)
-        result.coeffs = out
-        return result
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def inverted(self):
-        """Substitute every variable by its inverse."""
-        return SymLaurent(
-            self.n,
-            {
-                tuple(sorted((-e for e in key), reverse=True)): v
-                for key, v in self.coeffs.items()
-            },
-        )
-
-    def shifted(self, c):
-        """Multiply by (x_1 ... x_n)^c."""
-        return SymLaurent(
-            self.n, {tuple(e + c for e in key): v for key, v in self.coeffs.items()}
-        )
-
-    def monomials(self):
-        """Expand orbits into an explicit exponent-vector dict."""
-        out = {}
-        for key, v in self.coeffs.items():
-            for perm in set(permutations(key)):
-                out[perm] = v
-        return out
-
-    def principal_value(self, point):
-        """Evaluate at x_i = t^{point[i]} as a QTFraction."""
-        total = QTF_ZERO
-        for key, v in self.coeffs.items():
-            orbit = Laurent.zero(QT)
-            for perm in set(permutations(key)):
-                e = sum((Fraction(p) * pt for p, pt in zip(perm, point)), Fraction(0))
-                orbit = orbit + _mono(t=e)
-            total = total + v * QTFraction(orbit)
-        return total
-
-    def __str__(self):
-        bits = []
-        for key in sorted(self.coeffs, reverse=True):
-            bits.append("(%s)*m%s" % (self.coeffs[key], list(key)))
-        return " + ".join(bits) if bits else "0"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +259,17 @@ def macdonald_p(lam, n):
 
 def _restrict(lam, n):
     if not lam:
-        return SymLaurent(n, {(0,) * n: QTF_ONE})
-    out = {}
-    for nu, u in _p_coefficients(lam, n).items():
-        out[nu + (0,) * (n - len(nu))] = u
-    return SymLaurent(n, out)
+        return {(0,) * n: QTF_ONE}
+    return {nu + (0,) * (n - len(nu)): u for nu, u in _p_coefficients(lam, n).items()}
 
 
 def schur_restricted(lam, n):
-    """Schur polynomial as a SymLaurent, from the tableau-counted Kostka row."""
-    return SymLaurent(
-        n,
-        {
-            exps: QTFraction(k)
-            for exps, k in schur_monomials(lam, n).items()
-            if list(exps) == sorted(exps, reverse=True)
-        },
-    )
+    """Schur polynomial in n variables, from the tableau-counted Kostka row."""
+    return {
+        exps: QTFraction(k)
+        for exps, k in schur_monomials(lam, n).items()
+        if list(exps) == sorted(exps, reverse=True)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +303,9 @@ def monomial_pairing(mu, nu):
 
 
 def pairing_with_monomial(poly, mu):
-    """<poly, m_mu> for a SymLaurent with partition keys (faithful range)."""
+    """<poly, m_mu> for a symmetric polynomial with partition keys (faithful range)."""
     total = QTF_ZERO
-    for key, u in poly.coeffs.items():
+    for key, u in poly.items():
         nu = Partition(int(e) for e in key)
         total = total + u * monomial_pairing(nu, mu)
     return total
@@ -427,11 +320,22 @@ def _rho_point(n):
     return [Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1)]
 
 
+def _principal_value(poly, point):
+    """Evaluate at x_i = t^{point[i]} as a QTFraction."""
+    total = QTF_ZERO
+    for key, v in poly.items():
+        orbit = Laurent.zero(QT)
+        for perm in set(permutations(key)):
+            orbit = orbit + _mono(t=sum(p * pt for p, pt in zip(perm, point)))
+        total = total + v * QTFraction(orbit)
+    return total
+
+
 def principal_specialization(poly, n):
-    """Evaluate a SymLaurent at the centered principal point."""
-    if poly.n != n:
+    """Evaluate an n-variable symmetric polynomial at the centered principal point."""
+    if any(len(key) != n for key in poly):
         raise ValueError("variable count mismatch")
-    return poly.principal_value(_rho_point(n))
+    return _principal_value(poly, _rho_point(n))
 
 
 def evaluation_formula(b, rank):
@@ -494,11 +398,12 @@ def duality_check(lam, n):
     if dual_diagram.size() > MAX_INTERNAL_DEGREE:
         raise RankBoundError("dual diagram %s too large" % (dual_diagram,))
     dual = _restrict(dual_diagram, n)
-    lhs = p.inverted().shifted(lam.width)
+    # x -> 1/x reverses each dominant key; (x_1...x_n)^{lam_1} adds lam_1
+    lhs = {tuple(lam.width - e for e in reversed(key)): v for key, v in p.items()}
     inversion_ok = lhs == dual
     point = _rho_point(n)
-    ev_plus = p.principal_value(point)
-    ev_minus = p.principal_value([-x for x in point])
+    ev_plus = _principal_value(p, point)
+    ev_minus = _principal_value(p, [-x for x in point])
     evaluation_ok = ev_plus == ev_minus
     detail = "" if inversion_ok and evaluation_ok else "lhs=%s dual=%s" % (lhs, dual)
     return DualityReport(lam, n, inversion_ok, evaluation_ok, detail)

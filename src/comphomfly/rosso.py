@@ -20,7 +20,6 @@ from .partitions import (
     RankTooSmallError,
     compose_at_N,
     kappa,
-    reduce_columns,
 )
 from .qexact import (
     Bracket,
@@ -293,10 +292,9 @@ def finite_N_oracle(knot, lam, mu, N):
         return Laurent.one(("q",))
     total = Laurent.zero(("q",))
     for nu, coeff in adams_at_rank(zeta, knot.s, N).items():
-        reduced = reduce_columns(nu, N)
         exponent = _theta_exponent_at_rank(nu, N) * power
         mono = Laurent(("q",), {(exponent,): coeff})
-        total = total + mono * qdim_at_rank(reduced, N)
+        total = total + mono * qdim_at_rank(nu, N)
     lead = Laurent(
         ("q",), {(-_theta_exponent_at_rank(zeta, N) * r * s,): 1}
     )

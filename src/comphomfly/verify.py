@@ -32,6 +32,10 @@ QA = ("q", "a")
 QTA = ("q", "t", "a")
 
 
+class FixtureError(ValueError):
+    """A fixture file's header does not say what the checks need."""
+
+
 @dataclass(frozen=True)
 class Fixture:
     """A transcribed polynomial with provenance."""
@@ -43,7 +47,12 @@ class Fixture:
     source: str
 
     def diagram(self):
-        return CompositeDiagram.parse(self.color)
+        try:
+            return CompositeDiagram.parse(self.color)
+        except ValueError as err:
+            raise FixtureError(
+                "fixture %s: bad #color %r: %s" % (self.id, self.color, err)
+            ) from None
 
 
 @dataclass

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from comphomfly import cli, verify
-from comphomfly.partitions import CompositeDiagram
+from comphomfly.partitions import CompositeDiagram, RankTooSmallError
 from comphomfly.qexact import ResidualRankError, dumps_poly
 from comphomfly.rosso import TorusKnot, finite_N_oracle
 
@@ -218,6 +218,24 @@ def test_typed_errors_survive_python_O():
     assert "engine failure: non-integer Adams coefficient" in proc.stderr
 
 
+def test_cli_import_leaves_macdonald_unloaded():
+    # the benchmark's setup_s times `import comphomfly.cli`, and no workload
+    # runs the Macdonald checker, so the CLI must not import it
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, comphomfly.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    loaded = ast.literal_eval(proc.stdout)
+    assert "comphomfly.cli" in loaded and "comphomfly.verify" in loaded
+    assert "comphomfly.macdonald" not in loaded
+
+
 def test_stdout_ignores_hash_seed():
     # the benchmark pins PYTHONHASHSEED=0, so its checksums cannot see a
     # result that follows set iteration order
@@ -400,13 +418,18 @@ def test_verify_missing_fixtures(capsys, tmp_path):
 
 
 def test_verify_partial_fixtures(capsys, tmp_path):
-    # a fixture file without a #knot header, then a directory that lacks the
-    # fixtures the suite needs: a fixture error line either way, no traceback
+    # a fixture file without a #knot header, a directory that lacks the
+    # fixtures the suite needs, and a needed fixture whose #color does not
+    # parse: a fixture error line each time, no traceback
     target = tmp_path / "3_2" / "x.poly"
     target.parent.mkdir()
+    bad_color = "fixture 3_2:hd_1__1: bad #color '1x|1': %s" % (
+        "invalid literal for int() with base 10: '1x'"
+    )
     cases = (
         ("", "fixture %s: no #knot header" % target),
         ("#knot 3,2\n#color 1|1\n", "missing fixture 3_2:hd_1__1"),
+        ("#knot 3,2\n#color 1x|1\n#id 3_2:hd_1__1\n", bad_color),
     )
     for header, message in cases:
         target.write_text("#vars q t a\n#id x\n" + header + "1\t0\t0\t0\n")
@@ -415,6 +438,17 @@ def test_verify_partial_fixtures(capsys, tmp_path):
                 capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags
             )
             assert result == (want, "", "fixture error: %s\n" % message)
+
+
+def test_verify_leaves_engine_errors_unlabeled(capsys, monkeypatch):
+    # RankTooSmallError is a ValueError, but it is not the fixture's fault
+    def failing_engine(knot, lam, mu):
+        raise RankTooSmallError("engine refused %s|%s" % (lam, mu))
+
+    monkeypatch.setattr(verify, "engine", failing_engine)
+    with pytest.raises(RankTooSmallError, match="engine refused"):
+        cli.main(["verify", "--suite", "connection"])
+    assert "fixture error" not in capsys.readouterr().err
 
 
 def test_verify_env_override(capsys, monkeypatch, tmp_path):
