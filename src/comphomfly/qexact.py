@@ -527,18 +527,14 @@ class Bracket(NamedTuple):
 UNIT_BRACKET = Bracket(0, 1)
 
 
-def bracket_numerator(b):
-    """a^{u/2} q^{v/2} - a^{-u/2} q^{-v/2} over (q, a)."""
-    return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
-
-
-def bracket_at_rank(b, N):
-    """[u*N + v] as an honest quantum integer, Laurent in q^{1/2}."""
+def bracket_numerator(b, N=None):
+    """a^{u/2} q^{v/2} - a^{-u/2} q^{-v/2} over (q, a); at a rank N it is
+    q^{m/2} - q^{-m/2} over (q,) with m = u*N + v, the zero polynomial when
+    m = 0."""
+    if N is None:
+        return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
     m = b.u * N + b.v
-    sign = 1
-    if m < 0:
-        m, sign = -m, -1
-    return _build(("q",), {(m - 1 - 2 * k,): sign for k in range(m)}, 2)
+    return _build(("q",), {(m,): 1, (-m,): -1} if m else {}, 2)
 
 
 class BracketProduct:
@@ -585,15 +581,6 @@ class BracketProduct:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def at_rank(self, N):
-        """Evaluate at a = q^N as an exact Laurent in q^{1/2}."""
-        num = Laurent.one(("q",))
-        for b in self.num:
-            num = num * bracket_at_rank(b, N)
-        for b in self.den:
-            num = exact_divide(num, bracket_at_rank(b, N))
-        return num
 
     def render(self):
         def block(brackets):
@@ -660,7 +647,10 @@ def loads_poly(text):
         cells = line.split("\t")
         if len(cells) != len(vars) + 1:
             raise ValueError("bad term line: %r" % line)
-        exps = tuple(Fraction(c) for c in cells[1:])
+        try:
+            exps = tuple(Fraction(c) for c in cells[1:])
+        except ZeroDivisionError:
+            raise ValueError("bad term line: %r" % line) from None
         terms[exps] = terms.get(exps, 0) + int(cells[0])
     if vars is None:
         raise ValueError("missing #vars header")
@@ -722,6 +712,8 @@ def _exponent(node):
     den = 1
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
         node, den = node.left, _int(node.right)
+        if not den:
+            raise ValueError("zero denominator in exponent")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return Fraction(-_int(node.operand), den)
     return Fraction(_int(node), den)

@@ -3,8 +3,9 @@
 Assembles normalized and unnormalized HOMFLY-PT polynomials of torus knots
 from three symbolic ingredients: braiding eigenvalues with rank-dependent
 exponents, composite Adams coefficients, and stable quantum dimensions in
-factored bracket form.  A separate finite-rank code path recomputes the same
-invariant at a concrete rank and is used as the stabilization oracle.
+factored bracket form.  A separate finite-rank code path, the stabilization
+oracle, recomputes the same invariant at a concrete rank with its own expansion,
+eigenvalues and dimensions; both paths add their terms with `bracket_sum`.
 """
 
 from __future__ import annotations
@@ -171,48 +172,49 @@ class InvariantResult:
         return "\n".join(lines)
 
 
-def _bracket_fraction(dim):
-    """Bracket multisets (num, den) with dim = prod num / prod den as
-    polynomials: each bracket [b] is bracket_numerator(b) over the unit
-    bracket's numerator, and the unit brackets cancel like any other."""
-    num = Counter(dim.num) + Counter({UNIT_BRACKET: len(dim.den)})
-    den = Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)})
-    return num - den, den - num
+def bracket_sum(terms, N=None):
+    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a)
+    or, given a rank N, over (q,) at a = q^N.  Each bracket [b] is
+    bracket_numerator(b) over the unit bracket's, and the unit brackets cancel
+    like any other; the numerators are summed over the multiset-max common
+    denominator, which is then divided out one binomial at a time."""
+    fractions = []
+    common = Counter()
+    for piece, dim in terms:
+        num = Counter(dim.num) + Counter({UNIT_BRACKET: len(dim.den)})
+        den = Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)})
+        num, den = num - den, den - num
+        fractions.append((piece, num, den))
+        common |= den
+    total = Laurent.zero(("q", "a") if N is None else ("q",))
+    for piece, num, den in fractions:
+        for b in sorted((num + common - den).elements()):
+            piece = piece * bracket_numerator(b, N)
+        total = total + piece
+    for b in sorted(common.elements()):
+        total = exact_divide(total, bracket_numerator(b, N))
+    return total
 
 
 def _assemble(knot, lam, mu, expansion, theta_color):
     """Twist each term and normalize it at the bracket level.
 
     Each term's dimension is divided by the color's as a bracket product,
-    so shared brackets cancel as multisets before any polynomial work.  The
-    numerators are summed over the multiset-max common denominator, which
-    is then divided out one bracket at a time with exact division.
+    so shared brackets cancel as multisets before any polynomial work, and
+    one `bracket_sum` adds the twisted terms.
     """
     r, s = knot.r, knot.s
     power = Fraction(r, s)  # the fractional eigenvalue power max/min
     pref = theta_color.scale(-r * s)
     color_dim = quantum_dimension(lam, mu)
     terms = []
-    fractions = []
     for beta, gamma in sorted(expansion, reverse=True):
-        coeff = expansion[(beta, gamma)]
         twist = pref + braiding_eigenvalue(beta, gamma).scale(power)
-        term = FactoredTerm(beta, gamma, coeff, twist, quantum_dimension(beta, gamma))
-        terms.append(term)
-        ratio = term.dimension / color_dim
-        num, den = _bracket_fraction(ratio)
-        fractions.append((sym_to_qa(twist) * coeff, num, den))
-
-    common = Counter()
-    for _, _, den in fractions:
-        common |= den
-    total = Laurent.zero(("q", "a"))
-    for piece, num, den in fractions:
-        for b in sorted((num + common - den).elements()):
-            piece = piece * bracket_numerator(b)
-        total = total + piece
-    for b in sorted(common.elements()):
-        total = exact_divide(total, bracket_numerator(b))
+        dim = quantum_dimension(beta, gamma)
+        terms.append(FactoredTerm(beta, gamma, expansion[(beta, gamma)], twist, dim))
+    total = bracket_sum(
+        [(sym_to_qa(t.twist) * t.coefficient, t.dimension / color_dim) for t in terms]
+    )
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
     return InvariantResult(
@@ -258,10 +260,10 @@ def _theta_exponent_at_rank(shape, N):
 
 
 def qdim_at_rank(shape, N):
-    """Quantum dimension at rank N, an exact Laurent in q^{1/2}.
+    """Quantum dimension at rank N as a bracket product of constant brackets.
 
-    Direct product over positive-root pairs; equal integers between
-    numerator and denominator cancel before any polynomial work.
+    Direct product over the positive-root pairs of the rank-N root system;
+    equal brackets between numerator and denominator cancel on construction.
     """
     if len(shape) > N:
         raise RankTooSmallError("%s does not fit in rank %d" % (shape, N))
@@ -270,7 +272,7 @@ def qdim_at_rank(shape, N):
         for j in range(i + 1, N + 1):
             num.append(Bracket(0, shape.row(i) - shape.row(j) + j - i))
             den.append(Bracket(0, j - i))
-    return BracketProduct(num, den).at_rank(N)
+    return BracketProduct(num, den)
 
 
 def finite_N_oracle(knot, lam, mu, N):
@@ -279,7 +281,8 @@ def finite_N_oracle(knot, lam, mu, N):
     Fully finite computation: the rank-N Adams expansion (character route),
     concrete eigenvalue exponents, and direct Weyl-product dimensions, with
     a = q^N built in.  Shares no code with the symbolic engine's expansion,
-    eigenvalue, or dimension steps.
+    eigenvalue, or dimension steps; `bracket_sum` adds the twisted terms
+    q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta).
     """
     if N < len(lam) + len(mu):
         raise RankTooSmallError(
@@ -288,14 +291,10 @@ def finite_N_oracle(knot, lam, mu, N):
     r, s = knot.r, knot.s
     power = Fraction(r, s)
     zeta = compose_at_N(lam, mu, N)
-    if not zeta:
-        return Laurent.one(("q",))
-    total = Laurent.zero(("q",))
-    for nu, coeff in adams_at_rank(zeta, knot.s, N).items():
-        exponent = _theta_exponent_at_rank(nu, N) * power
-        mono = Laurent(("q",), {(exponent,): coeff})
-        total = total + mono * qdim_at_rank(nu, N)
-    lead = Laurent(
-        ("q",), {(-_theta_exponent_at_rank(zeta, N) * r * s,): 1}
-    )
-    return exact_divide(total * lead, qdim_at_rank(zeta, N))
+    lead = -_theta_exponent_at_rank(zeta, N) * r * s
+    zeta_dim = qdim_at_rank(zeta, N)
+    terms = []
+    for nu, coeff in adams_at_rank(zeta, s, N).items():
+        mono = Laurent(("q",), {(_theta_exponent_at_rank(nu, N) * power + lead,): coeff})
+        terms.append((mono, qdim_at_rank(nu, N) / zeta_dim))
+    return bracket_sum(terms, N)

@@ -16,7 +16,6 @@ from comphomfly.qexact import (
     Laurent,
     SymExponent,
     UNIT_BRACKET,
-    bracket_at_rank,
     bracket_numerator,
     exact_divide,
     parse_expr,
@@ -253,7 +252,9 @@ def test_criterion_10_property_suites():
     for u, v in [(0, 2), (1, 0), (1, -2), (1, 2)]:
         for N in range(2, 7):
             numer = bracket_numerator(Bracket(u, v)).substitute({"a": (1, {"q": N})})
-            assert exact_divide(numer, unit_q) == bracket_at_rank(Bracket(u, v), N)
+            m = u * N + v  # positive on this grid
+            qint = Laurent(("q",), {(Fraction(m - 1 - 2 * k, 2),): 1 for k in range(m)})
+            assert exact_divide(numer, unit_q) == qint
 
     # plethysm brute-force oracle, |lam| <= 3, r <= 3
     for size in range(0, 4):

@@ -166,13 +166,20 @@ from fractions import Fraction
 from comphomfly import cli, macdonald, rosso, symfunc
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
-    InexactDivisionError, IntegralityError, SymExponent, exact_divide, parse_expr,
+    Bracket, BracketProduct, InexactDivisionError, IntegralityError, SymExponent,
+    exact_divide, parse_expr,
 )
 
 assert not __debug__, "must run under python -O"
 try:
     exact_divide(parse_expr("1+t^2"), parse_expr("1+t"))
     sys.exit("inexact division passed")
+except InexactDivisionError:
+    pass
+# every oracle division runs through bracket_sum; 1/[2] is no polynomial
+try:
+    rosso.bracket_sum([(parse_expr("1", ("q",)), BracketProduct([], [Bracket(0, 2)]))], 3)
+    sys.exit("inexact bracket sum passed")
 except InexactDivisionError:
     pass
 # with c_lam = 1 the solve must divide (1+q)(1-t) by 1-qt for P_[2]
@@ -426,13 +433,15 @@ def test_verify_partial_fixtures(capsys, tmp_path):
     bad_color = "fixture 3_2:hd_1__1: bad #color '1x|1': %s" % (
         "invalid literal for int() with base 10: '1x'"
     )
+    term, zero_den = "1\t0\t0\t0", "1\t1/0\t0\t0"
     cases = (
-        ("", "fixture %s: no #knot header" % target),
-        ("#knot 3,2\n#color 1|1\n", "missing fixture 3_2:hd_1__1"),
-        ("#knot 3,2\n#color 1x|1\n#id 3_2:hd_1__1\n", bad_color),
+        ("", term, "fixture %s: no #knot header" % target),
+        ("#knot 3,2\n#color 1|1\n", term, "missing fixture 3_2:hd_1__1"),
+        ("#knot 3,2\n#color 1x|1\n#id 3_2:hd_1__1\n", term, bad_color),
+        ("#knot 3,2\n", zero_den, "fixture %s: bad term line: %r" % (target, zero_den)),
     )
-    for header, message in cases:
-        target.write_text("#vars q t a\n#id x\n" + header + "1\t0\t0\t0\n")
+    for header, body, message in cases:
+        target.write_text("#vars q t a\n#id x\n" + header + body + "\n")
         for flags, want in ((), 1), (("--strict",), 2):
             result = run(
                 capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags

@@ -17,7 +17,6 @@ from comphomfly.qexact import (
     SignedExponentError,
     SymExponent,
     UNIT_BRACKET,
-    bracket_at_rank,
     bracket_numerator,
     dumps_poly,
     exact_divide,
@@ -230,7 +229,7 @@ def test_sym_monomial_and_lowering():
         sym_to_qa(SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2)))
 
 
-def test_bracket_fraction():
+def test_bracket_over_unit_bracket():
     unit = bracket_numerator(UNIT_BRACKET)
     numer = bracket_numerator(Bracket(0, 1))
     assert exact_divide(numer, unit) == Laurent.one(QA)
@@ -240,13 +239,33 @@ def test_bracket_fraction():
     assert numer == parse_expr("a^(1/2)*q^(-1/2) - a^(-1/2)*q^(1/2)", QA)
 
 
+def quantum_integer(m):
+    """[m] as the explicit sum of q^{(m-1-2k)/2} over 0 <= k < m, negated for m < 0."""
+    sign, m = (-1, -m) if m < 0 else (1, m)
+    return Laurent(("q",), {(Fraction(m - 1 - 2 * k, 2),): sign for k in range(m)})
+
+
 def test_bracket_finite_rank():
     unit_q = bracket_numerator(UNIT_BRACKET).substitute({"a": (1, {})})
     for u, v in [(0, 2), (1, 0), (1, -1), (1, 3), (2, -1)]:
         b = Bracket(u, v)
         for N in range(2, 7):
             numer = bracket_numerator(b).substitute({"a": (1, {"q": N})})
-            assert exact_divide(numer, unit_q) == bracket_at_rank(b, N), (u, v, N)
+            assert exact_divide(numer, unit_q) == quantum_integer(u * N + v), (u, v, N)
+
+
+def test_bracket_numerator_at_rank():
+    # the rank form is the symbolic one at a = q^N, including the zero
+    # polynomial at u*N + v = 0 and the negated binomial below it
+    for u in range(3):
+        for v in range(-3, 4):
+            if (u, v) == (0, 0):
+                continue
+            b = Bracket(u, v)
+            for N in range(1, 7):
+                at_rank = bracket_numerator(b).substitute({"a": (1, {"q": N})})
+                assert bracket_numerator(b, N) == at_rank, (u, v, N)
+    assert not bracket_numerator(Bracket(1, -3), 3)
 
 
 def test_bracket_by_bracket_division():
@@ -330,7 +349,7 @@ PARSED = [
 UNPARSEABLE = [
     "1.5", "1e3", "True", "q.real", "f(q)", "[q]", "q // q", "q % q", "q^q",
     "q^(1/2)^2", "(1+q)^(1/2)", "2^(-1)", "(-q)^(1/2)", "1 +", "2q", "x",
-    "1 + x", "__import__('os')",
+    "1 + x", "__import__('os')", "q^(1/0)",
 ]
 
 

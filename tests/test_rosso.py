@@ -13,13 +13,16 @@ from comphomfly.partitions import (
 from comphomfly.qexact import (
     Bracket,
     BracketProduct,
+    InexactDivisionError,
     Laurent,
     SymExponent,
+    exact_divide,
     parse_expr,
 )
 from comphomfly.rosso import (
     TorusKnot,
     braiding_eigenvalue,
+    bracket_sum,
     classical_homfly,
     composite_homfly,
     finite_N_oracle,
@@ -88,6 +91,48 @@ def bp(num, den=()):
     return BracketProduct([Bracket(*b) for b in num], [Bracket(*b) for b in den])
 
 
+ONE_Q = Laurent.one(("q",))
+
+
+def dim_at(dim, N):
+    """A bracket product at a = q^N, as a Laurent in q^{1/2}."""
+    return bracket_sum([(ONE_Q, dim)], N)
+
+
+def quantum_integer(m):
+    """[m] as the explicit sum of q^{(m-1-2k)/2} over 0 <= k < m, for m > 0."""
+    return Laurent(("q",), {(Fraction(m - 1 - 2 * k, 2),): 1 for k in range(m)})
+
+
+def test_bracket_sum_matches_quantum_integers():
+    # independent reference: the rank-N Weyl product in explicit quantum
+    # integers, numerators multiplied, denominators divided out one at a time
+    for shape in (s for n in range(5) for s in partitions_of(n)):
+        for N in range(len(shape), 7):
+            pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+            direct = ONE_Q
+            for i, j in pairs:
+                direct = direct * quantum_integer(shape.row(i) - shape.row(j) + j - i)
+            for i, j in pairs:
+                direct = exact_divide(direct, quantum_integer(j - i))
+            assert dim_at(qdim_at_rank(shape, N), N) == direct, (shape, N)
+
+
+def test_bracket_sum_negative_controls():
+    # [N - 3] vanishes at N = 3: zero in a numerator, an error in a denominator
+    assert dim_at(bp([(1, -3)]), 3) == Laurent.zero(("q",))
+    with pytest.raises(ZeroDivisionError):
+        dim_at(bp([], [(1, -3)]), 3)
+    # 1/[2] is no polynomial, symbolically or at a rank
+    with pytest.raises(InexactDivisionError):
+        dim_at(bp([], [(0, 2)]), 3)
+    with pytest.raises(InexactDivisionError):
+        bracket_sum([(Laurent.one(QA), bp([], [(0, 2)]))])
+    # exact where no single term is a polynomial: (q^{1/2} + q^{-1/2})/[2] = 1
+    halves = [(Laurent(("q",), {(Fraction(e, 2),): 1}), bp([], [(0, 2)])) for e in (1, -1)]
+    assert bracket_sum(halves, 3) == ONE_Q
+
+
 def test_quantum_dimension_tables():
     assert quantum_dimension(EMPTY, EMPTY) == BracketProduct.one()
     assert quantum_dimension(EMPTY, P("1")) == bp([(1, 0)])
@@ -130,7 +175,7 @@ def test_quantum_dimension_finite_rank():
         base = len(beta) + len(gamma) + 1
         for N in range(base, base + 3):
             direct = qdim_at_rank(compose_at_N(beta, gamma, N), N)
-            assert dim.at_rank(N) == direct, (beta, gamma, N)
+            assert dim_at(dim, N) == dim_at(direct, N), (beta, gamma, N)
 
 
 def test_worked_examples():
@@ -185,11 +230,11 @@ def test_normalization_identity():
         rows = max(len(t.beta) + len(t.gamma) for t in result.terms)
         rows = max(rows, len(lam) + len(mu))
         for N in range(rows + 1, rows + 4):
-            lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim.at_rank(N)
+            lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim_at(dim, N)
             rhs = Laurent.zero(("q",))
             for t in result.terms:
                 twist = Laurent(("q",), {(t.twist.at_rank(N),): t.coefficient})
-                rhs = rhs + twist * t.dimension.at_rank(N)
+                rhs = rhs + twist * dim_at(t.dimension, N)
             assert lhs == rhs, (lam, mu, N)
 
 
