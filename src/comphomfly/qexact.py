@@ -3,15 +3,17 @@
 Polynomials live over arbitrary-precision integer coefficients with exact
 rational exponents (halves come from brackets, smaller denominators from the
 exceptional-series substitutions).  A polynomial stores int exponent tuples
-over one positive denominator, so the ring operations and exact division
-never touch a Fraction; Fractions appear only where exponents cross the
-boundary (term files, parsing, printing, inspection and substitution
-arguments).  Engine output uses variables (q, a), fixtures (q, t, a),
-finite-rank cross-checks (q,).  Canonical term order is lexicographic on
+over one positive denominator, which is whatever common denominator its
+operation produced, not necessarily the lowest.  The ring operations and
+exact division never touch a Fraction; Fractions appear only where exponents
+cross the boundary (term files, parsing, printing, inspection and
+substitution arguments), and a float exponent or coefficient raises
+TypeError.  Engine output uses variables (q, a), fixtures (q, t, a),
+finite-rank cross-checks (q,).  The printed term order is lexicographic on
 (a-exponent, q-exponent, t-exponent), which makes every printed or
-serialized form deterministic.  `parse_expr` reads Python expression syntax
-with `^` for power, fractional exponents in parentheses (q^(-1/2)) and `/`
-as exact division.
+serialized form deterministic; the ring operations and exact division never
+consult it.  `parse_expr` reads Python expression syntax with `^` for power,
+fractional exponents in parentheses (q^(-1/2)) and `/` as exact division.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -68,15 +70,17 @@ class Laurent:
     `vars` is a tuple of variable names.  `terms` maps int exponent tuples
     (aligned with `vars`) to nonzero ints, and `den` is one positive int
     for the whole polynomial: the true exponent of a key entry k is k/den.
-    The form is canonical, gcd(den, every key entry) == 1, so zero and the
-    constants have den 1 and equality is plain dict equality.  Values are
-    treated as immutable: every operation returns a fresh instance.
+    The den is not reduced: an operation keeps the lcm of its operands'
+    dens, so one polynomial has many (terms, den) forms, and equality
+    compares the terms rescaled to a common den.  Values are treated as
+    immutable: every operation returns a fresh instance.
     """
 
     __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars, terms=None, den=1):
-        """Key entries may be ints or Fractions; each one means entry/den."""
+        """Key entries may be ints or Fractions; each one means entry/den.
+        Coefficients must be ints, else TypeError."""
         if not isinstance(den, int) or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
@@ -84,11 +88,13 @@ class Laurent:
         if terms:
             scale = math.lcm(*(e.denominator for exps in terms for e in exps))
             for exps, coeff in terms.items():
+                if not isinstance(coeff, int):
+                    raise TypeError("coefficient must be an int, got %r" % (coeff,))
                 if coeff:
                     key = tuple(e.numerator * (scale // e.denominator) for e in exps)
-                    clean[key] = int(coeff)
+                    clean[key] = coeff
             den *= scale
-        self.terms, self.den = _canonical(clean, den)
+        self.terms, self.den = clean, den
 
     # -- constructors ------------------------------------------------------
 
@@ -106,12 +112,12 @@ class Laurent:
         unknown = set(exps) - set(vars)
         if unknown:
             raise ValueError("unknown variables %s" % sorted(unknown))
-        key = tuple(Fraction(exps.get(v, 0)) for v in vars)
+        key = tuple(_fraction(exps.get(v, 0)) for v in vars)
         return cls(vars, {key: coeff})
 
     @classmethod
     def var(cls, vars, name, power=1):
-        return cls.monomial(vars, 1, **{name: Fraction(power)})
+        return cls.monomial(vars, 1, **{name: _fraction(power)})
 
     # -- ring operations -----------------------------------------------------
 
@@ -172,12 +178,10 @@ class Laurent:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Laurent)
-            and self.vars == other.vars
-            and self.den == other.den
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Laurent) or self.vars != other.vars:
+            return False
+        mine, theirs, _ = common_terms(self, other)
+        return mine == theirs
 
     def __bool__(self):
         return bool(self.terms)
@@ -197,7 +201,7 @@ class Laurent:
         return [(self._exponents(exps), c) for exps, c in ordered]
 
     def leading(self):
-        """Highest term in canonical order: (exponents, coefficient)."""
+        """Highest term in the printed order: (exponents, coefficient)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=self._order_key())
@@ -220,7 +224,7 @@ class Laurent:
         """Coefficient of name^power, a Laurent in the remaining variables."""
         i = self.vars.index(name)
         rest = tuple(v for v in self.vars if v != name)
-        target = Fraction(power) * self.den
+        target = _fraction(power) * self.den
         if target.denominator != 1:
             return Laurent(rest)
         target = int(target)
@@ -232,7 +236,7 @@ class Laurent:
         return _build(rest, terms, self.den)
 
     def has_integer_exponents(self):
-        return self.den == 1
+        return all(e % self.den == 0 for exps in self.terms for e in exps)
 
     def __str__(self):
         if not self.terms:
@@ -284,7 +288,7 @@ class Laurent:
         column = {v: j for j, v in enumerate(new_vars)}
         # one scale puts every target exponent on the int grid
         scale = math.lcm(
-            *(Fraction(e).denominator for _, m in assignments.values() for e in m.values())
+            *(_fraction(e).denominator for _, m in assignments.values() for e in m.values())
         )
         plan = []  # per source variable: (name, sign, [(column, int factor)])
         for name in self.vars:
@@ -314,21 +318,19 @@ class Laurent:
         return _build(new_vars, acc, den * scale)
 
 
-def _canonical(terms, den):
-    """Int-keyed terms over den in lowest terms: gcd(den, every entry) == 1."""
-    if den > 1:
-        g = math.gcd(den, *chain.from_iterable(terms))
-        if g > 1:
-            den //= g
-            terms = {tuple([e // g for e in exps]): c for exps, c in terms.items()}
-    return terms, den
+def _fraction(x):
+    """x as a Fraction.  A float is refused: its binary value is not the
+    decimal it prints as, so Fraction(0.1) has a 2^55 denominator."""
+    if isinstance(x, float):
+        raise TypeError("exponent must be an int or Fraction, got float %r" % (x,))
+    return Fraction(x)
 
 
 def _build(vars, terms, den):
     """A Laurent from int-keyed terms with nonzero coefficients over den."""
     out = Laurent.__new__(Laurent)
     out.vars = vars
-    out.terms, out.den = _canonical(terms, den)
+    out.terms, out.den = terms, den
     return out
 
 
@@ -358,14 +360,15 @@ def common_terms(p, r):
 def exact_divide(num, den):
     """Quotient num/den with zero remainder, else InexactDivisionError.
 
-    Leading-term elimination in the canonical order; every division in the
-    engine is exact by theory, so a remainder always signals a bug.  The
-    candidate quotient exponents are boxed by the factorization bounds
-    min(num)-min(den) .. max(num)-max(den) per variable, which makes
-    non-divisibility detection terminate.  The remainder is updated in
-    place; a max-heap holds its exponents in canonical order, and entries
-    whose term has since cancelled are skipped when popped.  Everything
-    runs on the int keys over the two operands' common denominator.
+    Lowest-term elimination in the raw order of the int exponent keys, a
+    monomial order like any other, so the quotient is the same in every
+    order; every division in the engine is exact by theory, so a remainder
+    always signals a bug.  The candidate quotient exponents are boxed by the
+    factorization bounds min(num)-min(den) .. max(num)-max(den) per
+    variable, which makes non-divisibility detection terminate.  The
+    remainder is updated in place; a min-heap holds its raw keys, and keys
+    whose term has since cancelled are skipped when popped.  Everything runs
+    on the int keys over the two operands' common denominator.
     """
     if not isinstance(num, Laurent) or not isinstance(den, Laurent):
         raise TypeError("exact_divide wants Laurent arguments")
@@ -378,30 +381,25 @@ def exact_divide(num, den):
     rem, divisor, scale = common_terms(num, den)
     rem = dict(rem)
     box = [(nl - dl, nh - dh) for (nl, nh), (dl, dh) in zip(_span(rem), _span(divisor))]
-    key = num._order_key()
-    lead_exps = max(divisor, key=key)
-    lead_coeff = divisor[lead_exps]
-    tail = [(e, c) for e, c in divisor.items() if e != lead_exps]
-
-    def entry(exps):
-        return tuple([-e for e in key(exps)]), exps
-
-    heap = [entry(exps) for exps in rem]
+    pivot = min(divisor)
+    pivot_coeff = divisor[pivot]
+    tail = [(e, c) for e, c in divisor.items() if e != pivot]
+    heap = list(rem)
     heapq.heapify(heap)
     quotient = {}
     while heap:
-        rexps = heapq.heappop(heap)[1]
+        rexps = heapq.heappop(heap)
         rcoeff = rem.get(rexps)
         if rcoeff is None:
             continue
-        qexps = tuple(map(sub, rexps, lead_exps))
-        if rcoeff % lead_coeff or any(
+        qexps = tuple(map(sub, rexps, pivot))
+        if rcoeff % pivot_coeff or any(
             not (lo <= e <= hi) for e, (lo, hi) in zip(qexps, box)
         ):
             raise InexactDivisionError(
                 "inexact polynomial division", _build(num.vars, rem, scale)
             )
-        qc = rcoeff // lead_coeff
+        qc = rcoeff // pivot_coeff
         quotient[qexps] = qc
         del rem[rexps]
         for dexps, dc in tail:
@@ -412,7 +410,7 @@ def exact_divide(num, den):
                 del rem[k]
                 continue
             if old is None:
-                heapq.heappush(heap, entry(k))
+                heapq.heappush(heap, k)
             rem[k] = nc
     return _build(num.vars, quotient, scale)
 
@@ -447,7 +445,7 @@ class SymExponent(NamedTuple):
 
     @classmethod
     def make(cls, e1=0, e0=0, em1=0):
-        return cls(Fraction(e1), Fraction(e0), Fraction(em1))
+        return cls(_fraction(e1), _fraction(e0), _fraction(em1))
 
     def __add__(self, other):
         return SymExponent(self.e1 + other.e1, self.e0 + other.e0, self.em1 + other.em1)
@@ -456,7 +454,7 @@ class SymExponent(NamedTuple):
         return SymExponent(-self.e1, -self.e0, -self.em1)
 
     def scale(self, f):
-        f = Fraction(f)
+        f = _fraction(f)
         return SymExponent(self.e1 * f, self.e0 * f, self.em1 * f)
 
     def is_rank_free(self):

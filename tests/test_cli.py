@@ -30,34 +30,51 @@ def test_star_import_binds_every_public_name():
     assert [name for name in comphomfly.__all__ if name not in namespace] == []
 
 
+def package_nodes():
+    """(file name, node) for every ast node of the package's modules."""
+    package = pathlib.Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_package_is_stdlib_only():
     # the runtime imports only the standard library, declares no
     # dependencies and never runs text as code
-    package = pathlib.Path(cli.__file__).parent
     imported, called = set(), set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                imported.add(node.module.split(".")[0])
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
+    for _, node in package_nodes():
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
     assert imported and imported <= sys.stdlib_module_names, imported
     assert not called & {"eval", "exec", "compile"}
-    pyproject = package.parents[1] / "pyproject.toml"
+    pyproject = pathlib.Path(cli.__file__).parents[2] / "pyproject.toml"
     assert "dependencies = []" in pyproject.read_text().splitlines()
 
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so an invariant the package relies
     # on must raise a typed error instead
-    package = pathlib.Path(cli.__file__).parent
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        "%s:%d" % (name, node.lineno)
+        for name, node in package_nodes()
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_has_no_floats():
+    # exactness has tolerance zero: no float literal and no float() call
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, node in package_nodes()
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
     ]
     assert found == []
 

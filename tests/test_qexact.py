@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -60,22 +61,72 @@ def test_ring_axioms():
 
 
 def test_denominator_canonical_form():
-    # 3*q^(1/2)*a + q^(-3/2), whose canonical den is 2, written over den 4
+    # a den is not reduced, so one polynomial has many (terms, den) forms;
+    # equality compares values.  3*q^(1/2)*a + q^(-3/2) over den 4:
     p = Laurent(QA, {(2, 4): 3, (-6, 0): 1}, 4)
-    assert p.den == 2 and p.terms == {(1, 2): 3, (-3, 0): 1}
     assert p == Laurent(QA, {(1, 2): 3, (-3, 0): 1}, 2)
+    assert p == Laurent(QA, {(3, 6): 3, (-9, 0): 1}, 6)
+    assert p != Laurent(QA, {(2, 4): 3, (-6, 0): 1}, 2)
     assert p == parse_expr("3*q^(1/2)*a + q^(-3/2)", QA)
     assert p == Laurent(QA, {(Fraction(1, 2), 1): 3, (Fraction(-3, 2), 0): 1})
     assert Laurent(p.vars, dict(p.terms), p.den) == p
+    assert p != Laurent(("a", "q"), {(4, 2): 3, (0, -6): 1}, 4) and p != str(p)
     half = Laurent.monomial(QA, 1, q=Fraction(1, 2))
     third = Laurent.monomial(QA, 1, a=Fraction(1, 3))
-    assert (half * half).den == 1 and (half * half).has_integer_exponents()
-    assert (half + third).den == 6 and (half * third - third * half) == Laurent.zero(QA)
-    assert (half + third - half) == third and (half + third - half).den == 3
-    assert Laurent(QA, {(0, 0): 5}, 6).den == 1
-    assert Laurent(QA, {(1, 0): 0}, 3) == Laurent.zero(QA) and Laurent.zero(QA).den == 1
+    assert half * half == Laurent(QA, {(4, 0): 1}, 4)
+    assert (half * half).has_integer_exponents() and not half.has_integer_exponents()
+    assert (half + third) == Laurent(QA, {(6, 0): 1, (0, 4): 1}, 12)
+    assert (half * third - third * half) == Laurent.zero(QA)
+    assert (half + third - half) == third
+    assert (half + third - half) == Laurent(QA, {(0, 2): 1}, 6)
+    assert Laurent(QA, {(0, 0): 5}, 6) == Laurent(QA, {(0, 0): 5})
+    assert Laurent(QA, {(1, 0): 0}, 3) == Laurent.zero(QA)
+    assert Laurent.zero(QA) == Laurent(QA, {}, 5)
     with pytest.raises(ValueError):
         Laurent(QA, {(1, 0): 1}, 0)
+
+
+def test_den_stays_within_the_operands_lcm():
+    # with no reduction to lowest terms, a chain of products and quotients
+    # must still not grow its den past the lcm of its operands' dens
+    brackets = [
+        bracket_numerator(Bracket(u, v)) for u, v in ((0, 1), (0, 3), (1, -2), (2, 1), (1, 0))
+    ]
+    acc = Laurent.monomial(QA, 3, a=Fraction(1, 3))
+    for b in brackets + brackets[:2]:
+        product = acc * b
+        assert product.den <= math.lcm(acc.den, b.den)
+        acc = product
+    for b in brackets:
+        quotient = exact_divide(acc, b)
+        assert quotient.den <= math.lcm(acc.den, b.den)
+        acc = quotient
+    assert acc.den <= 6
+    assert acc == Laurent.monomial(QA, 3, a=Fraction(1, 3)) * brackets[0] * brackets[1]
+
+
+def test_non_integer_coefficients_are_refused():
+    for coeff in (0.5, 2.9, Fraction(1, 2), "1"):
+        with pytest.raises(TypeError):
+            Laurent(("q",), {(0,): coeff})
+    with pytest.raises(TypeError):
+        Laurent.monomial(QA, 2.9, q=1)
+    assert Laurent.monomial(QA, 0, q=1) == Laurent.zero(QA)
+
+
+def test_float_exponents_are_refused():
+    p = parse_expr("q + a", QA)
+    calls = [
+        lambda: Laurent.monomial(QA, 1, q=0.1),
+        lambda: Laurent.var(QA, "q", 0.5),
+        lambda: p.coefficient_of("q", 1.0),
+        lambda: p.substitute({"a": (1, {"q": 0.5})}),
+        lambda: SymExponent.make(e0=0.1),
+        lambda: SymExponent.make(e1=1).scale(0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_ring_operations_build_no_fraction(monkeypatch):
@@ -139,22 +190,27 @@ def test_exact_divide_is_the_only_inexact_division_site():
     assert raisers == ["qexact.py"]
 
 
+def lowest(p):
+    """The term whose exponent tuple, in the order of p.vars, is lowest."""
+    return min(p.sorted_terms(), key=lambda term: term[0])
+
+
 def reference_remainder(num, den):
-    """Leading-term elimination that rescans and copies on every step."""
+    """Lowest-term elimination that rescans and copies on every step."""
     box = [
         (nl - dl, nh - dh)
         for (nl, nh), (dl, dh) in zip(num.exponent_range(), den.exponent_range())
     ]
-    lead_exps, lead_coeff = den.leading()
+    low_exps, low_coeff = lowest(den)
     rem = num
     while rem:
-        rexps, rcoeff = rem.leading()
-        qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
-        if rcoeff % lead_coeff or any(
+        rexps, rcoeff = lowest(rem)
+        qexps = tuple(a - b for a, b in zip(rexps, low_exps))
+        if rcoeff % low_coeff or any(
             not (lo <= e <= hi) for e, (lo, hi) in zip(qexps, box)
         ):
             return rem
-        rem = rem - Laurent(num.vars, {qexps: rcoeff // lead_coeff}) * den
+        rem = rem - Laurent(num.vars, {qexps: rcoeff // low_coeff}) * den
     return rem
 
 
