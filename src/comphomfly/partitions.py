@@ -101,28 +101,26 @@ def join(lam, mu):
     return Partition(max(lam.row(i), mu.row(i)) for i in range(1, n + 1))
 
 
-def compose_at_N(lam, mu, N):
-    """Materialize the composite diagram [lam, mu] at finite rank N.
-
-    Rows: mu_k + lam_1 on top, lam_1 in the middle, lam_1 - lam_{N+1-k} at
-    the bottom; the result has at most N - 1 rows and size
-    |mu| - |lam| + lam_1 * N.
-    """
-    if N < len(lam) + len(mu):
-        raise RankTooSmallError(
-            "rank %d < %d rows needed by [%s|%s]" % (N, len(lam) + len(mu), lam, mu)
-        )
-    head = [row + lam.width for row in mu]
-    middle = [lam.width] * (N - len(lam) - len(mu))
-    tail = [lam.width - lam.row(N + 1 - k) for k in range(N - len(lam) + 1, N + 1)]
-    return Partition(head + middle + tail)
-
-
 def dual_at_N(lam, N):
     """Rank-N dual diagram, rows lam_1 - lam_{N+1-k}.  Depends on N."""
     if N < len(lam):
         raise RankTooSmallError("rank %d < %d rows of %s" % (N, len(lam), lam))
     return Partition(lam.width - lam.row(N + 1 - k) for k in range(1, N + 1))
+
+
+def compose_at_N(lam, mu, N):
+    """Materialize the composite diagram [lam, mu] at finite rank N.
+
+    Rows: mu_k + lam_1 on top, then the dual of lam at rank N - len(mu),
+    whose leading rows of length lam_1 are the flat middle block; the result
+    has at most N - 1 rows and size |mu| - |lam| + lam_1 * N.
+    """
+    if N < len(lam) + len(mu):
+        raise RankTooSmallError(
+            "rank %d < %d rows needed by [%s|%s]" % (N, len(lam) + len(mu), lam, mu)
+        )
+    head = tuple(row + lam.width for row in mu)
+    return Partition(head + dual_at_N(lam, N - len(mu)))
 
 
 def reduce_columns(lam, N):

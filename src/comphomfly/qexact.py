@@ -525,14 +525,10 @@ class Bracket(NamedTuple):
 UNIT_BRACKET = Bracket(0, 1)
 
 
-def bracket_numerator(b, N=None):
-    """a^{u/2} q^{v/2} - a^{-u/2} q^{-v/2} over (q, a); at a rank N it is
-    q^{m/2} - q^{-m/2} over (q,) with m = u*N + v, the zero polynomial when
-    m = 0."""
-    if N is None:
-        return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
-    m = b.u * N + b.v
-    return _build(("q",), {(m,): 1, (-m,): -1} if m else {}, 2)
+def bracket_numerator(b):
+    """a^{u/2} q^{v/2} - a^{-u/2} q^{-v/2} over (q, a).  A constant bracket
+    [v] has a-exponent 0, so at a concrete rank it is q^{v/2} - q^{-v/2}."""
+    return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
 
 
 class BracketProduct:

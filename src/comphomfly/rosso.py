@@ -20,6 +20,7 @@ from .partitions import (
     Partition,
     RankTooSmallError,
     compose_at_N,
+    conjugate,
     kappa,
 )
 from .qexact import (
@@ -93,36 +94,22 @@ def braiding_eigenvalue(lam, mu):
 def quantum_dimension(beta, gamma):
     """Stable quantum dimension of [beta, gamma] as a bracket product.
 
-    The positive-root pairs (i, j) of the rank-N root system split by the
-    row regions of the composed diagram: gamma's rows on top, a flat block
-    in the middle, the dual of beta at the bottom.  Head-head and tail-tail
-    pairs give constant brackets, head-middle and middle-tail telescopes
-    leave one bracket per box of gamma resp. beta, head-tail pairs give one
-    bracket each, and middle-middle pairs cancel outright.  Every surviving
-    bracket is [N + const] or a positive constant, independent of N.
+    Three hook-content factors: gamma's dimension at rank N - len(beta), a
+    bracket [N - len(beta) + j - i] over its hook for each box (i, j) of
+    gamma; beta's at rank N - len(gamma), built the same way; and one
+    [N + gamma_i + beta_p + 1 - p - i] / [N + 1 - p - i] for each pair of
+    rows (i, p).  Every bracket is [N + const] or a positive constant [v].
     """
-    h, t = len(gamma), len(beta)
     num, den = [], []
-    for i in range(1, h + 1):
-        for j in range(i + 1, h + 1):
-            num.append(Bracket(0, gamma.row(i) - gamma.row(j) + j - i))
-            den.append(Bracket(0, j - i))
-    for rr in range(1, t + 1):
-        for p in range(rr + 1, t + 1):
-            num.append(Bracket(0, beta.row(rr) - beta.row(p) + p - rr))
-            den.append(Bracket(0, p - rr))
-    for i in range(1, h + 1):
-        for p in range(1, t + 1):
-            num.append(Bracket(1, gamma.row(i) + beta.row(p) + 1 - p - i))
+    for shape, other in ((gamma, beta), (beta, gamma)):
+        cols = conjugate(shape)
+        for i, j in shape.boxes():
+            num.append(Bracket(1, j - i - len(other)))
+            den.append(Bracket(0, shape.row(i) - j + cols.row(j) - i + 1))
+    for i, g in enumerate(gamma, start=1):
+        for p, b in enumerate(beta, start=1):
+            num.append(Bracket(1, g + b + 1 - p - i))
             den.append(Bracket(1, 1 - p - i))
-    for i in range(1, h + 1):
-        for k in range(1, gamma.row(i) + 1):
-            num.append(Bracket(1, k - t - i))
-            den.append(Bracket(0, h - i + k))
-    for p in range(1, t + 1):
-        for k in range(1, beta.row(p) + 1):
-            num.append(Bracket(1, k - p - h))
-            den.append(Bracket(0, t - p + k))
     return BracketProduct(num, den)
 
 
@@ -172,12 +159,13 @@ class InvariantResult:
         return "\n".join(lines)
 
 
-def bracket_sum(terms, N=None):
-    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a)
-    or, given a rank N, over (q,) at a = q^N.  Each bracket [b] is
-    bracket_numerator(b) over the unit bracket's, and the unit brackets cancel
-    like any other; the numerators are summed over the multiset-max common
-    denominator, which is then divided out one binomial at a time."""
+def bracket_sum(terms):
+    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a).
+
+    Each bracket [b] is bracket_numerator(b) over the unit bracket's, and the
+    unit brackets cancel like any other; the numerators are summed over the
+    multiset-max common denominator, which is then divided out one binomial
+    at a time."""
     fractions = []
     common = Counter()
     for piece, dim in terms:
@@ -186,13 +174,13 @@ def bracket_sum(terms, N=None):
         num, den = num - den, den - num
         fractions.append((piece, num, den))
         common |= den
-    total = Laurent.zero(("q", "a") if N is None else ("q",))
+    total = Laurent.zero(("q", "a"))
     for piece, num, den in fractions:
         for b in sorted((num + common - den).elements()):
-            piece = piece * bracket_numerator(b, N)
+            piece = piece * bracket_numerator(b)
         total = total + piece
     for b in sorted(common.elements()):
-        total = exact_divide(total, bracket_numerator(b, N))
+        total = exact_divide(total, bracket_numerator(b))
     return total
 
 
@@ -279,15 +267,12 @@ def finite_N_oracle(knot, lam, mu, N):
     """Normalized invariant of the materialized diagram at concrete rank N.
 
     Fully finite computation: the rank-N Adams expansion (character route),
-    concrete eigenvalue exponents, and direct Weyl-product dimensions, with
-    a = q^N built in.  Shares no code with the symbolic engine's expansion,
-    eigenvalue, or dimension steps; `bracket_sum` adds the twisted terms
-    q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta).
+    concrete eigenvalue exponents, and direct Weyl-product dimensions.
+    Shares no code with the symbolic engine's expansion, eigenvalue, or
+    dimension steps.  Every bracket is a constant [m], so `bracket_sum` adds
+    the twisted terms q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta)
+    over (q, a) with a-exponent 0, and a is dropped from the (q,) result.
     """
-    if N < len(lam) + len(mu):
-        raise RankTooSmallError(
-            "rank %d < %d for [%s|%s]" % (N, len(lam) + len(mu), lam, mu)
-        )
     r, s = knot.r, knot.s
     power = Fraction(r, s)
     zeta = compose_at_N(lam, mu, N)
@@ -295,6 +280,6 @@ def finite_N_oracle(knot, lam, mu, N):
     zeta_dim = qdim_at_rank(zeta, N)
     terms = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
-        mono = Laurent(("q",), {(_theta_exponent_at_rank(nu, N) * power + lead,): coeff})
+        mono = Laurent(("q", "a"), {(_theta_exponent_at_rank(nu, N) * power + lead, 0): coeff})
         terms.append((mono, qdim_at_rank(nu, N) / zeta_dim))
-    return bracket_sum(terms, N)
+    return bracket_sum(terms).substitute({"a": (1, {})})

@@ -50,20 +50,9 @@ def partitions_of(n, max_part=None):
 
 @lru_cache(maxsize=None)
 def subpartitions(lam):
-    """All partitions whose diagram fits inside lam."""
-    if not lam:
-        return (EMPTY,)
-    out = set()
-
-    def fill(i, prev, acc):
-        out.add(Partition(acc))
-        if i >= len(lam):
-            return
-        for r in range(1, min(lam[i], prev) + 1):
-            fill(i + 1, r, acc + (r,))
-
-    fill(0, lam.width, ())
-    return tuple(sorted(out))
+    """All partitions whose diagram fits inside lam, sorted."""
+    shapes = (nu for n in range(lam.size() + 1) for nu in partitions_of(n, lam.width))
+    return tuple(sorted(nu for nu in shapes if lam.contains(nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +111,10 @@ def lr_coefficient(lam, mu, nu):
 def schur_product(lam, mu):
     """Expansion of s_lam * s_mu as {nu: N^nu_{lam,mu}}, zeros omitted."""
     out = {}
-    target = lam.size() + mu.size()
-    maxlen = len(lam) + len(mu)
-
-    def grow(i, prev, acc, remaining):
-        if remaining == 0:
-            nu = Partition(acc)
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out[nu] = c
-            return
-        if i > maxlen:
-            return
-        low = max(1, lam.row(i))
-        hi = min(prev, lam.row(i) + mu.width, remaining)
-        for r in range(hi, low - 1, -1):
-            grow(i + 1, r, acc + (r,), remaining - r)
-
-    grow(1, target, (), target)
+    for nu in partitions_of(lam.size() + mu.size()):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[nu] = c
     return out
 
 
@@ -190,11 +165,6 @@ def _mn(beads, parts):
 def zclass(mu):
     """Centralizer order z_mu = prod_i i^{m_i} m_i!."""
     return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
-
-
-def conjugacy_size(mu):
-    """Number of permutations of cycle type mu: n!/z_mu."""
-    return math.factorial(mu.size()) // zclass(mu)
 
 
 # ---------------------------------------------------------------------------

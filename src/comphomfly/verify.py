@@ -33,7 +33,7 @@ QTA = ("q", "t", "a")
 
 
 class FixtureError(ValueError):
-    """A fixture file's header does not say what the checks need."""
+    """A fixture the checks need is missing, or its header is not what they read."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ def fixture_root():
 
 
 def load_fixtures(root=None):
-    """Load every .poly file under the fixture directory, keyed by id."""
+    """Load every .poly file under the fixture directory, keyed by its unique id."""
     root = Path(root) if root else fixture_root()
-    out = {}
+    out, paths = {}, {}
     for path in sorted(root.glob("*/*.poly")):
         try:
             poly, meta = loads_poly(path.read_text())
@@ -119,6 +119,9 @@ def load_fixtures(root=None):
         except ValueError as err:
             raise ValueError("fixture %s: %s" % (path, err)) from None
         fid = meta.get("id", path.stem)
+        if fid in paths:
+            raise ValueError("fixture %s: #id %s is also in %s" % (path, fid, paths[fid]))
+        paths[fid] = path
         out[fid] = Fixture(
             id=fid,
             knot=knot,
@@ -129,6 +132,24 @@ def load_fixtures(root=None):
     if not out:
         raise FileNotFoundError("no fixtures found under %s" % root)
     return out
+
+
+# the variables the checks read from a fixture, by the kind that starts its name
+FIXTURE_VARS = {"hd": QTA, "had": QTA, "homfly": QA, "factor": QA, "jd": ("q", "t")}
+
+
+def get_fixture(fixtures, fid):
+    """The fixture with id fid; FixtureError if it is missing or its vars
+    are not the ones its checks read."""
+    if fid not in fixtures:
+        raise FixtureError("missing fixture %s" % fid)
+    have = fixtures[fid].poly.vars
+    want = FIXTURE_VARS.get(fid.partition(":")[2].split("_")[0], have)
+    if have != want:
+        raise FixtureError(
+            "fixture %s: #vars %s, the checks read %s" % (fid, " ".join(have), " ".join(want))
+        )
+    return fixtures[fid]
 
 
 # engine results are pure functions of the color; share them across checks
@@ -243,12 +264,12 @@ def _column_factors_q1(fixtures, knot_tag):
     """Column factors HD(omega_i; q=1, t, a), from printed data only."""
     if knot_tag == "3_2":
         return {
-            k: fixtures[fid].poly.substitute({"q": (1, {})})
+            k: get_fixture(fixtures, fid).poly.substitute({"q": (1, {})})
             for k, fid in COLUMN_SOURCES_Q1.items()
         }
     # 4,3: the printed t=1 row factor, carried through super-duality
-    factor = fixtures["4_3:factor_t1_row1"].poly.substitute({"q": (1, {"t": -1})})
-    factor, _ = tilde_normalize(factor)
+    factor = get_fixture(fixtures, "4_3:factor_t1_row1").poly
+    factor, _ = tilde_normalize(factor.substitute({"q": (1, {"t": -1})}))
     return {1: factor}
 
 
@@ -256,10 +277,10 @@ def _row_factors_t1(fixtures, knot_tag):
     """Row factors HD(k omega_1; q, t=1, a), from printed data only."""
     if knot_tag == "3_2":
         return {
-            k: fixtures[fid].poly.substitute({"t": (1, {})})
+            k: get_fixture(fixtures, fid).poly.substitute({"t": (1, {})})
             for k, fid in ROW_SOURCES_T1.items()
         }
-    return {1: fixtures["4_3:factor_t1_row1"].poly}
+    return {1: get_fixture(fixtures, "4_3:factor_t1_row1").poly}
 
 
 def _product_over(parts, factors):
@@ -381,7 +402,7 @@ def check_color_exchange(fixtures):
     fixture under the connection substitution with the engine's reversed
     color [2w1, w2].
     """
-    swapped = fixtures["3_2:hd_1-1__2"]
+    swapped = get_fixture(fixtures, "3_2:hd_1-1__2")
     diagram = swapped.diagram()
     reordered = engine(swapped.knot, diagram.mu, diagram.lam).normalized
     return [
@@ -417,7 +438,7 @@ def check_stabilization(knot, lam, mu, span=4):
 def suite_connection(fixtures):
     reports = []
     for fid, prefactor in CONNECTION_TABLE:
-        reports.append(check_connection(fixtures[fid], prefactor))
+        reports.append(check_connection(get_fixture(fixtures, fid), prefactor))
     reports.append(check_hm_bridge())
     return reports
 
@@ -425,7 +446,8 @@ def suite_connection(fixtures):
 def suite_duality(fixtures):
     reports = []
     for fa, fb, printed in SUPERDUALITY_TABLE:
-        reports.append(check_superduality(fixtures[fa], fixtures[fb], printed))
+        pair = get_fixture(fixtures, fa), get_fixture(fixtures, fb)
+        reports.append(check_superduality(*pair, printed))
     reports.extend(check_color_exchange(fixtures))
     return reports
 
@@ -433,7 +455,7 @@ def suite_duality(fixtures):
 def suite_evaluation(fixtures):
     reports = []
     for fid in HD_FIXTURE_IDS:
-        fixture = fixtures[fid]
+        fixture = get_fixture(fixtures, fid)
         tag = fid.split(":", 1)[0]
         reports.append(check_q1_eval(fixture, _column_factors_q1(fixtures, tag)))
         reports.append(check_t1_eval(fixture, _row_factors_t1(fixtures, tag)))
@@ -444,20 +466,20 @@ def suite_evaluation(fixtures):
 def suite_exceptional(fixtures):
     reports = []
     targets32 = {
-        "E8": fixtures["3_2:jd_e8"].poly,
-        "E7": fixtures["3_2:jd_e7"].poly,
-        "A2": fixtures["3_2:hd_1__1"].poly.substitute({"a": (-1, {"t": 3})}),
-        "A1": fixtures["3_2:hd_0__2"].poly.substitute({"a": (-1, {"t": 2})}),
+        "E8": get_fixture(fixtures, "3_2:jd_e8").poly,
+        "E7": get_fixture(fixtures, "3_2:jd_e7").poly,
+        "A2": get_fixture(fixtures, "3_2:hd_1__1").poly.substitute({"a": (-1, {"t": 3})}),
+        "A1": get_fixture(fixtures, "3_2:hd_0__2").poly.substitute({"a": (-1, {"t": 2})}),
     }
     targets43 = {
-        "A2": fixtures["4_3:hd_1__1"].poly.substitute({"a": (-1, {"t": 3})}),
-        "A1": fixtures["4_3:hd_1__1"].poly.substitute({"a": (-1, {"t": 2})}),
+        "A2": get_fixture(fixtures, "4_3:hd_1__1").poly.substitute({"a": (-1, {"t": 3})}),
+        "A1": get_fixture(fixtures, "4_3:hd_1__1").poly.substitute({"a": (-1, {"t": 2})}),
     }
     for had_id, targets, pivot in (
         ("3_2:had", targets32, 3),
         ("4_3:had", targets43, 7),
     ):
-        had = fixtures[had_id]
+        had = get_fixture(fixtures, had_id)
         for entry in EXCEPTIONAL_SERIES:
             reports.append(check_exceptional(had, entry, targets.get(entry.tag)))
         reports.append(check_canceling(had, pivot))
@@ -468,7 +490,7 @@ def suite_oracle(fixtures):
     reports = []
     seen = set()
     for fid, _ in CONNECTION_TABLE:
-        fixture = fixtures[fid]
+        fixture = get_fixture(fixtures, fid)
         diagram = fixture.diagram()
         key = (fixture.knot, diagram)
         if key in seen:
@@ -488,7 +510,7 @@ SUITES = {
 
 
 def run_suite(name, fixtures=None):
-    """Run one suite (or 'all'); returns reports sorted by check id."""
+    """Run one suite, or 'all' in name order; reports come suite by suite."""
     fixtures = fixtures or load_fixtures()
     if name == "all":
         reports = []

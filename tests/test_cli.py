@@ -193,9 +193,9 @@ try:
     sys.exit("inexact division passed")
 except InexactDivisionError:
     pass
-# every oracle division runs through bracket_sum; 1/[2] is no polynomial
+# every bracket division runs through bracket_sum; 1/[2] is no polynomial
 try:
-    rosso.bracket_sum([(parse_expr("1", ("q",)), BracketProduct([], [Bracket(0, 2)]))], 3)
+    rosso.bracket_sum([(parse_expr("1", ("q", "a")), BracketProduct([], [Bracket(0, 2)]))])
     sys.exit("inexact bracket sum passed")
 except InexactDivisionError:
     pass
@@ -443,22 +443,30 @@ def test_verify_missing_fixtures(capsys, tmp_path):
 
 def test_verify_partial_fixtures(capsys, tmp_path):
     # a fixture file without a #knot header, a directory that lacks the
-    # fixtures the suite needs, and a needed fixture whose #color does not
-    # parse: a fixture error line each time, no traceback
-    target = tmp_path / "3_2" / "x.poly"
+    # fixtures the suite needs, a needed fixture whose #color does not parse,
+    # one whose #vars are not the ones its checks read, and two files with
+    # one #id: a fixture error line each time, no traceback
+    target, twin = tmp_path / "3_2" / "x.poly", tmp_path / "3_2" / "y.poly"
     target.parent.mkdir()
     bad_color = "fixture 3_2:hd_1__1: bad #color '1x|1': %s" % (
         "invalid literal for int() with base 10: '1x'"
     )
     term, zero_den = "1\t0\t0\t0", "1\t1/0\t0\t0"
+    needed = "#knot 3,2\n#color 1|1\n#id 3_2:hd_1__1\n"
+    wrong_vars = "fixture 3_2:hd_1__1: #vars q t b, the checks read q t a"
+    twice = "fixture %s: #id 3_2:hd_1__1 is also in %s" % (twin, target)
+    one, both = (target,), (target, twin)
     cases = (
-        ("", term, "fixture %s: no #knot header" % target),
-        ("#knot 3,2\n#color 1|1\n", term, "missing fixture 3_2:hd_1__1"),
-        ("#knot 3,2\n#color 1x|1\n#id 3_2:hd_1__1\n", term, bad_color),
-        ("#knot 3,2\n", zero_den, "fixture %s: bad term line: %r" % (target, zero_den)),
+        (one, "", term, "fixture %s: no #knot header" % target),
+        (one, "#knot 3,2\n#color 1|1\n", term, "missing fixture 3_2:hd_1__1"),
+        (one, "#knot 3,2\n#color 1x|1\n#id 3_2:hd_1__1\n", term, bad_color),
+        (one, "#knot 3,2\n", zero_den, "fixture %s: bad term line: %r" % (target, zero_den)),
+        (one, "#vars q t b\n" + needed, term, wrong_vars),
+        (both, needed, term, twice),
     )
-    for header, body, message in cases:
-        target.write_text("#vars q t a\n#id x\n" + header + body + "\n")
+    for paths, header, body, message in cases:
+        for path in paths:
+            path.write_text("#vars q t a\n#id x\n" + header + body + "\n")
         for flags, want in ((), 1), (("--strict",), 2):
             result = run(
                 capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags

@@ -310,20 +310,6 @@ def test_bracket_finite_rank():
             assert exact_divide(numer, unit_q) == quantum_integer(u * N + v), (u, v, N)
 
 
-def test_bracket_numerator_at_rank():
-    # the rank form is the symbolic one at a = q^N, including the zero
-    # polynomial at u*N + v = 0 and the negated binomial below it
-    for u in range(3):
-        for v in range(-3, 4):
-            if (u, v) == (0, 0):
-                continue
-            b = Bracket(u, v)
-            for N in range(1, 7):
-                at_rank = bracket_numerator(b).substitute({"a": (1, {"q": N})})
-                assert bracket_numerator(b, N) == at_rank, (u, v, N)
-    assert not bracket_numerator(Bracket(1, -3), 3)
-
-
 def test_bracket_by_bracket_division():
     rng = random.Random(23)
     brackets = [Bracket(u, v) for u in (0, 1) for v in range(-3, 4) if (u, v) != (0, 0)]

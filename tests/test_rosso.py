@@ -95,8 +95,11 @@ ONE_Q = Laurent.one(("q",))
 
 
 def dim_at(dim, N):
-    """A bracket product at a = q^N, as a Laurent in q^{1/2}."""
-    return bracket_sum([(ONE_Q, dim)], N)
+    """A bracket product at rank N, as a Laurent in q^{1/2}: each [uN + v]
+    becomes the constant bracket [uN + v], summed over (q, a), a dropped."""
+    at_rank = [[Bracket(0, b.u * N + b.v) for b in side] for side in (dim.num, dim.den)]
+    total = bracket_sum([(Laurent.one(QA), BracketProduct(*at_rank))])
+    return total.substitute({"a": (1, {})})
 
 
 def quantum_integer(m):
@@ -119,18 +122,12 @@ def test_bracket_sum_matches_quantum_integers():
 
 
 def test_bracket_sum_negative_controls():
-    # [N - 3] vanishes at N = 3: zero in a numerator, an error in a denominator
-    assert dim_at(bp([(1, -3)]), 3) == Laurent.zero(("q",))
-    with pytest.raises(ZeroDivisionError):
-        dim_at(bp([], [(1, -3)]), 3)
-    # 1/[2] is no polynomial, symbolically or at a rank
-    with pytest.raises(InexactDivisionError):
-        dim_at(bp([], [(0, 2)]), 3)
+    # 1/[2] is no polynomial
     with pytest.raises(InexactDivisionError):
         bracket_sum([(Laurent.one(QA), bp([], [(0, 2)]))])
     # exact where no single term is a polynomial: (q^{1/2} + q^{-1/2})/[2] = 1
-    halves = [(Laurent(("q",), {(Fraction(e, 2),): 1}), bp([], [(0, 2)])) for e in (1, -1)]
-    assert bracket_sum(halves, 3) == ONE_Q
+    halves = [(Laurent.monomial(QA, 1, q=Fraction(e, 2)), bp([], [(0, 2)])) for e in (1, -1)]
+    assert bracket_sum(halves) == Laurent.one(QA)
 
 
 def test_quantum_dimension_tables():
@@ -163,13 +160,10 @@ def test_quantum_dimension_bracket_shapes():
 
 
 def test_quantum_dimension_finite_rank():
-    cases = [
-        (EMPTY, P("3,1")),
-        (P("1"), P("1")),
-        (P("2"), P("2,1")),
-        (P("2,1"), P("1,1")),
-        (P("2,2"), P("2")),
-    ]
+    # every (beta, gamma) with at most 3 boxes per slot, at three ranks each
+    shapes = [shape for n in range(4) for shape in partitions_of(n)]
+    cases = [(beta, gamma) for beta in shapes for gamma in shapes]
+    assert len(cases) == 49
     for beta, gamma in cases:
         dim = quantum_dimension(beta, gamma)
         base = len(beta) + len(gamma) + 1

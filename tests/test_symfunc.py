@@ -126,6 +126,7 @@ def test_characters():
     assert sf.sym_character(P("2,1"), P("1,1,1")) == 2
     with pytest.raises(sf.SizeMismatchError):
         sf.sym_character(P("2"), P("1,1,1"))
+    assert sf.zclass(P("2,2,1")) == 8
 
 
 def test_character_cache_eviction():
@@ -137,13 +138,6 @@ def test_character_cache_eviction():
     sf._mn.cache_clear()
     for (lam, mu), expected in values.items():
         assert sf.sym_character(lam, mu) == expected
-
-
-def test_conjugacy_size():
-    assert sf.conjugacy_size(P("1,1,1,1")) == 1
-    assert sf.conjugacy_size(P("2")) == 1
-    assert sf.conjugacy_size(P("2,1")) == 3
-    assert sf.zclass(P("2,2,1")) == 8
 
 
 def test_adams_examples():

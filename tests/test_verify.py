@@ -18,7 +18,11 @@ def fixtures():
 
 def test_fixture_inventory(fixtures):
     assert len(fixtures) == 22
-    for fixture in fixtures.values():
+    # one file per id, and each fixture has the vars its checks read
+    assert len(list(verify.fixture_root().glob("*/*.poly"))) == 22
+    for fid, fixture in fixtures.items():
+        assert fid.partition(":")[2].split("_")[0] in verify.FIXTURE_VARS, fid
+        assert verify.get_fixture(fixtures, fid) is fixture
         assert fixture.source, fixture.id
         assert fixture.poly
     assert "3_2:hd_1-1__1-1" in fixtures
