@@ -150,17 +150,10 @@ class Laurent:
             small, large = large, small
         acc = {}
         get = acc.get
-        if len(self.vars) == 2:
-            flat = [(a, b, c) for (a, b), c in large.items()]
-            for (a1, b1), c1 in small.items():
-                for a2, b2, c2 in flat:
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = get(key, 0) + c1 * c2
-        else:
-            for k1, c1 in small.items():
-                for k2, c2 in large.items():
-                    key = tuple(map(add, k1, k2))
-                    acc[key] = get(key, 0) + c1 * c2
+        for k1, c1 in small.items():
+            for k2, c2 in large.items():
+                key = tuple(map(add, k1, k2))
+                acc[key] = get(key, 0) + c1 * c2
         return _build(self.vars, {k: c for k, c in acc.items() if c}, den)
 
     __rmul__ = __mul__
@@ -531,6 +524,159 @@ def bracket_numerator(b):
     return _build(("q", "a"), {(b.v, b.u): 1, (-b.v, -b.u): -1}, 2)
 
 
+# ---------------------------------------------------------------------------
+# packed bracket sums (Kronecker substitution)
+
+
+class PackedSum(NamedTuple):
+    """The numerator P of a bracket sum, packed into one int P(2^k).
+
+    Digit n of `value` (k bits, balanced) is the coefficient of P at the
+    q-step n % width and the a-step n // width; P's q-steps lie in
+    [0, span], and `bound` is at least every |coefficient| of P.  `origin`
+    is the (q, a) key, over `den`, of the quotient's step (0, 0), and
+    `step` the key distance of one q-step and one a-step.  `shifts` maps
+    each bracket to its binomial's q-steps and its shift in digits.
+    `terms` and `common` are the input, kept for the fallback.
+    """
+
+    value: int
+    k: int
+    width: int
+    span: int
+    bound: int
+    den: int
+    origin: tuple
+    step: tuple
+    shifts: dict
+    terms: list
+    common: list
+
+
+def pack_bracket_sum(terms, common, k=None):
+    """Pack the numerator of sum(piece * prod(brackets)) / prod(common).
+
+    `terms` holds (piece, brackets) pairs, each piece a (q, a) polynomial.
+    Every key goes on the grid den = lcm(2, piece dens), h = den/2, and each
+    bracket numerator is the monomial a^(-uh) q^(-vh) times
+    (a^(2uh) q^(2vh) - 1); the monomials add up to one key offset per term.
+    The keys and the binomials' exponents span a lattice whose steps are
+    made unit steps; then a -> X^width, with width > the q-span of P and
+    > every binomial's q-steps, and X -> 2^k.  Every binomial gets a
+    positive shift s = 2hv + width*2hu (in steps), so multiplying by it is
+    F = (F << k*s) - F, and the sum over terms is int addition.  k defaults
+    to the smallest multiple of 8 with k >= bitlen(bound) + len(common) + 2,
+    where bound = sum(||piece||_1 * 2^len(brackets)); tests pass a smaller
+    one to force the fallback.
+    """
+    den = math.lcm(2, *(piece.den for piece, _ in terms))
+    h = den // 2
+    rows, lows, highs, bound = [], [], [], 0
+    for piece, brackets in terms:
+        if not piece:
+            continue
+        scale = den // piece.den
+        oq = -h * sum(b.v for b in brackets)
+        oa = -h * sum(b.u for b in brackets)
+        keys = {(i * scale + oq, j * scale + oa): c for (i, j), c in piece.terms.items()}
+        (qlo, qhi), (alo, _) = _span(keys)
+        lows.append((qlo + 2 * h * sum(min(b.v, 0) for b in brackets), alo))
+        highs.append(qhi + 2 * h * sum(max(b.v, 0) for b in brackets))
+        rows.append((keys, brackets))
+        bound += sum(map(abs, keys.values())) << len(brackets)
+    qlo = min((q for q, _ in lows), default=0)
+    alo = min((a for _, a in lows), default=0)
+    every = {b for _, brackets in rows for b in brackets}.union(common)
+    gq = math.gcd(
+        *(i - qlo for keys, _ in rows for i, _ in keys), *(2 * h * b.v for b in every)
+    ) or 1
+    ga = math.gcd(
+        *(j - alo for keys, _ in rows for _, j in keys), *(2 * h * b.u for b in every)
+    ) or 1
+    span = (max(highs, default=qlo) - qlo) // gq
+    width = max([span] + [abs(2 * h * b.v) // gq for b in every]) + 1
+    shifts = {}
+    for b in every:
+        steps = 2 * h * b.v // gq
+        shifts[b] = steps, steps + width * (2 * h * b.u // ga)
+    if k is None:
+        k = -(-(bound.bit_length() + len(common) + 2) // 8) * 8
+    total = 0
+    for keys, brackets in rows:
+        exps = {(i - qlo) // gq + width * ((j - alo) // ga): c for (i, j), c in keys.items()}
+        base = min(exps)
+        f = sum(c << k * (e - base) for e, c in exps.items())
+        for b in brackets:
+            f = (f << k * shifts[b][1]) - f
+        total += f << k * base
+    origin = (qlo + h * sum(b.v for b in common), alo + h * sum(b.u for b in common))
+    return PackedSum(
+        total, k, width, span, bound, den, origin, (gq, ga), shifts, terms, common
+    )
+
+
+def divide_packed(packed):
+    """The bracket sum: P divided by the common binomials' product B.
+
+    One divmod by B = prod over common of (2^(k*s) - 1) gives Q; its
+    balanced digits are read from one to_bytes after adding 2^(k-1) to
+    every digit.  Q is accepted only if
+      1. the remainder is 0;
+      2. ||Q||_1 * 2^len(common) < 2^(k-1), and bound < 2^(k-1);
+      3. every q-step of Q lies in [-B_lo, span - B_hi], where B_lo and
+         B_hi are the lowest and highest q-steps of B's monomials.
+    Why that is exact: let Q' be the polynomial the digits spell, so that
+    Q'(2^k) = Q.  By 3, Q'*B has q-steps in [0, span] and, like P, lies in
+    the box where (q, a) -> X is injective.  By 2, the coefficients of Q'*B
+    (at most ||Q'||_1 * ||B||_1) and of P are below 2^(k-1) in size.  By 1
+    the two agree at X = 2^k, and a polynomial with coefficients below 2^k
+    in size that vanishes at 2^k is zero, so Q'*B = P as polynomials and Q'
+    is the exact quotient.  If a check fails, the sum is redone one
+    binomial at a time and divided by `exact_divide`, which raises
+    InexactDivisionError with its remainder.
+    """
+    value, k, width, span, bound, den, (oq, oa), (gq, ga), shifts, terms, common = packed
+    half = 1 << (k - 1)
+    divisor, blo, bhi = 1, 0, 0
+    for b in common:
+        steps, shift = shifts[b]
+        divisor = (divisor << k * shift) - divisor
+        blo, bhi = blo + min(steps, 0), bhi + max(steps, 0)
+    quotient, rem = divmod(value, divisor)
+    if not rem and bound < half:
+        size = k // 8
+        zero = half.to_bytes(size, "little")
+        n = quotient.bit_length() // k + 2
+        raw = (quotient + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
+        out, norm = {}, 0
+        for d in range(n):
+            chunk = raw[d * size : d * size + size]
+            if chunk == zero:
+                continue
+            i, j = d % width, d // width
+            if not -blo <= i <= span - bhi:
+                break
+            c = int.from_bytes(chunk, "little") - half
+            out[oq + gq * i, oa + ga * j] = c
+            norm += abs(c)
+        else:
+            if norm << len(common) < half:
+                return _build(("q", "a"), out, den)
+    return _stepwise_bracket_sum(terms, common)
+
+
+def _stepwise_bracket_sum(terms, common):
+    """The same sum, one binomial at a time, then one exact_divide each."""
+    total = Laurent.zero(("q", "a"))
+    for piece, brackets in terms:
+        for b in brackets:
+            piece = piece * bracket_numerator(b)
+        total = total + piece
+    for b in common:
+        total = exact_divide(total, bracket_numerator(b))
+    return total
+
+
 class BracketProduct:
     """A quotient of bracket multisets, canonical.
 
@@ -630,10 +776,11 @@ def loads_poly(text):
             continue
         if line.startswith("#"):
             key, _, value = line[1:].partition(" ")
+            if key in meta:
+                raise ValueError("repeated #%s header" % key)
+            meta[key] = value
             if key == "vars":
                 vars = tuple(value.split())
-            else:
-                meta[key] = value
             continue
         if vars is None:
             raise ValueError("term line before #vars header")
@@ -648,6 +795,7 @@ def loads_poly(text):
         terms[exps] = terms.get(exps, 0) + int(cells[0])
     if vars is None:
         raise ValueError("missing #vars header")
+    del meta["vars"]
     checksum = meta.pop("checksum", None)
     if checksum:
         digest = hashlib.sha256("\n".join(body).encode()).hexdigest()

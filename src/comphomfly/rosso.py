@@ -30,8 +30,10 @@ from .qexact import (
     Laurent,
     SymExponent,
     UNIT_BRACKET,
-    bracket_numerator,
-    exact_divide,
+    bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
+    divide_packed,
+    exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
+    pack_bracket_sum,
     sym_to_qa,
 )
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
@@ -163,9 +165,9 @@ def bracket_sum(terms):
     """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a).
 
     Each bracket [b] is bracket_numerator(b) over the unit bracket's, and the
-    unit brackets cancel like any other; the numerators are summed over the
-    multiset-max common denominator, which is then divided out one binomial
-    at a time."""
+    unit brackets cancel like any other; each term's numerators are packed
+    over the multiset-max common denominator by `pack_bracket_sum`, and
+    `divide_packed` divides that denominator out."""
     fractions = []
     common = Counter()
     for piece, dim in terms:
@@ -174,14 +176,11 @@ def bracket_sum(terms):
         num, den = num - den, den - num
         fractions.append((piece, num, den))
         common |= den
-    total = Laurent.zero(("q", "a"))
-    for piece, num, den in fractions:
-        for b in sorted((num + common - den).elements()):
-            piece = piece * bracket_numerator(b)
-        total = total + piece
-    for b in sorted(common.elements()):
-        total = exact_divide(total, bracket_numerator(b))
-    return total
+    packed = pack_bracket_sum(
+        [(piece, sorted((num + common - den).elements())) for piece, num, den in fractions],
+        sorted(common.elements()),
+    )
+    return divide_packed(packed)
 
 
 def _assemble(knot, lam, mu, expansion, theta_color):

@@ -172,6 +172,17 @@ CONNECTION_TABLE = (
     ("4_3:hd_1__1", (6, -6)),
 )
 
+# the printed two-variable HOMFLY-PT polynomials, each equal to the engine's
+# normalized output as transcribed
+PRINTED_HOMFLY_IDS = (
+    "3_2:homfly_1__1",
+    "3_2:homfly_2__1",
+    "3_2:homfly_1__1-1",
+    "3_2:homfly_1__1-1-1",
+    "3_2:homfly_2-1__1",
+    "4_3:homfly_1__1",
+)
+
 SUPERDUALITY_TABLE = (
     # (fixture A, fixture B, printed (tpow, qpow) or None)
     ("3_2:hd_1__1", "3_2:hd_1__1", (-2, 2)),
@@ -230,6 +241,13 @@ def check_connection(fixture, prefactor=None):
     left, _ = tilde_normalize(specialized)
     right, _ = tilde_normalize(eng)
     return CheckReport.compare(cid, left, right, note="auto prefactor")
+
+
+def check_printed(fixture):
+    """A printed two-variable fixture against the engine, exactly."""
+    diagram = fixture.diagram()
+    eng = engine(fixture.knot, diagram.lam, diagram.mu).normalized
+    return CheckReport.compare("printed:%s" % fixture.id, fixture.poly, eng)
 
 
 def check_superduality(fa, fb, printed=None):
@@ -439,6 +457,8 @@ def suite_connection(fixtures):
     reports = []
     for fid, prefactor in CONNECTION_TABLE:
         reports.append(check_connection(get_fixture(fixtures, fid), prefactor))
+    for fid in PRINTED_HOMFLY_IDS:
+        reports.append(check_printed(get_fixture(fixtures, fid)))
     reports.append(check_hm_bridge())
     return reports
 

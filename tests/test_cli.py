@@ -444,8 +444,9 @@ def test_verify_missing_fixtures(capsys, tmp_path):
 def test_verify_partial_fixtures(capsys, tmp_path):
     # a fixture file without a #knot header, a directory that lacks the
     # fixtures the suite needs, a needed fixture whose #color does not parse,
-    # one whose #vars are not the ones its checks read, and two files with
-    # one #id: a fixture error line each time, no traceback
+    # one whose #vars are not the ones its checks read, two files with one
+    # #id, and a repeated header line: a fixture error line each time, no
+    # traceback; a row's own #vars or #id line replaces the default one
     target, twin = tmp_path / "3_2" / "x.poly", tmp_path / "3_2" / "y.poly"
     target.parent.mkdir()
     bad_color = "fixture 3_2:hd_1__1: bad #color '1x|1': %s" % (
@@ -463,10 +464,13 @@ def test_verify_partial_fixtures(capsys, tmp_path):
         (one, "#knot 3,2\n", zero_den, "fixture %s: bad term line: %r" % (target, zero_den)),
         (one, "#vars q t b\n" + needed, term, wrong_vars),
         (both, needed, term, twice),
+        (one, "#knot 3,2\n#knot 3,2\n", term, "fixture %s: repeated #knot header" % target),
     )
+    defaults = ("#vars q t a\n", "#id x\n")
     for paths, header, body, message in cases:
+        kept = "".join(line for line in defaults if line.split()[0] + " " not in header)
         for path in paths:
-            path.write_text("#vars q t a\n#id x\n" + header + body + "\n")
+            path.write_text(kept + header + body + "\n")
         for flags, want in ((), 1), (("--strict",), 2):
             result = run(
                 capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags

@@ -19,9 +19,11 @@ from comphomfly.qexact import (
     SymExponent,
     UNIT_BRACKET,
     bracket_numerator,
+    divide_packed,
     dumps_poly,
     exact_divide,
     loads_poly,
+    pack_bracket_sum,
     parse_expr,
     sym_to_qa,
     tilde_normalize,
@@ -325,6 +327,128 @@ def test_bracket_by_bracket_division():
         assert stepwise == exact_divide(num, whole), chosen
 
 
+def stepwise_sum(terms, common):
+    """Reference bracket sum: every piece times its binomials one at a time,
+    then one exact division per common binomial."""
+    total = Laurent.zero(QA)
+    for piece, brackets in terms:
+        for b in brackets:
+            piece = piece * bracket_numerator(b)
+        total = total + piece
+    for b in common:
+        total = exact_divide(total, bracket_numerator(b))
+    return total
+
+
+def packed_sum(terms, common, k=None):
+    return divide_packed(pack_bracket_sum(terms, common, k))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per time the packed kernel falls back to the
+    binomial-at-a-time route."""
+    calls = []
+    stepwise = qexact._stepwise_bracket_sum
+
+    def counted(terms, common):
+        calls.append(len(common))
+        return stepwise(terms, common)
+
+    monkeypatch.setattr(qexact, "_stepwise_bracket_sum", counted)
+    return calls
+
+
+KERNEL_BRACKETS = [Bracket(0, v) for v in range(1, 5)] + [Bracket(1, v) for v in range(-4, 3)]
+
+
+def random_bracket_sum(rng):
+    """Terms and common brackets of one bracket sum.  Some pieces split
+    target * prod(common) with no brackets of their own, so no single term
+    is divisible; the others carry every common bracket; zero pieces and an
+    empty term list occur too.  The sum is exact unless `loose`."""
+    common = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
+    loose = rng.random() < 0.2
+    terms = []
+    if rng.random() < 0.9:
+        numerator = random_laurent(rng, terms=rng.randint(1, 4))
+        for b in [] if loose else common:
+            numerator = numerator * bracket_numerator(b)
+        keys = list(numerator.terms)
+        rng.shuffle(keys)
+        cut = rng.randint(0, len(keys))
+        for part in (keys[:cut], keys[cut:]):
+            terms.append((Laurent(QA, {k: numerator.terms[k] for k in part}, numerator.den), []))
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
+        piece = random_laurent(rng, terms=rng.randint(0, 3))
+        terms.append((piece, sorted(extra + ([] if loose else common))))
+    rng.shuffle(terms)
+    return terms, sorted(common)
+
+
+def test_packed_bracket_sum_matches_stepwise(fallbacks):
+    # pieces over dens 1, 2, 3 and 6, brackets [N + v] with v < 0, zero and
+    # empty pieces: the packed sum equals the binomial-at-a-time reference,
+    # and raises exactly where it does
+    rng = random.Random(2024)
+    dens, exact = set(), 0
+    for _ in range(300):
+        terms, common = random_bracket_sum(rng)
+        dens.update(piece.den for piece, _ in terms if piece)
+        try:
+            want = stepwise_sum(terms, common)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                packed_sum(terms, common)
+            continue
+        exact += 1
+        assert packed_sum(terms, common) == want, (terms, common)
+    assert exact > 200 and {1, 2, 3} <= dens
+    # every inexact sum falls back, and here no exact one has to
+    assert len(fallbacks) == 300 - exact
+
+
+def test_packed_remainder_falls_back(fallbacks):
+    # 1/[2] is no polynomial: divmod leaves a remainder, and the fallback's
+    # exact_divide raises with its own
+    with pytest.raises(InexactDivisionError) as err:
+        packed_sum([(Laurent.one(QA), [])], [Bracket(0, 2)])
+    assert err.value.remainder
+    assert fallbacks == [1]
+
+
+def test_packed_q_window_falls_back(fallbacks):
+    # (q^(1/2) - 1)/[N - 1] is no polynomial, yet q^(1/2) - 1 packs to the
+    # same int as the binomial a^(1/2) q^(-1/2) - a^(-1/2) q^(1/2) up to its
+    # monomial, so divmod leaves no remainder; the quotient's digit lies
+    # below the q-window, which sends the sum to the fallback
+    piece = Laurent.monomial(QA, 1, q=Fraction(1, 2)) - Laurent.one(QA)
+    with pytest.raises(InexactDivisionError):
+        packed_sum([(piece, [])], [Bracket(1, -1)])
+    assert fallbacks == [1]
+
+
+def test_packed_bound_falls_back(fallbacks):
+    # 1000 * [3]^2: with k = 8 the pre-division sum overflows its digits
+    terms, common = [(Laurent.one(QA) * 1000, [Bracket(0, 3)] * 3)], [Bracket(0, 3)]
+    want = stepwise_sum(terms, common)
+    assert packed_sum(terms, common) == want and fallbacks == []
+    assert packed_sum(terms, common, k=8) == want and fallbacks == [1]
+    # [100]/[1] has 100 terms: the default k = 8 fails the quotient-norm
+    # check, so the sum falls back; k = 16 passes it
+    terms, common = [(Laurent.one(QA), [Bracket(0, 100)])], [UNIT_BRACKET]
+    want = stepwise_sum(terms, common)
+    assert len(want.terms) == 100
+    assert pack_bracket_sum(terms, common).k == 8
+    assert packed_sum(terms, common) == want and fallbacks == [1, 1]
+    assert packed_sum(terms, common, k=16) == want and fallbacks == [1, 1]
+    # 256 - q packs to 256 - 2^8 = 0 at k = 8, a quotient every other check
+    # accepts: only the bound on the pre-division sum refuses it
+    piece = parse_expr("256 - q", QA)
+    assert packed_sum([(piece, [])], [], k=8) == piece and fallbacks == [1, 1, 0]
+
+
 def test_bracket_product_canonical_form():
     bp = BracketProduct(
         num=[Bracket(1, 1), Bracket(0, 1), Bracket(0, 2)],
@@ -368,6 +492,14 @@ def test_serialization_checksum_detects_damage():
     lines[-1] = lines[-1].replace("2", "3", 1) if "2" in lines[-1] else lines[-1] + "9"
     with pytest.raises(ValueError, match="checksum"):
         loads_poly("\n".join(lines))
+
+
+def test_repeated_header_is_refused():
+    text = dumps_poly(parse_expr("1 + q", QA), {"id": "x"})
+    for line in ("#vars q a", "#id y", "#checksum sha256:0"):
+        key = line.split()[0][1:]
+        with pytest.raises(ValueError, match="repeated #%s header" % key):
+            loads_poly(line + "\n" + text)
 
 
 def qa_mono(coeff=1, **exps):

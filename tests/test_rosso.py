@@ -8,6 +8,7 @@ from comphomfly.partitions import (
     Partition,
     RankTooSmallError,
     compose_at_N,
+    conjugate,
     kappa,
 )
 from comphomfly.qexact import (
@@ -358,6 +359,25 @@ def test_stabilization_grid_four_boxes():
         results = {(lam, mu): stabilized_engine(knot, lam, mu) for lam, mu in colors}
         for lam, mu in colors:
             assert results[lam, mu] == results[mu, lam], (knot, lam, mu)
+
+
+def test_transposition_symmetry():
+    # H_[lam',mu'](q, a) = H_[lam,mu](1/q, a) for every color with
+    # |lam|+|mu| <= 4; the sign-twisted form q -> -1/q fails on each of them
+    colors = [
+        (lam, mu)
+        for n in range(1, 5)
+        for a in range(n + 1)
+        for lam in partitions_of(a)
+        for mu in partitions_of(n - a)
+    ]
+    assert len(colors) == 37
+    for knot in (TREFOIL, T43, TorusKnot(5, 2)):
+        results = {color: composite_homfly(knot, *color).normalized for color in colors}
+        for (lam, mu), poly in results.items():
+            transposed = results[conjugate(lam), conjugate(mu)]
+            assert transposed == poly.substitute({"q": (1, {"q": -1})}), (knot, lam, mu)
+            assert transposed != poly.substitute({"q": (-1, {"q": -1})}), (knot, lam, mu)
 
 
 def test_diagnostics_present():

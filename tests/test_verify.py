@@ -49,10 +49,48 @@ def test_hd_fixtures_a0_tilde_normalized(fixtures):
 
 def test_connection_suite(fixtures):
     reports = verify.suite_connection(fixtures)
-    assert len(reports) == 9  # eight colors plus the annulus-variable bridge
+    # eight colors, six printed two-variable fixtures, the annulus bridge
+    assert len(reports) == 15
     assert all(r.status == "PASS" for r in reports), [r.line() for r in reports]
     printed = [r for r in reports if "printed" in r.note]
     assert len(printed) == 6
+    direct = [r.check_id for r in reports if r.check_id.startswith("printed:")]
+    assert direct == ["printed:%s" % fid for fid in verify.PRINTED_HOMFLY_IDS]
+
+
+def test_every_fixture_is_read_by_a_check(fixtures, monkeypatch):
+    # each .poly file is read by a suite that emits a non-SKIP check
+    read, readers = set(), {}
+    get_fixture = verify.get_fixture
+
+    def recording(fixture_set, fid):
+        read.add(fid)
+        return get_fixture(fixture_set, fid)
+
+    monkeypatch.setattr(verify, "get_fixture", recording)
+    for name, suite in verify.SUITES.items():
+        read.clear()
+        checked = [r.check_id for r in suite(fixtures) if r.status != "SKIP"]
+        for fid in read:
+            readers.setdefault(fid, []).extend(checked)
+    on_disk = {
+        loads_poly(path.read_text())[1]["id"]
+        for path in verify.fixture_root().glob("*/*.poly")
+    }
+    assert len(on_disk) == 22
+    assert not [fid for fid in on_disk if not readers.get(fid)]
+
+
+def test_printed_check_fails_on_a_flipped_coefficient(fixtures):
+    for fid in verify.PRINTED_HOMFLY_IDS:
+        original = fixtures[fid]
+        assert verify.check_printed(original).status == "PASS"
+        terms = dict(original.poly.terms)
+        key = next(iter(terms))
+        terms[key] = -terms[key]
+        poly = Laurent(original.poly.vars, terms, original.poly.den)
+        report = verify.check_printed(dataclasses.replace(original, poly=poly))
+        assert report.status == "FAIL" and report.left and report.right, fid
 
 
 def test_duality_suite(fixtures):
