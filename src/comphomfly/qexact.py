@@ -14,6 +14,8 @@ finite-rank cross-checks (q,).  The printed term order is lexicographic on
 serialized form deterministic; the ring operations and exact division never
 consult it.  `parse_expr` reads Python expression syntax with `^` for power,
 fractional exponents in parentheses (q^(-1/2)) and `/` as exact division.
+A sum of bracket quotients, the engine's hot path, has one exact route,
+`bracket_sum`: one packed integer and one divmod, with no `exact_divide`.
 """
 
 from __future__ import annotations
@@ -79,14 +81,17 @@ class Laurent:
     __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars, terms=None, den=1):
-        """Key entries may be ints or Fractions; each one means entry/den.
-        Coefficients must be ints, else TypeError."""
+        """Key entries must be ints or Fractions and coefficients ints, else
+        TypeError; each key entry means entry/den."""
         if not isinstance(den, int) or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
         clean = {}
         if terms:
-            scale = math.lcm(*(e.denominator for exps in terms for e in exps))
+            try:
+                scale = math.lcm(*(e.denominator for exps in terms for e in exps))
+            except AttributeError:
+                raise TypeError("exponents must be ints or Fractions") from None
             for exps, coeff in terms.items():
                 if not isinstance(coeff, int):
                     raise TypeError("coefficient must be an int, got %r" % (coeff,))
@@ -525,56 +530,61 @@ def bracket_numerator(b):
 
 
 # ---------------------------------------------------------------------------
-# packed bracket sums (Kronecker substitution)
+# bracket sums (Kronecker substitution)
 
 
-class PackedSum(NamedTuple):
-    """The numerator P of a bracket sum, packed into one int P(2^k).
+def bracket_sum(terms):
+    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a).
 
-    Digit n of `value` (k bits, balanced) is the coefficient of P at the
-    q-step n % width and the a-step n // width; P's q-steps lie in
-    [0, span], and `bound` is at least every |coefficient| of P.  `origin`
-    is the (q, a) key, over `den`, of the quotient's step (0, 0), and
-    `step` the key distance of one q-step and one a-step.  `shifts` maps
-    each bracket to its binomial's q-steps and its shift in digits.
-    `terms` and `common` are the input, kept for the fallback.
+    A bracket [b] is bracket_numerator(b) over the unit bracket's.  A
+    BracketProduct is canonical (num and den disjoint, no [1]), so its term
+    needs len(den) - len(num) unit brackets on top; the common denominator
+    C is the multiset max of the dens plus the largest missing count of
+    [1], and the sum is P/B with P = sum(piece * num * C/den) and
+    B = prod(C), all as binomials.
+
+    Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
+    the grid den = lcm(2, piece dens), h = den/2, where a bracket numerator
+    is the monomial a^(-uh) q^(-vh) times (a^(2uh) q^(2vh) - 1).  The keys
+    and the binomials' exponents span a lattice, made unit steps; then
+    a -> X^width, with width > the q-span of P and > every binomial's
+    q-steps, and X -> 2^k.  A binomial is a positive digit shift s,
+    multiplying by it is F = (F << k*s) - F, and one divmod by B(2^k) gives
+    Q, whose balanced k-bit digits come from one to_bytes.  Q is accepted
+    only if
+      1. the remainder is 0;
+      2. ||Q||_1 * 2^len(C) < 2^(k-1);
+      3. every q-step of Q lies in [-B_lo, span - B_hi], B_lo and B_hi
+         being the lowest and highest q-steps of B's monomials.
+    Then Q is exact: let Q' be the polynomial its digits spell.  By 3, Q'*B
+    lies, like P, in the box where (q, a) -> X is injective.  By 2, and as
+    k >= bitlen(bound) + 2 with bound = sum(||piece||_1 * 2^(binomials
+    applied)) >= ||P||_1, the coefficients of Q'*B and of P are below
+    2^(k-1) in size.  By 1 they agree at X = 2^k, and a polynomial with
+    coefficients below 2^k in size that vanishes at 2^k is zero, so
+    Q'*B = P.
+
+    k1, the smallest multiple of 8 >= bitlen(bound) + len(C) + 2, bounds P,
+    not Q.  Only if a check fails there is k2 tried, the same with
+    bound * G, G = prod over C of (d // s + 1), where d bounds P's digit
+    degree: an exact Q is P * B^-1 in Z[[X]], B^-1 = (-1)^len(C) times the
+    product of sum_t X^(t*s), so ||Q||_1 <= ||P||_1 * G and Q passes all
+    three checks at k2.  A check failing there proves the sum inexact, and
+    InexactDivisionError is raised with no remainder polynomial.
     """
-
-    value: int
-    k: int
-    width: int
-    span: int
-    bound: int
-    den: int
-    origin: tuple
-    step: tuple
-    shifts: dict
-    terms: list
-    common: list
-
-
-def pack_bracket_sum(terms, common, k=None):
-    """Pack the numerator of sum(piece * prod(brackets)) / prod(common).
-
-    `terms` holds (piece, brackets) pairs, each piece a (q, a) polynomial.
-    Every key goes on the grid den = lcm(2, piece dens), h = den/2, and each
-    bracket numerator is the monomial a^(-uh) q^(-vh) times
-    (a^(2uh) q^(2vh) - 1); the monomials add up to one key offset per term.
-    The keys and the binomials' exponents span a lattice whose steps are
-    made unit steps; then a -> X^width, with width > the q-span of P and
-    > every binomial's q-steps, and X -> 2^k.  Every binomial gets a
-    positive shift s = 2hv + width*2hu (in steps), so multiplying by it is
-    F = (F << k*s) - F, and the sum over terms is int addition.  k defaults
-    to the smallest multiple of 8 with k >= bitlen(bound) + len(common) + 2,
-    where bound = sum(||piece||_1 * 2^len(brackets)); tests pass a smaller
-    one to force the fallback.
-    """
+    dens = [Counter(dim.den) for _, dim in terms]
+    common = Counter()
+    for d in dens:
+        common |= d
+    units = max([0] + [len(dim.num) - len(dim.den) for _, dim in terms])
     den = math.lcm(2, *(piece.den for piece, _ in terms))
     h = den // 2
     rows, lows, highs, bound = [], [], [], 0
-    for piece, brackets in terms:
+    for (piece, dim), d in zip(terms, dens):
         if not piece:
             continue
+        brackets = [*dim.num, *(common - d).elements()]
+        brackets += [UNIT_BRACKET] * (units + len(dim.den) - len(dim.num))
         scale = den // piece.den
         oq = -h * sum(b.v for b in brackets)
         oa = -h * sum(b.u for b in brackets)
@@ -584,6 +594,7 @@ def pack_bracket_sum(terms, common, k=None):
         highs.append(qhi + 2 * h * sum(max(b.v, 0) for b in brackets))
         rows.append((keys, brackets))
         bound += sum(map(abs, keys.values())) << len(brackets)
+    common = [*common.elements()] + [UNIT_BRACKET] * units
     qlo = min((q for q, _ in lows), default=0)
     alo = min((a for _, a in lows), default=0)
     every = {b for _, brackets in rows for b in brackets}.union(common)
@@ -594,57 +605,27 @@ def pack_bracket_sum(terms, common, k=None):
         *(j - alo for keys, _ in rows for _, j in keys), *(2 * h * b.u for b in every)
     ) or 1
     span = (max(highs, default=qlo) - qlo) // gq
-    width = max([span] + [abs(2 * h * b.v) // gq for b in every]) + 1
-    shifts = {}
-    for b in every:
-        steps = 2 * h * b.v // gq
-        shifts[b] = steps, steps + width * (2 * h * b.u // ga)
-    if k is None:
-        k = -(-(bound.bit_length() + len(common) + 2) // 8) * 8
-    total = 0
+    steps = {b: 2 * h * b.v // gq for b in every}
+    width = max([span] + [abs(v) for v in steps.values()]) + 1
+    shifts = {b: steps[b] + width * (2 * h * b.u // ga) for b in every}
+    digits, top = [], 0
     for keys, brackets in rows:
         exps = {(i - qlo) // gq + width * ((j - alo) // ga): c for (i, j), c in keys.items()}
-        base = min(exps)
-        f = sum(c << k * (e - base) for e, c in exps.items())
-        for b in brackets:
-            f = (f << k * shifts[b][1]) - f
-        total += f << k * base
-    origin = (qlo + h * sum(b.v for b in common), alo + h * sum(b.u for b in common))
-    return PackedSum(
-        total, k, width, span, bound, den, origin, (gq, ga), shifts, terms, common
-    )
-
-
-def divide_packed(packed):
-    """The bracket sum: P divided by the common binomials' product B.
-
-    One divmod by B = prod over common of (2^(k*s) - 1) gives Q; its
-    balanced digits are read from one to_bytes after adding 2^(k-1) to
-    every digit.  Q is accepted only if
-      1. the remainder is 0;
-      2. ||Q||_1 * 2^len(common) < 2^(k-1), and bound < 2^(k-1);
-      3. every q-step of Q lies in [-B_lo, span - B_hi], where B_lo and
-         B_hi are the lowest and highest q-steps of B's monomials.
-    Why that is exact: let Q' be the polynomial the digits spell, so that
-    Q'(2^k) = Q.  By 3, Q'*B has q-steps in [0, span] and, like P, lies in
-    the box where (q, a) -> X is injective.  By 2, the coefficients of Q'*B
-    (at most ||Q'||_1 * ||B||_1) and of P are below 2^(k-1) in size.  By 1
-    the two agree at X = 2^k, and a polynomial with coefficients below 2^k
-    in size that vanishes at 2^k is zero, so Q'*B = P as polynomials and Q'
-    is the exact quotient.  If a check fails, the sum is redone one
-    binomial at a time and divided by `exact_divide`, which raises
-    InexactDivisionError with its remainder.
-    """
-    value, k, width, span, bound, den, (oq, oa), (gq, ga), shifts, terms, common = packed
-    half = 1 << (k - 1)
-    divisor, blo, bhi = 1, 0, 0
-    for b in common:
-        steps, shift = shifts[b]
-        divisor = (divisor << k * shift) - divisor
-        blo, bhi = blo + min(steps, 0), bhi + max(steps, 0)
-    quotient, rem = divmod(value, divisor)
-    if not rem and bound < half:
-        size = k // 8
+        row = sorted(shifts[b] for b in brackets)  # short shifts first: cheaper
+        digits.append((exps, row))
+        top = max(top, max(exps) + sum(row))
+    divisor = [({0: 1}, [shifts[b] for b in common])]  # B, as one row
+    blo = sum(min(steps[b], 0) for b in common)
+    bhi = sum(max(steps[b], 0) for b in common)
+    oq = qlo + h * sum(b.v for b in common)
+    oa = alo + h * sum(b.u for b in common)
+    grow = math.prod(top // shifts[b] + 1 for b in common)
+    k1, k2 = (-(-(n.bit_length() + len(common) + 2) // 8) * 8 for n in (bound, bound * grow))
+    for k in sorted({k1, k2}):
+        quotient, rem = divmod(_pack(digits, k), _pack(divisor, k))
+        if rem:
+            continue
+        half, size = 1 << (k - 1), k // 8
         zero = half.to_bytes(size, "little")
         n = quotient.bit_length() // k + 2
         raw = (quotient + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
@@ -662,27 +643,29 @@ def divide_packed(packed):
         else:
             if norm << len(common) < half:
                 return _build(("q", "a"), out, den)
-    return _stepwise_bracket_sum(terms, common)
+    raise InexactDivisionError("inexact bracket sum")
 
 
-def _stepwise_bracket_sum(terms, common):
-    """The same sum, one binomial at a time, then one exact_divide each."""
-    total = Laurent.zero(("q", "a"))
-    for piece, brackets in terms:
-        for b in brackets:
-            piece = piece * bracket_numerator(b)
-        total = total + piece
-    for b in common:
-        total = exact_divide(total, bracket_numerator(b))
+def _pack(rows, k):
+    """The int sum over (digits, shifts) rows of F(2^k) * prod(2^(k*s) - 1),
+    where F has the {digit: coefficient} terms `digits`."""
+    total = 0
+    for exps, shifts in rows:
+        base = min(exps)
+        f = sum(c << k * (e - base) for e, c in exps.items())
+        for s in shifts:
+            f = (f << k * s) - f
+        total += f << k * base
     return total
 
 
 class BracketProduct:
     """A quotient of bracket multisets, canonical.
 
-    Every bracket must have a positive leading part (u > 0, or u == 0 and
-    v > 0), else ValueError.  Construction cancels identical brackets
-    between numerator and denominator and discards unit brackets [1].
+    Every entry must be a Bracket, else TypeError, with a positive leading
+    part (u > 0, or u == 0 and v > 0), else ValueError.  Construction
+    cancels identical brackets between numerator and denominator and
+    discards unit brackets [1].
     """
 
     __slots__ = ("num", "den")
@@ -691,10 +674,12 @@ class BracketProduct:
         kept_num, kept_den = [], []
         for target, source in ((kept_num, num), (kept_den, den)):
             for b in source:
+                if not isinstance(b, Bracket):
+                    raise TypeError("expected a Bracket, got %r" % (b,))
                 # tuple order: (u, v) > (0, 0) is exactly a positive leading part
                 if b <= (0, 0):
                     raise ValueError(
-                        "bracket %s has no positive leading part" % Bracket(*b).render()
+                        "bracket %s has no positive leading part" % b.render()
                     )
                 if b != UNIT_BRACKET:
                     target.append(b)

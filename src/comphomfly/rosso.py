@@ -5,13 +5,13 @@ from three symbolic ingredients: braiding eigenvalues with rank-dependent
 exponents, composite Adams coefficients, and stable quantum dimensions in
 factored bracket form.  A separate finite-rank code path, the stabilization
 oracle, recomputes the same invariant at a concrete rank with its own expansion,
-eigenvalues and dimensions; both paths add their terms with `bracket_sum`.
+eigenvalues and dimensions; both paths add their terms with
+`qexact.bracket_sum`, the one exact route for a sum of bracket quotients.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,11 +29,9 @@ from .qexact import (
     IntegralityError,
     Laurent,
     SymExponent,
-    UNIT_BRACKET,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
-    divide_packed,
+    bracket_sum,
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
-    pack_bracket_sum,
     sym_to_qa,
 )
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
@@ -159,28 +157,6 @@ class InvariantResult:
             for t in self.terms
         )
         return "\n".join(lines)
-
-
-def bracket_sum(terms):
-    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a).
-
-    Each bracket [b] is bracket_numerator(b) over the unit bracket's, and the
-    unit brackets cancel like any other; each term's numerators are packed
-    over the multiset-max common denominator by `pack_bracket_sum`, and
-    `divide_packed` divides that denominator out."""
-    fractions = []
-    common = Counter()
-    for piece, dim in terms:
-        num = Counter(dim.num) + Counter({UNIT_BRACKET: len(dim.den)})
-        den = Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)})
-        num, den = num - den, den - num
-        fractions.append((piece, num, den))
-        common |= den
-    packed = pack_bracket_sum(
-        [(piece, sorted((num + common - den).elements())) for piece, num, den in fractions],
-        sorted(common.elements()),
-    )
-    return divide_packed(packed)
 
 
 def _assemble(knot, lam, mu, expansion, theta_color):

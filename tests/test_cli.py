@@ -66,6 +66,74 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# top-level definitions that only tests reach: the Macdonald checker, the
+# symmetric-function routines only it calls, and test-side oracles
+UNREACHED = {
+    "macdonald." + name
+    for name in (
+        "DualityReport", "QTFraction", "RankBoundError", "_dominates", "_eigenvalue",
+        "_integral_constant", "_mono", "_operator_matrix", "_p_coefficients",
+        "_power_norm", "_principal_value", "_restrict", "_rho_point", "duality_check",
+        "evaluation_formula", "macdonald_p", "monomial_pairing", "pairing_with_monomial",
+        "principal_specialization", "schur_restricted",
+    )
+} | {
+    "partitions.reduce_columns",
+    "symfunc.composite_schur_at_rank",
+    "symfunc.monomial_power_matrix",
+    "symfunc.monomial_to_schur",
+    "symfunc.schur_monomials",
+    "symfunc.schur_product",
+    "symfunc.schur_product_at_rank",
+}
+
+
+def identifiers(node):
+    """Every name, attribute and string constant under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_package_holds_only_reachable_definitions():
+    # walk from cli.main, verify's top-level definitions, __all__ and the
+    # names the benchmark's tracer wraps, following every identifier to the
+    # top-level functions, classes and assignments of that name; a new
+    # definition nothing reaches fails here, and deleting one of UNREACHED
+    # must shrink the set
+    import comphomfly
+
+    root = pathlib.Path(cli.__file__).parents[2]
+    tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    install = next(n for n in tracing.body if getattr(n, "name", None) == "install")
+    roots = ["main", *comphomfly.__all__, *identifiers(install)]
+    defs, bodies = set(), {}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                defs.add("%s.%s" % (path.stem, node.name))
+                if path.stem == "verify":
+                    roots.append(node.name)
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                bodies.setdefault(name, []).append(("%s.%s" % (path.stem, name), node))
+    reached = set()
+    while roots:
+        for key, node in bodies.get(roots.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                roots.extend(identifiers(node))
+    assert defs - reached == UNREACHED
+
+
 def test_package_has_no_floats():
     # exactness has tolerance zero: no float literal and no float() call
     found = [

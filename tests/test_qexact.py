@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,10 @@ from comphomfly.qexact import (
     SymExponent,
     UNIT_BRACKET,
     bracket_numerator,
-    divide_packed,
+    bracket_sum,
     dumps_poly,
     exact_divide,
     loads_poly,
-    pack_bracket_sum,
     parse_expr,
     sym_to_qa,
     tilde_normalize,
@@ -125,6 +125,7 @@ def test_float_exponents_are_refused():
         lambda: p.substitute({"a": (1, {"q": 0.5})}),
         lambda: SymExponent.make(e0=0.1),
         lambda: SymExponent.make(e1=1).scale(0.5),
+        lambda: Laurent(("q",), {(0.5,): 1}),
     ]
     for call in calls:
         with pytest.raises(TypeError):
@@ -327,126 +328,120 @@ def test_bracket_by_bracket_division():
         assert stepwise == exact_divide(num, whole), chosen
 
 
-def stepwise_sum(terms, common):
-    """Reference bracket sum: every piece times its binomials one at a time,
-    then one exact division per common binomial."""
+def stepwise_sum(terms):
+    """Reference bracket sum over (piece, BracketProduct) pairs: [b] is
+    bracket_numerator(b) over the unit bracket's, every piece is multiplied
+    one binomial at a time by its numerators and by the part of the common
+    denominator its own lacks, and the total is divided by that common
+    denominator one binomial at a time."""
+    fractions = [
+        (
+            piece,
+            [*dim.num] + [UNIT_BRACKET] * len(dim.den),
+            Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)}),
+        )
+        for piece, dim in terms
+    ]
+    common = Counter()
+    for _, _, den in fractions:
+        common |= den
     total = Laurent.zero(QA)
-    for piece, brackets in terms:
-        for b in brackets:
+    for piece, num, den in fractions:
+        for b in num + [*(common - den).elements()]:
             piece = piece * bracket_numerator(b)
         total = total + piece
-    for b in common:
+    for b in common.elements():
         total = exact_divide(total, bracket_numerator(b))
     return total
-
-
-def packed_sum(terms, common, k=None):
-    return divide_packed(pack_bracket_sum(terms, common, k))
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """One entry per time the packed kernel falls back to the
-    binomial-at-a-time route."""
-    calls = []
-    stepwise = qexact._stepwise_bracket_sum
-
-    def counted(terms, common):
-        calls.append(len(common))
-        return stepwise(terms, common)
-
-    monkeypatch.setattr(qexact, "_stepwise_bracket_sum", counted)
-    return calls
 
 
 KERNEL_BRACKETS = [Bracket(0, v) for v in range(1, 5)] + [Bracket(1, v) for v in range(-4, 3)]
 
 
 def random_bracket_sum(rng):
-    """Terms and common brackets of one bracket sum.  Some pieces split
-    target * prod(common) with no brackets of their own, so no single term
-    is divisible; the others carry every common bracket; zero pieces and an
-    empty term list occur too.  The sum is exact unless `loose`."""
-    common = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
+    """(piece, BracketProduct) pairs of one bracket sum.  Each of up to two
+    groups splits target * prod(its den) into two pieces over that den, so
+    no single term is a polynomial and the dens of the sum differ; the
+    other terms carry brackets in their numerators only, over a piece with
+    one unit-bracket binomial per bracket; zero pieces and an empty term
+    list occur too.  The sum is exact unless `loose`."""
     loose = rng.random() < 0.2
+    unit = bracket_numerator(UNIT_BRACKET)
     terms = []
-    if rng.random() < 0.9:
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        den = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
         numerator = random_laurent(rng, terms=rng.randint(1, 4))
-        for b in [] if loose else common:
+        for b in [] if loose else den:
             numerator = numerator * bracket_numerator(b)
         keys = list(numerator.terms)
         rng.shuffle(keys)
         cut = rng.randint(0, len(keys))
         for part in (keys[:cut], keys[cut:]):
-            terms.append((Laurent(QA, {k: numerator.terms[k] for k in part}, numerator.den), []))
+            piece = Laurent(QA, {k: numerator.terms[k] for k in part}, numerator.den)
+            terms.append((piece, BracketProduct([], den)))
     for _ in range(rng.randint(0, 3)):
-        extra = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
+        num = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
         piece = random_laurent(rng, terms=rng.randint(0, 3))
-        terms.append((piece, sorted(extra + ([] if loose else common))))
+        if not loose:
+            piece = piece * unit ** len(num)
+        terms.append((piece, BracketProduct(num, [])))
     rng.shuffle(terms)
-    return terms, sorted(common)
+    return terms
 
 
-def test_packed_bracket_sum_matches_stepwise(fallbacks):
-    # pieces over dens 1, 2, 3 and 6, brackets [N + v] with v < 0, zero and
-    # empty pieces: the packed sum equals the binomial-at-a-time reference,
-    # and raises exactly where it does
+def test_packed_bracket_sum_matches_stepwise():
+    # pieces over dens 1, 2, 3 and 6, brackets [N + v] with v < 0, dens that
+    # differ between terms, zero and empty pieces: bracket_sum equals the
+    # binomial-at-a-time reference, and raises exactly where it does
     rng = random.Random(2024)
-    dens, exact = set(), 0
+    dens, exact, mixed = set(), 0, 0
     for _ in range(300):
-        terms, common = random_bracket_sum(rng)
+        terms = random_bracket_sum(rng)
         dens.update(piece.den for piece, _ in terms if piece)
+        mixed += len({dim.den for _, dim in terms if dim.den}) > 1
         try:
-            want = stepwise_sum(terms, common)
+            want = stepwise_sum(terms)
         except InexactDivisionError:
             with pytest.raises(InexactDivisionError):
-                packed_sum(terms, common)
+                bracket_sum(terms)
             continue
         exact += 1
-        assert packed_sum(terms, common) == want, (terms, common)
-    assert exact > 200 and {1, 2, 3} <= dens
-    # every inexact sum falls back, and here no exact one has to
-    assert len(fallbacks) == 300 - exact
+        assert bracket_sum(terms) == want, terms
+    assert 200 < exact < 280 and mixed > 30 and {1, 2, 3} <= dens
 
 
-def test_packed_remainder_falls_back(fallbacks):
-    # 1/[2] is no polynomial: divmod leaves a remainder, and the fallback's
-    # exact_divide raises with its own
+def test_packed_second_width():
+    # the first digit width bounds the packed sum, not the quotient; these
+    # quotients overflow it and pass only at the second width
+    one = Laurent.one(QA)
+    # [100]/[1] has 100 unit coefficients: 100 * 2 is not below 2^7
+    terms = [(one, BracketProduct([Bracket(0, 100)], []))]
+    want = stepwise_sum(terms)
+    assert len(want.terms) == 100 and bracket_sum(terms) == want
+    # the dimension of [2|2,1] at N = 6, [4][5][6][7][9]/[2][3], has
+    # coefficient sum 1,260, and 1,260 * 2^5 is not below 2^15
+    brackets = [Bracket(0, v) for v in (4, 5, 6, 7, 9)]
+    terms = [(one, BracketProduct(brackets, [Bracket(0, 2), Bracket(0, 3)]))]
+    want = stepwise_sum(terms)
+    assert sum(map(abs, want.terms.values())) == 1260 and bracket_sum(terms) == want
+
+
+def test_packed_remainder_raises():
+    # 1/[2] is no polynomial: divmod leaves a remainder at every width, and
+    # the error carries no remainder polynomial
     with pytest.raises(InexactDivisionError) as err:
-        packed_sum([(Laurent.one(QA), [])], [Bracket(0, 2)])
-    assert err.value.remainder
-    assert fallbacks == [1]
+        bracket_sum([(Laurent.one(QA), BracketProduct([], [Bracket(0, 2)]))])
+    assert err.value.remainder is None
 
 
-def test_packed_q_window_falls_back(fallbacks):
+def test_packed_q_window_raises():
     # (q^(1/2) - 1)/[N - 1] is no polynomial, yet q^(1/2) - 1 packs to the
     # same int as the binomial a^(1/2) q^(-1/2) - a^(-1/2) q^(1/2) up to its
-    # monomial, so divmod leaves no remainder; the quotient's digit lies
-    # below the q-window, which sends the sum to the fallback
+    # monomial, so divmod leaves no remainder; only the quotient's digit,
+    # below the q-window, shows the sum inexact
     piece = Laurent.monomial(QA, 1, q=Fraction(1, 2)) - Laurent.one(QA)
     with pytest.raises(InexactDivisionError):
-        packed_sum([(piece, [])], [Bracket(1, -1)])
-    assert fallbacks == [1]
-
-
-def test_packed_bound_falls_back(fallbacks):
-    # 1000 * [3]^2: with k = 8 the pre-division sum overflows its digits
-    terms, common = [(Laurent.one(QA) * 1000, [Bracket(0, 3)] * 3)], [Bracket(0, 3)]
-    want = stepwise_sum(terms, common)
-    assert packed_sum(terms, common) == want and fallbacks == []
-    assert packed_sum(terms, common, k=8) == want and fallbacks == [1]
-    # [100]/[1] has 100 terms: the default k = 8 fails the quotient-norm
-    # check, so the sum falls back; k = 16 passes it
-    terms, common = [(Laurent.one(QA), [Bracket(0, 100)])], [UNIT_BRACKET]
-    want = stepwise_sum(terms, common)
-    assert len(want.terms) == 100
-    assert pack_bracket_sum(terms, common).k == 8
-    assert packed_sum(terms, common) == want and fallbacks == [1, 1]
-    assert packed_sum(terms, common, k=16) == want and fallbacks == [1, 1]
-    # 256 - q packs to 256 - 2^8 = 0 at k = 8, a quotient every other check
-    # accepts: only the bound on the pre-division sum refuses it
-    piece = parse_expr("256 - q", QA)
-    assert packed_sum([(piece, [])], [], k=8) == piece and fallbacks == [1, 1, 0]
+        bracket_sum([(piece, BracketProduct([], [Bracket(1, -1)]))])
 
 
 def test_bracket_product_canonical_form():
@@ -462,6 +457,10 @@ def test_bracket_product_canonical_form():
             BracketProduct(num=[bad])
         with pytest.raises(ValueError):
             BracketProduct(den=[bad])
+    # entries must be Brackets: a plain tuple would be stored and fail to render
+    for num, den in (([(0, 3)], []), ([], [(1, -1)])):
+        with pytest.raises(TypeError):
+            BracketProduct(num, den)
     assert BracketProduct.one().render() == "1"
     assert bp.render() == "[N+1]/[N-1]"
     other = BracketProduct(num=[Bracket(1, -1)], den=[Bracket(0, 3)])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from comphomfly import qexact, rosso
 from comphomfly.partitions import (
     EMPTY,
     Partition,
@@ -129,6 +130,37 @@ def test_bracket_sum_negative_controls():
     # exact where no single term is a polynomial: (q^{1/2} + q^{-1/2})/[2] = 1
     halves = [(Laurent.monomial(QA, 1, q=Fraction(e, 2)), bp([], [(0, 2)])) for e in (1, -1)]
     assert bracket_sum(halves) == Laurent.one(QA)
+
+
+def test_bracket_sums_use_one_division_primitive(monkeypatch):
+    # the engine, the oracle and a sum that needs the second digit width
+    # all run on the packed kernel alone: no exact_divide, no binomial
+    # polynomial and no product of two polynomials
+    colors = [(TREFOIL, "1", "1"), (TREFOIL, "2,1", "2,1"), (T43, "2", "2")]
+    engine = [composite_homfly(knot, P(lam), P(mu)).normalized for knot, lam, mu in colors]
+    oracle = finite_N_oracle(TREFOIL, P("2,1"), P("2,1"), 4)
+    # at N = 6 the dimension of [2|2,1] is [4][5][6][7][9]/[2][3]
+    wide = quantum_dimension(P("2"), P("2,1"))
+    wide_at_6 = dim_at(wide, 6)
+
+    def refuse(*args):
+        raise AssertionError("a bracket sum left the packed kernel")
+
+    plain_mul = Laurent.__mul__
+
+    def scalar_mul(self, other):
+        if isinstance(other, Laurent):
+            refuse()
+        return plain_mul(self, other)
+
+    for module in (qexact, rosso):
+        monkeypatch.setattr(module, "exact_divide", refuse)
+        monkeypatch.setattr(module, "bracket_numerator", refuse)
+    monkeypatch.setattr(Laurent, "__mul__", scalar_mul)
+    for (knot, lam, mu), want in zip(colors, engine):
+        assert composite_homfly(knot, P(lam), P(mu)).normalized == want
+    assert finite_N_oracle(TREFOIL, P("2,1"), P("2,1"), 4) == oracle
+    assert dim_at(wide, 6) == wide_at_6
 
 
 def test_quantum_dimension_tables():
