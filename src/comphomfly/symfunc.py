@@ -5,7 +5,7 @@ shape eta/alpha counted by content, in one cache), symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
 coefficients, the composite-character expansions that drive the torus-knot
 engine, and the finite-rank Adams expansion of the oracle.  Everything is
-integer-exact.  Both border-strip steps run on beta-sets (see `_slide`).
+integer-exact.  Both border-strip steps run on bitmask beta-sets (`_slide`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 
 from .partitions import (
     EMPTY,
@@ -122,27 +122,27 @@ def schur_product(lam, mu):
 # symmetric-group characters (Murnaghan-Nakayama)
 
 
-def _slide(beads, k):
+def _slide(mask, k):
     """Every way to move one bead of a beta-set k places onto a free slot.
 
-    A beta-set writes a shape as a strictly decreasing tuple of n bead
-    positions, row i = bead_i - (n - i) for i = 1..n.  Sliding a bead up k
-    places adds a border strip of k boxes, sliding it down (k < 0) removes
-    one, and the strip's sign is (-1)^(number of beads jumped).  Yields
-    (beads, sign).
+    A beta-set of n beads is an int whose set bits are the bead positions:
+    row i of the shape is the i-th highest position minus (n - i).  Sliding
+    a bead up k places adds a border strip of k boxes, sliding it down
+    (k < 0) removes one, and the strip's sign is (-1)^(number of beads
+    jumped).  A bead never passes position 0.  Yields (mask, sign).
     """
-    n = len(beads)
-    for j, b in enumerate(beads):
+    between = (1 << abs(k) - 1) - 1  # the |k| - 1 slots a bead jumps,
+    shift = 1 if k > 0 else k + 1  # lowest of them at b + shift
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
         target = b + k
-        if target < 0 or target in beads:
+        if target < 0 or mask >> target & 1:
             continue
-        t = j  # the moved bead's index in the new tuple
-        while t and beads[t - 1] < target:
-            t -= 1
-        while t < n - 1 and beads[t + 1] > target:
-            t += 1
-        rest = beads[:j] + beads[j + 1 :]
-        yield rest[:t] + (target,) + rest[t:], -1 if (j - t) % 2 else 1
+        jumped = mask >> b + shift & between
+        yield mask ^ low ^ (1 << target), -1 if jumped.bit_count() & 1 else 1
 
 
 def sym_character(lam, mu):
@@ -150,16 +150,16 @@ def sym_character(lam, mu):
     if lam.size() != mu.size():
         raise SizeMismatchError("|%s| != |%s|" % (lam, mu))
     n = len(lam)
-    return _mn(tuple(r + n - i for i, r in enumerate(lam, 1)), mu)
+    return _mn(sum(1 << r + n - i for i, r in enumerate(lam, 1)), mu)
 
 
 @lru_cache(maxsize=None)
-def _mn(beads, parts):
+def _mn(mask, parts):
     """Murnaghan-Nakayama on a beta-set: one border strip off per part."""
     if not parts:
-        return 1 if not beads or beads[0] < len(beads) else 0
+        return 1 if mask & mask + 1 == 0 else 0  # beads packed at the bottom
     k, rest = parts[0], parts[1:]
-    return sum(sign * _mn(new, rest) for new, sign in _slide(beads, -k))
+    return sum(sign * _mn(new, rest) for new, sign in _slide(mask, -k))
 
 
 def zclass(mu):
@@ -295,51 +295,51 @@ def format_expansion(expansion):
 def _pk_times_beta(expansion, k):
     """p_k times a Schur expansion keyed on beta-sets: slide one bead up k."""
     out = {}
-    for beads, coeff in expansion.items():
-        for new, sign in _slide(beads, k):
+    for mask, coeff in expansion.items():
+        for new, sign in _slide(mask, k):
             out[new] = out.get(new, 0) + sign * coeff
     return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def power_schur_expansion(parts, max_rows):
-    """Schur expansion of p_{parts} over shapes with at most max_rows rows.
-
-    Keys are beta-sets of max_rows beads.  Dropping longer shapes is sound:
-    border strips only grow rows, so shapes past the cap can never shrink
-    back under it, and a fixed number of beads never holds them.
-    """
-    if not parts:
-        return {tuple(range(max_rows - 1, -1, -1)): 1}
-    tail = power_schur_expansion(parts[1:], max_rows)
-    return _pk_times_beta(tail, parts[0])
-
-
 def adams_at_rank(zeta, r, max_rows):
     """Schur expansion of s_zeta(x^r) over shapes with at most max_rows rows.
 
-    Character route: sum over classes mu of chi^zeta(mu)/z_mu p_{r*mu},
-    expanded by sliding beads.  The sum runs in integers over L, the lcm of
-    the z_mu used, so a coefficient L does not divide is a hard error, not a
-    floor.  Independent of the composite-character machinery above.
+    Character route: sum over classes mu of chi^zeta(mu)/z_mu p_{r*mu} on
+    beta-sets of max_rows beads, which never hold a longer shape; border
+    strips only grow rows, so dropping those is sound.  One Horner sum over
+    the classes read smallest part first, G(prefix) = w(prefix) +
+    sum_k p_{rk} G(prefix + k), applies each p_{rk} once per trie edge.  It
+    runs in integers over L, the lcm of the z_mu used, so a coefficient L
+    does not divide is a hard error, not a floor.  Independent of the
+    composite-character machinery above.
     """
-    weights = []
+    if r < 1:
+        raise ValueError("Adams index must be >= 1")
+    classes = []
     for mu in partitions_of(zeta.size()):
         chi = sym_character(zeta, mu)
         if chi:
-            weights.append((chi, zclass(mu), tuple(r * p for p in mu)))
-    L = math.lcm(*(z for _, z, _ in weights))
-    acc = {}
-    for chi, z, stretched in weights:
-        w = chi * (L // z)
-        for beads, c in power_schur_expansion(stretched, max_rows).items():
-            acc[beads] = acc.get(beads, 0) + w * c
+            classes.append((mu[::-1], chi, zclass(mu)))
+    L = math.lcm(*(z for _, _, z in classes))
+
+    def horner(group, depth):
+        acc = {}
+        for head, sub in groupby(group, lambda c: c[0][depth : depth + 1]):
+            if head:
+                for mask, c in _pk_times_beta(horner(sub, depth + 1), r * head[0]).items():
+                    acc[mask] = acc.get(mask, 0) + c
+            else:  # the one class that ends at this prefix
+                [(_, chi, z)] = sub
+                acc[(1 << max_rows) - 1] = chi * (L // z)  # the empty shape
+        return {mask: c for mask, c in acc.items() if c}
+
     out = {}
-    for beads, c in acc.items():
-        if c:
-            if c % L:
-                raise IntegralityError("non-integer finite-rank expansion")
-            out[Partition(b - max_rows + i for i, b in enumerate(beads, 1))] = c // L
+    for mask, c in horner(sorted(classes), 0).items():
+        if c % L:
+            raise IntegralityError("non-integer finite-rank expansion")
+        beads = (b for b in range(mask.bit_length()) if mask >> b & 1)
+        out[Partition([b - i for i, b in enumerate(beads)][::-1])] = c // L
     return out
 
 

@@ -378,8 +378,10 @@ def test_stabilization_grid():
 
 @pytest.mark.slow
 def test_stabilization_grid_four_boxes():
-    # every color with |lam|+|mu| = 4 on the two-strand knots of the grid;
-    # the two slots may be exchanged
+    # every color with |lam|+|mu| = 4 on the six knots of the grid: the
+    # engine against the oracle at four ranks, the two slots exchanged,
+    # transposition (q -> 1/q holds, q -> -1/q fails) and, for [lam|], the
+    # classical path
     colors = [
         (lam, mu)
         for a in range(5)
@@ -387,10 +389,15 @@ def test_stabilization_grid_four_boxes():
         for mu in partitions_of(4 - a)
     ]
     assert len(colors) == 20
-    for knot in (TREFOIL, TorusKnot(5, 2)):
+    for knot in GRID_KNOTS:
         results = {(lam, mu): stabilized_engine(knot, lam, mu) for lam, mu in colors}
-        for lam, mu in colors:
-            assert results[lam, mu] == results[mu, lam], (knot, lam, mu)
+        for (lam, mu), poly in results.items():
+            assert results[mu, lam] == poly, (knot, lam, mu)
+            transposed = results[conjugate(lam), conjugate(mu)]
+            assert transposed == poly.substitute({"q": (1, {"q": -1})}), (knot, lam, mu)
+            assert transposed != poly.substitute({"q": (-1, {"q": -1})}), (knot, lam, mu)
+            if not mu:
+                assert classical_homfly(knot, lam).normalized == poly, (knot, lam)
 
 
 def test_transposition_symmetry():

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -408,9 +409,46 @@ def test_composite_adams_finite_rank_oracle():
                         }, (beta, gamma, N)
 
 
-def _shape(beads):
+def _shape(mask):
+    """The shape of a bitmask beta-set: row i is the i-th highest bead
+    position minus the number of beads below it."""
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return Partition([b - i for i, b in enumerate(beads)][::-1])
+
+
+def reference_slide(beads, k):
+    """`_slide` on a strictly decreasing tuple of bead positions, with the
+    jumped beads counted one by one: (shape, sign) per legal move."""
     n = len(beads)
-    return Partition(b - n + i for i, b in enumerate(beads, 1))
+    out = []
+    for b in beads:
+        target = b + k
+        if target < 0 or target in beads:
+            continue
+        jumped = sum(1 for c in beads if min(b, target) < c < max(b, target))
+        new = sorted(set(beads) - {b} | {target}, reverse=True)
+        out.append((Partition(x - n + i for i, x in enumerate(new, 1)), (-1) ** jumped))
+    return out
+
+
+def test_slide_matches_tuple_beta_sets():
+    # every shape of <= 6 boxes, with 0 to 2 spare beads, up and down 1..7
+    cases = below_zero = 0
+    for size in range(7):
+        for shape in sf.partitions_of(size):
+            for n in range(len(shape), len(shape) + 3):
+                beads = tuple(shape.row(i) + n - i for i in range(1, n + 1))
+                mask = sum(1 << b for b in beads)
+                assert _shape(mask) == shape
+                for k in [*range(1, 8), *range(-7, 0)]:
+                    moves = list(sf._slide(mask, k))
+                    assert all(new.bit_count() == n for new, _ in moves)
+                    got = Counter((_shape(new), sign) for new, sign in moves)
+                    assert got == Counter(reference_slide(beads, k)), (shape, n, k)
+                    below_zero += sum(1 for b in beads if b + k < 0)
+                    cases += 1
+    assert cases == 30 * 3 * 14  # 30 shapes, 3 bead counts, 14 values of k
+    assert below_zero
 
 
 def reference_strip_additions(lam, k, slots):
@@ -440,15 +478,18 @@ def reference_power_schur(parts, max_rows):
 
 
 def test_power_schur_matches_partition_strips():
-    # every stretched class r*mu with |mu| <= 5, r <= 3, at 1 to 7 rows
+    # every stretched class r*mu with |mu| <= 5, r <= 3, at 1 to 7 rows,
+    # as chained p_k on bitmask beta-sets of max_rows beads
     for size in range(6):
         for mu in sf.partitions_of(size):
             for r in (1, 2, 3):
                 parts = tuple(r * p for p in mu)
                 for max_rows in range(1, 8):
-                    expansion = sf.power_schur_expansion(parts, max_rows)
-                    assert all(len(beads) == max_rows for beads in expansion)
-                    shapes = {_shape(beads): c for beads, c in expansion.items()}
+                    expansion = {(1 << max_rows) - 1: 1}
+                    for k in reversed(parts):
+                        expansion = sf._pk_times_beta(expansion, k)
+                    assert all(mask.bit_count() == max_rows for mask in expansion)
+                    shapes = {_shape(mask): c for mask, c in expansion.items()}
                     assert len(shapes) == len(expansion)
                     assert shapes == reference_power_schur(parts, max_rows), (
                         parts,
@@ -467,3 +508,28 @@ def test_adams_at_rank_truncates_adams_coefficients():
                     assert sf.adams_at_rank(zeta, r, N) == expected, (zeta, r, N)
                     checks += 1
     assert checks == 270
+
+
+def test_adams_at_rank_refuses_nonpositive_index():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="Adams index must be >= 1"):
+            sf.adams_at_rank(P("2,1"), r, 3)
+
+
+def test_adams_at_rank_at_oracle_sizes(monkeypatch):
+    # the oracle's own zeta for [2,1|2,1], at the ranks it runs at
+    for N in (4, 5):
+        zeta = compose_at_N(P("2,1"), P("2,1"), N)
+        full = sf.adams_coefficients(zeta, 2)
+        expected = {nu: c for nu, c in full.items() if len(nu) <= N}
+        assert sf.adams_at_rank(zeta, 2, N) == expected, N
+    # negative control: a wrong centralizer order on the identity class
+    # leaves a coefficient the lcm does not divide
+    zclass = sf.zclass
+    monkeypatch.setattr(sf, "zclass", lambda mu: zclass(mu) + (max(mu, default=1) == 1))
+    sf.adams_at_rank.cache_clear()
+    try:
+        with pytest.raises(sf.IntegralityError):
+            sf.adams_at_rank(compose_at_N(P("2,1"), P("2,1"), 4), 2, 4)
+    finally:
+        sf.adams_at_rank.cache_clear()
