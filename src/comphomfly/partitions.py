@@ -123,19 +123,6 @@ def compose_at_N(lam, mu, N):
     return Partition(head + dual_at_N(lam, N - len(mu)))
 
 
-def reduce_columns(lam, N):
-    """Strip columns of height N: the sl_N reinterpretation of the diagram.
-
-    Requires len(lam) <= N; diagrams with more rows do not survive at rank N.
-    """
-    if len(lam) > N:
-        raise RankTooSmallError("%s has more than %d rows" % (lam, N))
-    if len(lam) < N:
-        return lam
-    c = lam[-1]
-    return Partition(r - c for r in lam)
-
-
 class CompositeDiagram(NamedTuple):
     """An ordered pair [lam, mu] of partitions.
 

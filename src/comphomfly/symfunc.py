@@ -3,9 +3,10 @@
 Littlewood-Richardson coefficients as skew rows (the LR tableaux of a skew
 shape eta/alpha counted by content, in one cache), symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
-coefficients, the composite-character expansions that drive the torus-knot
-engine, and the finite-rank Adams expansion of the oracle.  Everything is
-integer-exact.  Both border-strip steps run on bitmask beta-sets (`_slide`).
+coefficients, the composite Adams expansion that drives the torus-knot
+engine (one factored sum over skew rows), and the finite-rank Adams
+expansion of the oracle.  Everything is integer-exact.  Both border-strip
+steps run on bitmask beta-sets (`_slide`).
 """
 
 from __future__ import annotations
@@ -13,16 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby, permutations
 
-from .partitions import (
-    EMPTY,
-    Partition,
-    conjugate,
-    dual_at_N,
-    reduce_columns,
-)
+from .partitions import EMPTY, Partition, conjugate, join
 from .qexact import IntegralityError
 
 
@@ -105,17 +100,6 @@ def skew_row(eta, alpha):
 def lr_coefficient(lam, mu, nu):
     """N^nu_{lam,mu}, looked up in the skew row of nu over lam."""
     return dict(skew_row(nu, lam)).get(mu, 0)
-
-
-@lru_cache(maxsize=None)
-def schur_product(lam, mu):
-    """Expansion of s_lam * s_mu as {nu: N^nu_{lam,mu}}, zeros omitted."""
-    out = {}
-    for nu in partitions_of(lam.size() + mu.size()):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,64 +193,59 @@ def adams_coefficients(lam, r):
 # composite characters
 
 
-def composite_character_expansion(lam, mu):
-    """Coefficients of s_nu(x) s_xi(y) in the universal composite character.
-
-    Sum over tau of (-1)^{|tau|} N^lam_{nu,tau} N^mu_{xi,tau'} with tau' the
-    conjugate of tau.  The conjugate is forced by the inversion identity
-    with `composite_product_expansion` (tested) and by every finite-rank
-    projection; without it the two transforms are not mutually inverse.
-    The sign depends only on |tau| = |lam| - |nu|, so no term cancels.
-    """
+def _adams_image(row, r):
+    """Schur expansion of sum c * psi^r(s_nu) over the (nu, c) of a skew row."""
     out = {}
-    for tau in subpartitions(lam):
-        rights = skew_row(mu, conjugate(tau))
-        sign = -1 if tau.size() % 2 else 1
-        for nu, c1 in skew_row(lam, tau):
-            for xi, c2 in rights:
-                key = (nu, xi)
-                out[key] = out.get(key, 0) + sign * c1 * c2
-    return out
+    for nu, c in row:
+        for eta, a in adams_coefficients(nu, r).items():
+            out[eta] = out.get(eta, 0) + c * a
+    return {eta: v for eta, v in out.items() if v}
 
 
-def composite_product_expansion(eta, delta):
-    """Expansion of s_eta(x) s_delta(y) over composite characters s_[beta,gamma].
+def _skew_table(expansion, bound):
+    """{alpha: {beta: sum c * N^eta_{beta,alpha}}} over the (eta, c) of an
+    expansion, with alpha inside both eta and bound.
 
-    The coefficient is sum over alpha of N^eta_{beta,alpha} N^delta_{gamma,alpha},
-    so alpha runs over the diagrams inside both eta and delta.
+    Bounding alpha per eta keeps the row cache to rows that can meet the
+    other slot: bound is the join of that slot's shapes.
     """
-    out = {}
-    for alpha in subpartitions(Partition(map(min, eta, delta))):
-        rights = skew_row(delta, alpha)
-        for beta, c1 in skew_row(eta, alpha):
-            for gamma, c2 in rights:
-                key = (beta, gamma)
-                out[key] = out.get(key, 0) + c1 * c2
-    return out
+    table = {}
+    for eta, c in expansion.items():
+        for alpha in subpartitions(Partition(map(min, eta, bound))):
+            row = table.setdefault(alpha, {})
+            for beta, n in skew_row(eta, alpha):
+                row[beta] = row.get(beta, 0) + c * n
+    return table
 
 
 def composite_adams(lam, mu, r):
     """Composite-character expansion of the r-th Adams image of s_[lam,mu].
 
-    Two stages.  First the composite character expansion and the ordinary
-    Adams expansion of each tensor slot give the image in the
-    s_eta(x) s_delta(y) basis; then each distinct (eta, delta) is expanded
-    once back into composite characters by `composite_product_expansion`.
+    Two identities, summed in one pass.  Koike's formula gives the composite
+    character as sum over tau of (-1)^{|tau|} s_{lam/tau}(x) s_{mu/tau'}(y),
+    with tau' the conjugate of tau; the product rule gives
+    s_eta(x) s_delta(y) = sum over alpha of s_[eta/alpha, delta/alpha].  So
+    each (tau, alpha) adds one outer product: the Adams image of s_{lam/tau}
+    skewed by alpha in the x-slot, times that of s_{mu/tau'} in the y-slot.
+    The conjugate is forced: with tau in its place the r = 1 image is not
+    s_[lam,mu] itself (tested).
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
-    images = {}
-    for (nu, xi), c in composite_character_expansion(lam, mu).items():
-        for eta, a1 in adams_coefficients(nu, r).items():
-            for delta, a2 in adams_coefficients(xi, r).items():
-                key = (eta, delta)
-                images[key] = images.get(key, 0) + c * a1 * a2
     acc = {}
-    for (eta, delta), c in images.items():
-        if not c:
+    for tau in subpartitions(lam):
+        right = _adams_image(skew_row(mu, conjugate(tau)), r)
+        if not right:
             continue
-        for key, n in composite_product_expansion(eta, delta).items():
-            acc[key] = acc.get(key, 0) + c * n
+        left = _adams_image(skew_row(lam, tau), r)
+        sign = -1 if tau.size() % 2 else 1
+        rights = _skew_table(right, reduce(join, left, EMPTY))
+        for alpha, betas in _skew_table(left, reduce(join, right, EMPTY)).items():
+            gammas = rights.get(alpha, {})
+            for beta, c1 in betas.items():
+                for gamma, c2 in gammas.items():
+                    key = (beta, gamma)
+                    acc[key] = acc.get(key, 0) + sign * c1 * c2
     return {k: v for k, v in acc.items() if v}
 
 
@@ -341,34 +320,6 @@ def adams_at_rank(zeta, r, max_rows):
         beads = (b for b in range(mask.bit_length()) if mask >> b & 1)
         out[Partition([b - i for i, b in enumerate(beads)][::-1])] = c // L
     return out
-
-
-def schur_product_at_rank(lam, mu, N):
-    """s_lam * s_mu in the rank-N character ring, keys column-reduced."""
-    out = {}
-    for nu, c in schur_product(lam, mu).items():
-        if len(nu) > N:
-            continue
-        key = reduce_columns(nu, N)
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def composite_schur_at_rank(lam, mu, N):
-    """Rank-N character of the universal composite character s_[lam,mu].
-
-    The x-slot carries lam and is the dualized side, so s_nu(x) lands on
-    the rank-N dual diagram of nu.  For N >= len(lam)+len(mu) this recovers
-    the plain Schur function of the composed diagram, but it stays correct
-    below any individual key's bound, where modification terms appear.
-    """
-    out = {}
-    for (nu, xi), c in composite_character_expansion(lam, mu).items():
-        if len(nu) > N or len(xi) > N:
-            continue
-        for key, k in schur_product_at_rank(dual_at_N(nu, N), xi, N).items():
-            out[key] = out.get(key, 0) + c * k
-    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# top-level definitions that only tests reach: the Macdonald checker, the
-# symmetric-function routines only it calls, and test-side oracles
+# top-level definitions that only tests reach: the Macdonald checker and the
+# symmetric-function routines only it calls
 UNREACHED = {
     "macdonald." + name
     for name in (
@@ -78,13 +78,9 @@ UNREACHED = {
         "principal_specialization", "schur_restricted",
     )
 } | {
-    "partitions.reduce_columns",
-    "symfunc.composite_schur_at_rank",
     "symfunc.monomial_power_matrix",
     "symfunc.monomial_to_schur",
     "symfunc.schur_monomials",
-    "symfunc.schur_product",
-    "symfunc.schur_product_at_rank",
 }
 
 
@@ -417,6 +413,15 @@ def test_expand_outputs_match_recorded_checksums(capsys):
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == recorded["expand [%s] r=3" % color], color
+    # beyond the benchmark's sizes, at 16 and 15 boxes, where LR
+    # multiplicities above 1 are common
+    for color, r, recorded in [
+        ("2,2|2,2", "4", "24559cd9520f1bf422d13cba320606537398fc4e66aed33ba9fca4019ad3e3a9"),
+        ("3|2,1", "5", "3053f07c5fbdeb044b341b70e6c5a584903577d2b4e76a2d76c9dcc07fe2c4df"),
+    ]:
+        code, out, _ = run(capsys, "expand", "--color", color, "--r", r)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded, (color, r)
 
 
 def test_oracle_outputs_match_recorded_checksums():

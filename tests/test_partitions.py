@@ -13,8 +13,9 @@ from comphomfly.partitions import (
     join,
     kappa,
     parse_weight,
-    reduce_columns,
 )
+
+from oracles import reduce_columns
 
 P = Partition.parse
 
