@@ -33,7 +33,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, rows=()):
-        rows = tuple(int(r) for r in rows if r != 0)
+        rows = tuple(rows)
+        if not {int}.issuperset(map(type, rows)):
+            raise TypeError("row lengths must be ints: %r" % (rows,))
+        rows = tuple(filter(None, rows))
         if any(r < 0 for r in rows):
             raise ValueError("negative row length: %r" % (rows,))
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):

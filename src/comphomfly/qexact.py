@@ -534,14 +534,13 @@ def bracket_numerator(b):
 
 
 def bracket_sum(terms):
-    """Exact sum of piece * dim over (piece, BracketProduct) pairs, over (q, a).
+    """Exact sum of piece * num/den over (piece, num, den) rows, over (q, a).
 
-    A bracket [b] is bracket_numerator(b) over the unit bracket's.  A
-    BracketProduct is canonical (num and den disjoint, no [1]), so its term
-    needs len(den) - len(num) unit brackets on top; the common denominator
-    C is the multiset max of the dens plus the largest missing count of
-    [1], and the sum is P/B with P = sum(piece * num * C/den) and
-    B = prod(C), all as binomials.
+    num and den are equally long lists of Brackets with a positive leading
+    part, else ValueError (TypeError for a non-Bracket).  As [b] is
+    bracket_numerator(b) over the unit bracket's, a row is its num binomials
+    over its den's.  Equal brackets cancel within a row; C is the dens'
+    multiset max, P = sum(piece * num * C/den), B = prod(C), and the sum is P/B.
 
     Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
     the grid den = lcm(2, piece dens), h = den/2, where a bracket numerator
@@ -572,19 +571,20 @@ def bracket_sum(terms):
     three checks at k2.  A check failing there proves the sum inexact, and
     InexactDivisionError is raised with no remainder polynomial.
     """
-    dens = [Counter(dim.den) for _, dim in terms]
-    common = Counter()
-    for d in dens:
-        common |= d
-    units = max([0] + [len(dim.num) - len(dim.den) for _, dim in terms])
-    den = math.lcm(2, *(piece.den for piece, _ in terms))
+    cancelled, common = [], Counter()
+    for piece, num, den in terms:
+        if len(num) != len(den):
+            raise ValueError("bracket row of %d over %d brackets" % (len(num), len(den)))
+        num, den = _cancel(num, den)
+        cancelled.append((piece, num, den))
+        common |= den
+    den = math.lcm(2, *(piece.den for piece, _, _ in terms))
     h = den // 2
     rows, lows, highs, bound = [], [], [], 0
-    for (piece, dim), d in zip(terms, dens):
+    for piece, num, d in cancelled:
         if not piece:
             continue
-        brackets = [*dim.num, *(common - d).elements()]
-        brackets += [UNIT_BRACKET] * (units + len(dim.den) - len(dim.num))
+        brackets = [*num.elements(), *(common - d).elements()]
         scale = den // piece.den
         oq = -h * sum(b.v for b in brackets)
         oa = -h * sum(b.u for b in brackets)
@@ -594,7 +594,7 @@ def bracket_sum(terms):
         highs.append(qhi + 2 * h * sum(max(b.v, 0) for b in brackets))
         rows.append((keys, brackets))
         bound += sum(map(abs, keys.values())) << len(brackets)
-    common = [*common.elements()] + [UNIT_BRACKET] * units
+    common = [*common.elements()]
     qlo = min((q for q, _ in lows), default=0)
     alo = min((a for _, a in lows), default=0)
     every = {b for _, brackets in rows for b in brackets}.union(common)
@@ -659,43 +659,35 @@ def _pack(rows, k):
     return total
 
 
+def _cancel(num, den):
+    """num - den and den - num as Counters, each entry checked as BracketProduct says."""
+    for b in (*num, *den):
+        if not isinstance(b, Bracket):
+            raise TypeError("expected a Bracket, got %r" % (b,))
+        # tuple order: (u, v) > (0, 0) is exactly a positive leading part
+        if b <= (0, 0):
+            raise ValueError("bracket %s has no positive leading part" % b.render())
+    num, den = Counter(num), Counter(den)
+    return num - den, den - num
+
+
 class BracketProduct:
-    """A quotient of bracket multisets, canonical.
+    """A quotient of bracket multisets in canonical form, the printed and
+    compared value of a quantum dimension.
 
     Every entry must be a Bracket, else TypeError, with a positive leading
-    part (u > 0, or u == 0 and v > 0), else ValueError.  Construction
-    cancels identical brackets between numerator and denominator and
-    discards unit brackets [1].
+    part (u > 0, or u == 0 and v > 0), else ValueError, as in `bracket_sum`.
+    Construction cancels identical brackets between numerator and
+    denominator and discards unit brackets [1].
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=()):
-        kept_num, kept_den = [], []
-        for target, source in ((kept_num, num), (kept_den, den)):
-            for b in source:
-                if not isinstance(b, Bracket):
-                    raise TypeError("expected a Bracket, got %r" % (b,))
-                # tuple order: (u, v) > (0, 0) is exactly a positive leading part
-                if b <= (0, 0):
-                    raise ValueError(
-                        "bracket %s has no positive leading part" % b.render()
-                    )
-                if b != UNIT_BRACKET:
-                    target.append(b)
-        num_count, den_count = Counter(kept_num), Counter(kept_den)
-        self.num = tuple(sorted((num_count - den_count).elements()))
-        self.den = tuple(sorted((den_count - num_count).elements()))
-
-    @classmethod
-    def one(cls):
-        return cls()
-
-    def __mul__(self, other):
-        return BracketProduct(self.num + other.num, self.den + other.den)
-
-    def __truediv__(self, other):
-        return BracketProduct(self.num + other.den, self.den + other.num)
+        num, den = _cancel(num, den)
+        del num[UNIT_BRACKET], den[UNIT_BRACKET]
+        self.num = tuple(sorted(num.elements()))
+        self.den = tuple(sorted(den.elements()))
 
     def __eq__(self, other):
         return (
@@ -777,7 +769,9 @@ def loads_poly(text):
             exps = tuple(Fraction(c) for c in cells[1:])
         except ZeroDivisionError:
             raise ValueError("bad term line: %r" % line) from None
-        terms[exps] = terms.get(exps, 0) + int(cells[0])
+        if exps in terms or not int(cells[0]):
+            raise ValueError("repeated exponents or zero coefficient: %r" % line)
+        terms[exps] = int(cells[0])
     if vars is None:
         raise ValueError("missing #vars header")
     del meta["vars"]

@@ -5,8 +5,8 @@ from three symbolic ingredients: braiding eigenvalues with rank-dependent
 exponents, composite Adams coefficients, and stable quantum dimensions in
 factored bracket form.  A separate finite-rank code path, the stabilization
 oracle, recomputes the same invariant at a concrete rank with its own expansion,
-eigenvalues and dimensions; both paths add their terms with
-`qexact.bracket_sum`, the one exact route for a sum of bracket quotients.
+eigenvalues and dimensions; both add their terms with `qexact.bracket_sum`,
+the one exact route for bracket quotients, as balanced rows of raw brackets.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def braiding_eigenvalue(lam, mu):
     )
 
 
-def quantum_dimension(beta, gamma):
-    """Stable quantum dimension of [beta, gamma] as a bracket product.
+def _hook_content(beta, gamma):
+    """dim[beta, gamma] as equally long, uncancelled num and den bracket lists.
 
     Three hook-content factors: gamma's dimension at rank N - len(beta), a
     bracket [N - len(beta) + j - i] over its hook for each box (i, j) of
@@ -110,7 +110,12 @@ def quantum_dimension(beta, gamma):
         for p, b in enumerate(beta, start=1):
             num.append(Bracket(1, g + b + 1 - p - i))
             den.append(Bracket(1, 1 - p - i))
-    return BracketProduct(num, den)
+    return num, den
+
+
+def quantum_dimension(beta, gamma):
+    """Stable quantum dimension of [beta, gamma] as a canonical bracket product."""
+    return BracketProduct(*_hook_content(beta, gamma))
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,12 @@ class FactoredTerm:
     gamma: Partition
     coefficient: int
     twist: SymExponent  # q-exponent of the combined eigenvalues, 1/N part cancelled
-    dimension: BracketProduct
 
     def render(self):
         return "%d * %s * %s  [%s|%s]" % (
             self.coefficient,
             self.twist.render_power(),
-            self.dimension.render(),
+            quantum_dimension(self.beta, self.gamma).render(),
             self.beta,
             self.gamma,
         )
@@ -162,22 +166,21 @@ class InvariantResult:
 def _assemble(knot, lam, mu, expansion, theta_color):
     """Twist each term and normalize it at the bracket level.
 
-    Each term's dimension is divided by the color's as a bracket product,
-    so shared brackets cancel as multisets before any polynomial work, and
-    one `bracket_sum` adds the twisted terms.
+    A term's row divides its hook-content lists by the color's, crossed:
+    (term num + color den) over (term den + color num).  One `bracket_sum`
+    cancels each row's shared brackets and adds the twisted terms.
     """
     r, s = knot.r, knot.s
     power = Fraction(r, s)  # the fractional eigenvalue power max/min
     pref = theta_color.scale(-r * s)
-    color_dim = quantum_dimension(lam, mu)
-    terms = []
-    for beta, gamma in sorted(expansion, reverse=True):
+    color_num, color_den = _hook_content(lam, mu)
+    terms, rows = [], []
+    for (beta, gamma), coefficient in sorted(expansion.items(), reverse=True):
         twist = pref + braiding_eigenvalue(beta, gamma).scale(power)
-        dim = quantum_dimension(beta, gamma)
-        terms.append(FactoredTerm(beta, gamma, expansion[(beta, gamma)], twist, dim))
-    total = bracket_sum(
-        [(sym_to_qa(t.twist) * t.coefficient, t.dimension / color_dim) for t in terms]
-    )
+        terms.append(FactoredTerm(beta, gamma, coefficient, twist))
+        num, den = _hook_content(beta, gamma)
+        rows.append((sym_to_qa(twist) * coefficient, num + color_den, den + color_num))
+    total = bracket_sum(rows)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
     return InvariantResult(
@@ -222,20 +225,19 @@ def _theta_exponent_at_rank(shape, N):
     return Fraction(-(kappa(shape) + n * N), 2) + Fraction(n * n, 2 * N)
 
 
-def qdim_at_rank(shape, N):
-    """Quantum dimension at rank N as a bracket product of constant brackets.
+def _weyl_numerator(shape, N):
+    """The constant brackets [shape_i - shape_j + j - i] over the positive-root
+    pairs i < j <= N; the empty shape's is the Weyl denominator."""
+    pairs = ((i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1))
+    return [Bracket(0, shape.row(i) - shape.row(j) + j - i) for i, j in pairs]
 
-    Direct product over the positive-root pairs of the rank-N root system;
-    equal brackets between numerator and denominator cancel on construction.
-    """
+
+def qdim_at_rank(shape, N):
+    """Quantum dimension at rank N as a bracket product of constant brackets:
+    the Weyl numerator over the Weyl denominator, cancelled on construction."""
     if len(shape) > N:
         raise RankTooSmallError("%s does not fit in rank %d" % (shape, N))
-    num, den = [], []
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            num.append(Bracket(0, shape.row(i) - shape.row(j) + j - i))
-            den.append(Bracket(0, j - i))
-    return BracketProduct(num, den)
+    return BracketProduct(_weyl_numerator(shape, N), _weyl_numerator(EMPTY, N))
 
 
 def finite_N_oracle(knot, lam, mu, N):
@@ -244,17 +246,18 @@ def finite_N_oracle(knot, lam, mu, N):
     Fully finite computation: the rank-N Adams expansion (character route),
     concrete eigenvalue exponents, and direct Weyl-product dimensions.
     Shares no code with the symbolic engine's expansion, eigenvalue, or
-    dimension steps.  Every bracket is a constant [m], so `bracket_sum` adds
-    the twisted terms q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta)
-    over (q, a) with a-exponent 0, and a is dropped from the (q,) result.
+    dimension steps.  The term q^{theta(nu) r/s - theta(zeta) rs} c *
+    qdim(nu)/qdim(zeta) is a row over the Weyl numerators of nu and zeta, the
+    shared Weyl denominator never built.  Its brackets are constants [m] with
+    a-exponent 0, so a is dropped from the (q,) result of `bracket_sum`.
     """
     r, s = knot.r, knot.s
     power = Fraction(r, s)
     zeta = compose_at_N(lam, mu, N)
     lead = -_theta_exponent_at_rank(zeta, N) * r * s
-    zeta_dim = qdim_at_rank(zeta, N)
-    terms = []
+    zeta_num = _weyl_numerator(zeta, N)
+    rows = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
         mono = Laurent(("q", "a"), {(_theta_exponent_at_rank(nu, N) * power + lead, 0): coeff})
-        terms.append((mono, qdim_at_rank(nu, N) / zeta_dim))
-    return bracket_sum(terms).substitute({"a": (1, {})})
+        rows.append((mono, _weyl_numerator(nu, N), zeta_num))
+    return bracket_sum(rows).substitute({"a": (1, {})})

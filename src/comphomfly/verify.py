@@ -392,7 +392,6 @@ def check_hm_bridge():
     adjoint trefoil, under v = a^{-1/2} and z = q^{1/2} - q^{-1/2} and an a^5
     shift, equals the engine output exactly."""
     cid = "hm-bridge:3_2"
-    half = Fraction(1, 2)
 
     def vpow(k):
         return Laurent.monomial(QA, 1, a=-Fraction(k, 2))

@@ -247,8 +247,7 @@ from fractions import Fraction
 from comphomfly import cli, macdonald, rosso, symfunc
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
-    Bracket, BracketProduct, InexactDivisionError, IntegralityError, SymExponent,
-    exact_divide, parse_expr,
+    Bracket, InexactDivisionError, IntegralityError, SymExponent, exact_divide, parse_expr,
 )
 
 assert not __debug__, "must run under python -O"
@@ -257,11 +256,18 @@ try:
     sys.exit("inexact division passed")
 except InexactDivisionError:
     pass
-# every bracket division runs through bracket_sum; 1/[2] is no polynomial
+# every bracket division runs through bracket_sum; 1/[2] is no polynomial,
+# and a row must be balanced for its unit brackets to cancel
+one = parse_expr("1", ("q", "a"))
 try:
-    rosso.bracket_sum([(parse_expr("1", ("q", "a")), BracketProduct([], [Bracket(0, 2)]))])
+    rosso.bracket_sum([(one, [Bracket(0, 1)], [Bracket(0, 2)])])
     sys.exit("inexact bracket sum passed")
 except InexactDivisionError:
+    pass
+try:
+    rosso.bracket_sum([(one, [], [Bracket(0, 2)])])
+    sys.exit("unbalanced bracket row passed")
+except ValueError:
     pass
 # with c_lam = 1 the solve must divide (1+q)(1-t) by 1-qt for P_[2]
 macdonald._integral_constant = lambda lam: macdonald.Laurent.one(macdonald.QT)
@@ -399,6 +405,20 @@ def test_ladder_term_files_match_recorded_checksums(capsys):
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == recorded["compute T(%s) [%s]" % (knot, color)], (knot, color)
+
+
+def test_term_files_beyond_the_ladder_match_recorded_checksums(capsys):
+    # larger colors than the ladder's, with more common brackets and with
+    # rows whose unit brackets [1] do not cancel
+    for knot, color, lines, recorded in [
+        ("4,3", "2,1|2,1", 874, "691e246fa9bcc8a25dd0edb43b5e30b1793554ddf8583dbfcd1872e18104b85c"),
+        ("5,3", "2,2|2,1", 1688, "ca99c5f0e56c5ff30b4f6f26d5f8f962db83b9704d4060096aa796a5cd5fe80d"),
+    ]:
+        code, out, _ = run(
+            capsys, "compute", "--knot", knot, "--color", color, "--format", "term-file"
+        )
+        assert code == 0 and out.count("\n") == lines, (knot, color)
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded, (knot, color)
 
 
 EXPAND_COLORS = ("2,1|2,1", "2,2|2", "3,1|2,1", "2,2|2,2")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,15 @@ def test_construction_canonical():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_construction_refuses_rows_that_are_not_ints():
+    # coercion would keep a zero row (0.5 -> 0), unequal to EMPTY, or
+    # silently shorten one (2.7 -> 2)
+    for rows in ((0.5,), (2.7, 1), (Fraction(3), 1), ("2",), (2, 1.0)):
+        with pytest.raises(TypeError):
+            Partition(rows)
+    assert Partition(r for r in (2, 0, 1)) == (2, 1)
 
 
 def test_text_round_trip():

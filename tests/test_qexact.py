@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -329,25 +330,18 @@ def test_bracket_by_bracket_division():
 
 
 def stepwise_sum(terms):
-    """Reference bracket sum over (piece, BracketProduct) pairs: [b] is
-    bracket_numerator(b) over the unit bracket's, every piece is multiplied
-    one binomial at a time by its numerators and by the part of the common
-    denominator its own lacks, and the total is divided by that common
-    denominator one binomial at a time."""
-    fractions = [
-        (
-            piece,
-            [*dim.num] + [UNIT_BRACKET] * len(dim.den),
-            Counter(dim.den) + Counter({UNIT_BRACKET: len(dim.num)}),
-        )
-        for piece, dim in terms
-    ]
+    """Reference bracket sum over (piece, num, den) rows: [b] is
+    bracket_numerator(b) over the unit bracket's, which cancels in a row of
+    equally long num and den; every piece is multiplied one binomial at a
+    time by its numerators and by the part of the common denominator its
+    own den lacks, and the total is divided by that common denominator one
+    binomial at a time."""
     common = Counter()
-    for _, _, den in fractions:
-        common |= den
+    for _, _, den in terms:
+        common |= Counter(den)
     total = Laurent.zero(QA)
-    for piece, num, den in fractions:
-        for b in num + [*(common - den).elements()]:
+    for piece, num, den in terms:
+        for b in [*num, *(common - Counter(den)).elements()]:
             piece = piece * bracket_numerator(b)
         total = total + piece
     for b in common.elements():
@@ -359,12 +353,13 @@ KERNEL_BRACKETS = [Bracket(0, v) for v in range(1, 5)] + [Bracket(1, v) for v in
 
 
 def random_bracket_sum(rng):
-    """(piece, BracketProduct) pairs of one bracket sum.  Each of up to two
-    groups splits target * prod(its den) into two pieces over that den, so
-    no single term is a polynomial and the dens of the sum differ; the
-    other terms carry brackets in their numerators only, over a piece with
-    one unit-bracket binomial per bracket; zero pieces and an empty term
-    list occur too.  The sum is exact unless `loose`."""
+    """(piece, num, den) rows of one bracket sum, num and den padded to one
+    length with unit brackets [1].  Each of up to two groups splits target *
+    prod(its den) into two pieces over that den, so no single term is a
+    polynomial and the dens of the sum differ; the other terms carry
+    brackets in their numerators only, over a piece with one unit-bracket
+    binomial per bracket; zero pieces and an empty term list occur too.  The
+    sum is exact unless `loose`."""
     loose = rng.random() < 0.2
     unit = bracket_numerator(UNIT_BRACKET)
     terms = []
@@ -378,13 +373,13 @@ def random_bracket_sum(rng):
         cut = rng.randint(0, len(keys))
         for part in (keys[:cut], keys[cut:]):
             piece = Laurent(QA, {k: numerator.terms[k] for k in part}, numerator.den)
-            terms.append((piece, BracketProduct([], den)))
+            terms.append((piece, [UNIT_BRACKET] * len(den), den))
     for _ in range(rng.randint(0, 3)):
         num = rng.choices(KERNEL_BRACKETS, k=rng.randint(0, 3))
         piece = random_laurent(rng, terms=rng.randint(0, 3))
         if not loose:
             piece = piece * unit ** len(num)
-        terms.append((piece, BracketProduct(num, [])))
+        terms.append((piece, num, [UNIT_BRACKET] * len(num)))
     rng.shuffle(terms)
     return terms
 
@@ -397,8 +392,8 @@ def test_packed_bracket_sum_matches_stepwise():
     dens, exact, mixed = set(), 0, 0
     for _ in range(300):
         terms = random_bracket_sum(rng)
-        dens.update(piece.den for piece, _ in terms if piece)
-        mixed += len({dim.den for _, dim in terms if dim.den}) > 1
+        dens.update(piece.den for piece, _, _ in terms if piece)
+        mixed += len({BracketProduct(num, den).den for _, num, den in terms} - {()}) > 1
         try:
             want = stepwise_sum(terms)
         except InexactDivisionError:
@@ -415,13 +410,13 @@ def test_packed_second_width():
     # quotients overflow it and pass only at the second width
     one = Laurent.one(QA)
     # [100]/[1] has 100 unit coefficients: 100 * 2 is not below 2^7
-    terms = [(one, BracketProduct([Bracket(0, 100)], []))]
+    terms = [(one, [Bracket(0, 100)], [UNIT_BRACKET])]
     want = stepwise_sum(terms)
     assert len(want.terms) == 100 and bracket_sum(terms) == want
     # the dimension of [2|2,1] at N = 6, [4][5][6][7][9]/[2][3], has
     # coefficient sum 1,260, and 1,260 * 2^5 is not below 2^15
     brackets = [Bracket(0, v) for v in (4, 5, 6, 7, 9)]
-    terms = [(one, BracketProduct(brackets, [Bracket(0, 2), Bracket(0, 3)]))]
+    terms = [(one, brackets, [Bracket(0, 2), Bracket(0, 3)] + [UNIT_BRACKET] * 3)]
     want = stepwise_sum(terms)
     assert sum(map(abs, want.terms.values())) == 1260 and bracket_sum(terms) == want
 
@@ -430,7 +425,7 @@ def test_packed_remainder_raises():
     # 1/[2] is no polynomial: divmod leaves a remainder at every width, and
     # the error carries no remainder polynomial
     with pytest.raises(InexactDivisionError) as err:
-        bracket_sum([(Laurent.one(QA), BracketProduct([], [Bracket(0, 2)]))])
+        bracket_sum([(Laurent.one(QA), [UNIT_BRACKET], [Bracket(0, 2)])])
     assert err.value.remainder is None
 
 
@@ -441,7 +436,26 @@ def test_packed_q_window_raises():
     # below the q-window, shows the sum inexact
     piece = Laurent.monomial(QA, 1, q=Fraction(1, 2)) - Laurent.one(QA)
     with pytest.raises(InexactDivisionError):
-        bracket_sum([(piece, BracketProduct([], [Bracket(1, -1)]))])
+        bracket_sum([(piece, [UNIT_BRACKET], [Bracket(1, -1)])])
+
+
+def test_bracket_sum_refuses_malformed_rows():
+    # a row is balanced, [1]s included, and holds only Brackets with a
+    # positive leading part; the unit brackets cancel only in such a row
+    one = Laurent.one(QA)
+    for num, den in (([], [Bracket(0, 2)]), ([Bracket(1, 0)], [])):
+        with pytest.raises(ValueError, match="bracket row of"):
+            bracket_sum([(one, num, den)])
+    for bad in (Bracket(0, 0), Bracket(0, -2), Bracket(-1, 1)):
+        with pytest.raises(ValueError, match="positive leading part"):
+            bracket_sum([(one, [bad], [UNIT_BRACKET])])
+        with pytest.raises(ValueError, match="positive leading part"):
+            bracket_sum([(one, [UNIT_BRACKET], [bad])])
+    with pytest.raises(TypeError):
+        bracket_sum([(one, [(0, 3)], [UNIT_BRACKET])])
+    # the same brackets balanced by [1]s are summed: [2][3]/[1]^2
+    row = (one, [Bracket(0, 2), Bracket(0, 3)], [UNIT_BRACKET] * 2)
+    assert bracket_sum([row]) == stepwise_sum([row])
 
 
 def test_bracket_product_canonical_form():
@@ -461,15 +475,17 @@ def test_bracket_product_canonical_form():
     for num, den in (([(0, 3)], []), ([], [(1, -1)])):
         with pytest.raises(TypeError):
             BracketProduct(num, den)
-    assert BracketProduct.one().render() == "1"
+    assert BracketProduct().render() == "1"
     assert bp.render() == "[N+1]/[N-1]"
-    other = BracketProduct(num=[Bracket(1, -1)], den=[Bracket(0, 3)])
-    ratio = bp / other
+    # sorted, with repeats as powers; equal and equally hashed in any order
+    ratio = BracketProduct(
+        [Bracket(1, 1), Bracket(0, 3), Bracket(1, -1)], [Bracket(1, -1)] * 3
+    )
     assert ratio.num == (Bracket(0, 3), Bracket(1, 1))
     assert ratio.den == (Bracket(1, -1),) * 2
     assert ratio.render() == "[3][N+1]/[N-1]^2"
-    assert ratio * other == bp
-    assert hash(ratio * other) == hash(bp)
+    same = BracketProduct([Bracket(1, 1), Bracket(0, 3)], [Bracket(1, -1)] * 2)
+    assert same == ratio and hash(same) == hash(ratio)
 
 
 def test_serialization_round_trip():
@@ -491,6 +507,19 @@ def test_serialization_checksum_detects_damage():
     lines[-1] = lines[-1].replace("2", "3", 1) if "2" in lines[-1] else lines[-1] + "9"
     with pytest.raises(ValueError, match="checksum"):
         loads_poly("\n".join(lines))
+
+
+def test_repeated_exponents_and_zero_coefficients_are_refused():
+    # dumps_poly writes neither; the checksum cannot catch a line written
+    # twice, as the checksum is taken over the damaged body
+    text = dumps_poly(parse_expr("1 + 2*q", QA), {"id": "x"})
+    head, body = text.split("\n#checksum")[0], text.splitlines()[-2:]
+    for lines in ([body[0], body[0], body[1]], [body[0], "0\t5\t0", body[1]]):
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        damaged = "%s\n#checksum sha256:%s\n%s\n" % (head, digest, "\n".join(lines))
+        with pytest.raises(ValueError, match="repeated exponents or zero coefficient"):
+            loads_poly(damaged)
+    assert loads_poly(text)[0] == parse_expr("1 + 2*q", QA)
 
 
 def test_repeated_header_is_refused():

@@ -18,6 +18,7 @@ from comphomfly.qexact import (
     InexactDivisionError,
     Laurent,
     SymExponent,
+    UNIT_BRACKET as UNIT,
     exact_divide,
     parse_expr,
 )
@@ -98,9 +99,11 @@ ONE_Q = Laurent.one(("q",))
 
 def dim_at(dim, N):
     """A bracket product at rank N, as a Laurent in q^{1/2}: each [uN + v]
-    becomes the constant bracket [uN + v], summed over (q, a), a dropped."""
-    at_rank = [[Bracket(0, b.u * N + b.v) for b in side] for side in (dim.num, dim.den)]
-    total = bracket_sum([(Laurent.one(QA), BracketProduct(*at_rank))])
+    becomes the constant bracket [uN + v], and num and den, each padded with
+    the other's count of unit brackets, are one row summed over (q, a), a
+    dropped."""
+    num, den = ([Bracket(0, b.u * N + b.v) for b in side] for side in (dim.num, dim.den))
+    total = bracket_sum([(Laurent.one(QA), num + [UNIT] * len(den), den + [UNIT] * len(num))])
     return total.substitute({"a": (1, {})})
 
 
@@ -126,9 +129,11 @@ def test_bracket_sum_matches_quantum_integers():
 def test_bracket_sum_negative_controls():
     # 1/[2] is no polynomial
     with pytest.raises(InexactDivisionError):
-        bracket_sum([(Laurent.one(QA), bp([], [(0, 2)]))])
+        bracket_sum([(Laurent.one(QA), [UNIT], [Bracket(0, 2)])])
     # exact where no single term is a polynomial: (q^{1/2} + q^{-1/2})/[2] = 1
-    halves = [(Laurent.monomial(QA, 1, q=Fraction(e, 2)), bp([], [(0, 2)])) for e in (1, -1)]
+    halves = [
+        (Laurent.monomial(QA, 1, q=Fraction(e, 2)), [UNIT], [Bracket(0, 2)]) for e in (1, -1)
+    ]
     assert bracket_sum(halves) == Laurent.one(QA)
 
 
@@ -163,8 +168,27 @@ def test_bracket_sums_use_one_division_primitive(monkeypatch):
     assert dim_at(wide, 6) == wide_at_6
 
 
+def test_hot_paths_build_no_bracket_product(monkeypatch):
+    # the engine and the oracle hand bracket_sum raw bracket lists; a
+    # BracketProduct is only the printed and compared value of a dimension
+    colors = [(TREFOIL, "1", "1"), (TREFOIL, "2,1", "2,1"), (T43, "2", "1,1")]
+    engine = [composite_homfly(knot, P(lam), P(mu)).normalized for knot, lam, mu in colors]
+    oracle = [finite_N_oracle(knot, P(lam), P(mu), 4) for knot, lam, mu in colors]
+    assert engine[0] == ADJOINT32
+
+    def refuse(*args):
+        raise AssertionError("a hot path built a BracketProduct")
+
+    monkeypatch.setattr(BracketProduct, "__init__", refuse)
+    with pytest.raises(AssertionError, match="BracketProduct"):
+        quantum_dimension(P("1"), P("1"))
+    for (knot, lam, mu), want, at_4 in zip(colors, engine, oracle):
+        assert composite_homfly(knot, P(lam), P(mu)).normalized == want
+        assert finite_N_oracle(knot, P(lam), P(mu), 4) == at_4
+
+
 def test_quantum_dimension_tables():
-    assert quantum_dimension(EMPTY, EMPTY) == BracketProduct.one()
+    assert quantum_dimension(EMPTY, EMPTY) == BracketProduct()
     assert quantum_dimension(EMPTY, P("1")) == bp([(1, 0)])
     assert quantum_dimension(EMPTY, P("2")) == bp([(1, 0), (1, 1)], [(0, 2)])
     assert quantum_dimension(EMPTY, P("1,1")) == bp([(1, -1), (1, 0)], [(0, 2)])
@@ -215,13 +239,7 @@ def test_classical_collapse_term_for_term():
         classical = classical_homfly(knot, lam)
         composite = composite_homfly(knot, EMPTY, lam)
         assert classical.normalized == composite.normalized
-        assert [
-            (t.beta, t.gamma, t.coefficient, t.twist, t.dimension)
-            for t in classical.terms
-        ] == [
-            (t.beta, t.gamma, t.coefficient, t.twist, t.dimension)
-            for t in composite.terms
-        ]
+        assert classical.terms == composite.terms
 
 
 def test_order_symmetry():
@@ -261,7 +279,7 @@ def test_normalization_identity():
             rhs = Laurent.zero(("q",))
             for t in result.terms:
                 twist = Laurent(("q",), {(t.twist.at_rank(N),): t.coefficient})
-                rhs = rhs + twist * dim_at(t.dimension, N)
+                rhs = rhs + twist * dim_at(quantum_dimension(t.beta, t.gamma), N)
             assert lhs == rhs, (lam, mu, N)
 
 

@@ -9,6 +9,7 @@ from comphomfly.qexact import Laurent, dumps_poly, loads_poly, tilde_normalize
 from comphomfly import verify
 
 P = Partition.parse
+QA = ("q", "a")
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +290,76 @@ def test_run_suite_all_deterministic(fixtures):
     assert counts["FAIL"] == 0
     with pytest.raises(KeyError):
         verify.run_suite("bogus", fixtures)
+
+
+def changed_first_coefficient(step):
+    """The change of a polynomial that maps its first stored coefficient c
+    to step(c)."""
+
+    def change(poly):
+        terms = dict(poly.terms)
+        key = next(iter(terms))
+        terms[key] = step(terms[key])
+        return Laurent(poly.vars, terms, poly.den)
+
+    return change
+
+
+NEGATED = changed_first_coefficient(lambda c: -c)
+RAISED = changed_first_coefficient(lambda c: c + 1)
+
+
+def higher_a_power(poly):
+    return poly + Laurent.monomial(poly.vars, 1, a=poly.degree("a") + 1)
+
+
+def damaged(fid, change):
+    """A mutation that replaces fixture fid's polynomial by change(poly)."""
+
+    def mutate(fixtures, monkeypatch):
+        out = dict(fixtures)
+        out[fid] = dataclasses.replace(fixtures[fid], poly=change(fixtures[fid].poly))
+        return out
+
+    return mutate
+
+
+def shifted_engine(fixtures, monkeypatch):
+    """A mutation that adds 1 to the engine's normalized output of every color."""
+    engine = verify.engine
+
+    def shifted(knot, lam, mu):
+        result = engine(knot, lam, mu)
+        return dataclasses.replace(result, normalized=result.normalized + Laurent.one(QA))
+
+    monkeypatch.setattr(verify, "engine", shifted)
+    return fixtures
+
+# check kind -> (the one suite that reads the mutated input, mutation); the
+# fixture mutations are those of the negative controls above where one exists
+MUTATIONS = {
+    "a-degree": ("evaluation", damaged("3_2:hd_1__1", higher_a_power)),
+    "canceling": ("exceptional", damaged("3_2:had", NEGATED)),
+    "color-exchange": ("duality", damaged("3_2:hd_1-1__2", NEGATED)),
+    "connection": ("connection", damaged("3_2:hd_1__1", RAISED)),
+    "exceptional": ("exceptional", damaged("3_2:had", NEGATED)),
+    "hm-bridge": ("connection", shifted_engine),
+    "oracle": ("oracle", shifted_engine),
+    "printed": ("connection", damaged("3_2:homfly_1__1", NEGATED)),
+    "q1-eval": ("evaluation", damaged("3_2:hd_0__1", RAISED)),
+    "superduality": ("duality", damaged("3_2:hd_2__1", NEGATED)),
+    "t1-eval": ("evaluation", damaged("3_2:hd_0__1", RAISED)),
+}
+
+
+def test_every_passing_check_kind_can_fail(fixtures, monkeypatch):
+    # each kind that passes on the shipped fixtures has a mutation turning
+    # at least one of its ids to FAIL; a kind missing from the table fails
+    reports = verify.run_suite("all", fixtures)
+    kinds = {r.check_id.split(":")[0] for r in reports if r.status == "PASS"}
+    assert kinds == set(MUTATIONS)
+    for kind, (suite, mutate) in MUTATIONS.items():
+        with monkeypatch.context() as patch:
+            mutated = verify.SUITES[suite](mutate(fixtures, patch))
+        failed = [r for r in mutated if r.status == "FAIL" and r.check_id.startswith(kind + ":")]
+        assert failed, kind
