@@ -2,7 +2,8 @@
 
 All data goes to stdout in deterministic order; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 engine failure (a typed arithmetic error).
+3 engine failure (a typed arithmetic error), 141 stdout closed before the
+output was written (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -179,7 +180,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

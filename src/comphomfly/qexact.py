@@ -186,33 +186,10 @@ class Laurent:
 
     # -- inspection (exponents come out as Fractions) -------------------------
 
-    def _order_key(self):
-        order = sorted(range(len(self.vars)), key=lambda i: _var_rank(self.vars[i]))
-        return lambda exps: tuple(exps[i] for i in order)
-
-    def _exponents(self, exps):
-        return tuple(Fraction(e, self.den) for e in exps)
-
     def sorted_terms(self):
-        key = self._order_key()
-        ordered = sorted(self.terms.items(), key=lambda item: key(item[0]))
-        return [(self._exponents(exps), c) for exps, c in ordered]
-
-    def leading(self):
-        """Highest term in the printed order: (exponents, coefficient)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=self._order_key())
-        return self._exponents(exps), self.terms[exps]
-
-    def exponent_range(self):
-        """Per-variable (min, max) exponent pairs."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponent range")
-        return [
-            (Fraction(lo, self.den), Fraction(hi, self.den))
-            for lo, hi in _span(self.terms)
-        ]
+        order = sorted(range(len(self.vars)), key=lambda i: _var_rank(self.vars[i]))
+        ordered = sorted(self.terms.items(), key=lambda item: [item[0][i] for i in order])
+        return [(tuple(Fraction(e, self.den) for e in exps), c) for exps, c in ordered]
 
     def degree(self, name):
         i = self.vars.index(name)

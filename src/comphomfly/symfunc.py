@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby, permutations
+from itertools import groupby
 
 from .partitions import EMPTY, Partition, conjugate, join
 from .qexact import IntegralityError
@@ -280,7 +280,6 @@ def _pk_times_beta(expansion, k):
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
 def adams_at_rank(zeta, r, max_rows):
     """Schur expansion of s_zeta(x^r) over shapes with at most max_rows rows.
 
@@ -319,92 +318,4 @@ def adams_at_rank(zeta, r, max_rows):
             raise IntegralityError("non-integer finite-rank expansion")
         beads = (b for b in range(mask.bit_length()) if mask >> b & 1)
         out[Partition([b - i for i, b in enumerate(beads)][::-1])] = c // L
-    return out
-
-
-# ---------------------------------------------------------------------------
-# monomial expansions (brute-force oracles and the Macdonald layer)
-
-
-@lru_cache(maxsize=None)
-def schur_monomials(lam, nvars):
-    """Monomial expansion of s_lam in nvars variables by tableau counting."""
-    if lam and len(lam) > nvars:
-        return {}
-    out = {}
-
-    # row-by-row semistandard filling
-    def rows_fill(i, above, acc):
-        if i > len(lam):
-            exps = [0] * nvars
-            for row_vals in acc:
-                for v in row_vals:
-                    exps[v - 1] += 1
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + 1
-            return
-        width = lam.row(i)
-
-        def cell(j, prev, vals):
-            if j > width:
-                rows_fill(i + 1, vals, acc + (vals,))
-                return
-            lo = prev
-            if above is not None and j <= len(above):
-                lo = max(lo, above[j - 1] + 1)
-            for v in range(lo, nvars + 1):
-                cell(j + 1, v, vals + (v,))
-
-        cell(1, 1, ())
-
-    rows_fill(1, None, ())
-    return out
-
-
-def monomial_to_schur(monomials, nvars):
-    """Rewrite a symmetric monomial dict over exponent tuples in Schur basis.
-
-    Greedy triangular elimination on the dominance-maximal surviving
-    monomial; exact for any symmetric integer input.
-    """
-    work = {k: v for k, v in monomials.items() if v}
-    out = {}
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("monomial_to_schur failed to terminate")
-        lead = max(work, key=lambda e: tuple(sorted(e, reverse=True)))
-        shape = Partition(sorted(lead, reverse=True))
-        coeff = work[lead]
-        out[shape] = coeff
-        for mono, c in schur_monomials(shape, nvars).items():
-            nv = work.get(mono, 0) - coeff * c
-            if nv:
-                work[mono] = nv
-            else:
-                work.pop(mono, None)
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def monomial_power_matrix(degree):
-    """m_mu in the power-sum basis: {mu: {rho: Fraction}}, mu, rho |- degree.
-
-    m_mu is rewritten in Schur functions by `monomial_to_schur` on its orbit
-    in max(degree, 1) variables, where the Schur functions of that degree
-    stay independent; each s_lam is then read through the character table,
-    s_lam = sum_rho chi^lam(rho) / z_rho p_rho.
-    """
-    nvars = max(degree, 1)
-    out = {}
-    for mu in partitions_of(degree):
-        orbit = set(permutations(mu + (0,) * (nvars - len(mu))))
-        schur = monomial_to_schur(dict.fromkeys(orbit, 1), nvars)
-        row = {}
-        for rho in partitions_of(degree):
-            c = sum(k * sym_character(lam, rho) for lam, k in schur.items())
-            if c:
-                row[rho] = Fraction(c, zclass(rho))
-        out[mu] = row
     return out

@@ -1,7 +1,10 @@
 """Small-rank Macdonald polynomials and their evaluation/duality identities.
 
-A checker layer, not a production Macdonald engine.  Polynomials are built
-as eigenfunctions of the first Macdonald q-difference operator, which is
+A checker for the tests, not a production Macdonald engine: the refined
+engine it would serve is out of scope, so no `compute`, `expand` or
+`verify` path reaches it, and it lives beside the tests rather than in the
+package.  Polynomials are built as eigenfunctions of the first Macdonald
+q-difference operator, which is
 dominance-triangular on monomial symmetric functions with polynomial
 entries; the only divisions are by eigenvalue differences.  Its matrix
 comes from the operator's alternant form (Macdonald, Symmetric Functions
@@ -31,9 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .partitions import Partition, conjugate, dual_at_N
-from .qexact import InexactDivisionError, Laurent, exact_divide
-from .symfunc import monomial_power_matrix, partitions_of, schur_monomials, zclass
+from comphomfly.partitions import Partition, conjugate, dual_at_N
+from comphomfly.qexact import InexactDivisionError, Laurent, exact_divide
+from comphomfly.symfunc import partitions_of, zclass
+
+from oracles import exponent_range, monomial_power_matrix, schur_monomials
 
 QT = ("q", "t")
 
@@ -81,12 +86,12 @@ class QTFraction:
         except InexactDivisionError:
             pass
         content = math.gcd(*num.terms.values(), *den.terms.values())
-        ranges = zip(num.exponent_range(), den.exponent_range())
+        ranges = zip(exponent_range(num), exponent_range(den))
         low = [min(a, b) for (a, _), (b, _) in ranges]
         if content > 1 or any(low):
             common = Laurent.monomial(num.vars, content, **dict(zip(num.vars, low)))
             num, den = exact_divide(num, common), exact_divide(den, common)
-        if den.leading()[1] < 0:
+        if den.sorted_terms()[-1][1] < 0:  # the highest term's coefficient
             num, den = -num, -den
         return num, den
 

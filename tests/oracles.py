@@ -1,15 +1,25 @@
-"""Finite-rank composite-character oracles for the tests.
+"""Finite-rank composite-character oracles and monomial expansions for the tests.
 
 None of this is on a path the CLI or `verify` runs.  The composite character
 expansion here scans subdiagrams and reads each LR coefficient on its own, so
 it shares no summation with `symfunc.composite_adams`, which the tests check
-against it.
+against it.  The monomial expansions are brute-force oracles for the Adams
+coefficients and the building blocks of the Macdonald checker.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from comphomfly import symfunc as sf
 from comphomfly.partitions import Partition, RankTooSmallError, conjugate, dual_at_N
+from comphomfly.symfunc import partitions_of, sym_character, zclass
+
+
+def exponent_range(p):
+    """Per-variable (min, max) exponent pairs of a nonzero Laurent polynomial."""
+    columns = zip(*(exps for exps, _ in p.sorted_terms()))
+    return [(min(col), max(col)) for col in columns]
 
 
 def reduce_columns(lam, N):
@@ -92,3 +102,91 @@ def composite_schur_at_rank(lam, mu, N):
         for key, k in schur_product_at_rank(dual_at_N(nu, N), xi, N).items():
             out[key] = out.get(key, 0) + c * k
     return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# monomial expansions (brute-force oracles and the Macdonald checker)
+
+
+@lru_cache(maxsize=None)
+def schur_monomials(lam, nvars):
+    """Monomial expansion of s_lam in nvars variables by tableau counting."""
+    if lam and len(lam) > nvars:
+        return {}
+    out = {}
+
+    # row-by-row semistandard filling
+    def rows_fill(i, above, acc):
+        if i > len(lam):
+            exps = [0] * nvars
+            for row_vals in acc:
+                for v in row_vals:
+                    exps[v - 1] += 1
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + 1
+            return
+        width = lam.row(i)
+
+        def cell(j, prev, vals):
+            if j > width:
+                rows_fill(i + 1, vals, acc + (vals,))
+                return
+            lo = prev
+            if above is not None and j <= len(above):
+                lo = max(lo, above[j - 1] + 1)
+            for v in range(lo, nvars + 1):
+                cell(j + 1, v, vals + (v,))
+
+        cell(1, 1, ())
+
+    rows_fill(1, None, ())
+    return out
+
+
+def monomial_to_schur(monomials, nvars):
+    """Rewrite a symmetric monomial dict over exponent tuples in Schur basis.
+
+    Greedy triangular elimination on the dominance-maximal surviving
+    monomial; exact for any symmetric integer input.
+    """
+    work = {k: v for k, v in monomials.items() if v}
+    out = {}
+    guard = 0
+    while work:
+        guard += 1
+        if guard > 100000:
+            raise RuntimeError("monomial_to_schur failed to terminate")
+        lead = max(work, key=lambda e: tuple(sorted(e, reverse=True)))
+        shape = Partition(sorted(lead, reverse=True))
+        coeff = work[lead]
+        out[shape] = coeff
+        for mono, c in schur_monomials(shape, nvars).items():
+            nv = work.get(mono, 0) - coeff * c
+            if nv:
+                work[mono] = nv
+            else:
+                work.pop(mono, None)
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def monomial_power_matrix(degree):
+    """m_mu in the power-sum basis: {mu: {rho: Fraction}}, mu, rho |- degree.
+
+    m_mu is rewritten in Schur functions by `monomial_to_schur` on its orbit
+    in max(degree, 1) variables, where the Schur functions of that degree
+    stay independent; each s_lam is then read through the character table,
+    s_lam = sum_rho chi^lam(rho) / z_rho p_rho.
+    """
+    nvars = max(degree, 1)
+    out = {}
+    for mu in partitions_of(degree):
+        orbit = set(permutations(mu + (0,) * (nvars - len(mu))))
+        schur = monomial_to_schur(dict.fromkeys(orbit, 1), nvars)
+        row = {}
+        for rho in partitions_of(degree):
+            c = sum(k * sym_character(lam, rho) for lam, k in schur.items())
+            if c:
+                row[rho] = Fraction(c, zclass(rho))
+        out[mu] = row
+    return out

@@ -26,11 +26,11 @@ from comphomfly.rosso import (
     composite_homfly,
     quantum_dimension,
 )
-from comphomfly import macdonald as md
 from comphomfly import symfunc as sf
 from comphomfly import verify
 
-from oracles import composite_schur_at_rank, reduce_columns
+import macdonald as md
+from oracles import composite_schur_at_rank, monomial_to_schur, reduce_columns, schur_monomials
 
 P = Partition.parse
 QA = ("q", "a")
@@ -262,11 +262,11 @@ def test_criterion_10_property_suites():
     for size in range(0, 4):
         for lam in sf.partitions_of(size):
             for r in (1, 2, 3):
-                monomials = sf.schur_monomials(lam, 4)
+                monomials = schur_monomials(lam, 4)
                 scaled = {
                     tuple(r * e for e in exps): c for exps, c in monomials.items()
                 }
-                expected = sf.monomial_to_schur(scaled, 4)
+                expected = monomial_to_schur(scaled, 4)
                 full = sf.adams_coefficients(lam, r)
                 assert {n: c for n, c in full.items() if len(n) <= 4} == expected
 

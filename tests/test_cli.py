@@ -66,24 +66,6 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# top-level definitions that only tests reach: the Macdonald checker and the
-# symmetric-function routines only it calls
-UNREACHED = {
-    "macdonald." + name
-    for name in (
-        "DualityReport", "QTFraction", "RankBoundError", "_dominates", "_eigenvalue",
-        "_integral_constant", "_mono", "_operator_matrix", "_p_coefficients",
-        "_power_norm", "_principal_value", "_restrict", "_rho_point", "duality_check",
-        "evaluation_formula", "macdonald_p", "monomial_pairing", "pairing_with_monomial",
-        "principal_specialization", "schur_restricted",
-    )
-} | {
-    "symfunc.monomial_power_matrix",
-    "symfunc.monomial_to_schur",
-    "symfunc.schur_monomials",
-}
-
-
 def identifiers(node):
     """Every name, attribute and string constant under node."""
     for n in ast.walk(node):
@@ -98,9 +80,8 @@ def identifiers(node):
 def test_package_holds_only_reachable_definitions():
     # walk from cli.main, verify's top-level definitions, __all__ and the
     # names the benchmark's tracer wraps, following every identifier to the
-    # top-level functions, classes and assignments of that name; a new
-    # definition nothing reaches fails here, and deleting one of UNREACHED
-    # must shrink the set
+    # top-level functions, classes and assignments of that name; a
+    # definition nothing reaches fails here (test-only code lives in tests/)
     import comphomfly
 
     root = pathlib.Path(cli.__file__).parents[2]
@@ -127,7 +108,7 @@ def test_package_holds_only_reachable_definitions():
             if key not in reached:
                 reached.add(key)
                 roots.extend(identifiers(node))
-    assert defs - reached == UNREACHED
+    assert sorted(defs - reached) == []
 
 
 def test_package_has_no_floats():
@@ -244,7 +225,8 @@ def test_compute_engine_failure_exit_code(capsys, monkeypatch):
 OPTIMIZED_FAILURES = """
 import sys
 from fractions import Fraction
-from comphomfly import cli, macdonald, rosso, symfunc
+import macdonald
+from comphomfly import cli, rosso, symfunc
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
     Bracket, InexactDivisionError, IntegralityError, SymExponent, exact_divide, parse_expr,
@@ -299,7 +281,8 @@ sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
 
 def test_typed_errors_survive_python_O():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    tests = str(pathlib.Path(__file__).resolve().parent)  # the Macdonald checker
+    path = filter(None, [src, tests, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_FAILURES],
@@ -312,9 +295,20 @@ def test_typed_errors_survive_python_O():
     assert "engine failure: non-integer Adams coefficient" in proc.stderr
 
 
-def test_cli_import_leaves_macdonald_unloaded():
-    # the benchmark's setup_s times `import comphomfly.cli`, and no workload
-    # runs the Macdonald checker, so the CLI must not import it
+PACKAGE_MODULES = {
+    "comphomfly",
+    "comphomfly.cli",
+    "comphomfly.partitions",
+    "comphomfly.qexact",
+    "comphomfly.rosso",
+    "comphomfly.symfunc",
+    "comphomfly.verify",
+}
+
+
+def test_cli_import_loads_exactly_the_package_modules():
+    # the benchmark's setup_s times `import comphomfly.cli`; a new module, or
+    # a test-only one moved back into the package, changes this set
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -326,8 +320,35 @@ def test_cli_import_leaves_macdonald_unloaded():
         check=True,
     )
     loaded = ast.literal_eval(proc.stdout)
-    assert "comphomfly.cli" in loaded and "comphomfly.verify" in loaded
-    assert "comphomfly.macdonald" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "comphomfly"} == PACKAGE_MODULES
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_141_quietly(buffered):
+    # a reader that stops early (`comphomfly ... | head`) is no verification
+    # failure: every command exits 128 + SIGPIPE with nothing on stderr,
+    # whether the broken pipe shows at a print or at the final flush
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (
+        ["compute", "--knot", "3,2", "--color", "1|1"],
+        ["expand", "--color", "2,1|1", "--r", "2"],
+        ["verify", "--suite", "duality"],
+    ):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "comphomfly.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b""), (argv, err)
 
 
 def test_stdout_ignores_hash_seed():

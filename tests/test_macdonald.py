@@ -7,8 +7,10 @@ import pytest
 
 from comphomfly.partitions import Partition
 from comphomfly.qexact import exact_divide, parse_expr
-from comphomfly import macdonald as md
-from comphomfly.symfunc import monomial_power_matrix, partitions_of
+from comphomfly.symfunc import partitions_of
+
+import macdonald as md
+from oracles import monomial_power_matrix
 
 P = Partition.parse
 QT = ("q", "t")

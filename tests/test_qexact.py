@@ -30,6 +30,8 @@ from comphomfly.qexact import (
     tilde_normalize,
 )
 
+from oracles import exponent_range
+
 QA = ("q", "a")
 QTA = ("q", "t", "a")
 
@@ -203,7 +205,7 @@ def reference_remainder(num, den):
     """Lowest-term elimination that rescans and copies on every step."""
     box = [
         (nl - dl, nh - dh)
-        for (nl, nh), (dl, dh) in zip(num.exponent_range(), den.exponent_range())
+        for (nl, nh), (dl, dh) in zip(exponent_range(num), exponent_range(den))
     ]
     low_exps, low_coeff = lowest(den)
     rem = num

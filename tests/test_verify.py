@@ -363,3 +363,15 @@ def test_every_passing_check_kind_can_fail(fixtures, monkeypatch):
             mutated = verify.SUITES[suite](mutate(fixtures, patch))
         failed = [r for r in mutated if r.status == "FAIL" and r.check_id.startswith(kind + ":")]
         assert failed, kind
+
+
+def test_each_connection_and_printed_id_fails_on_its_own_fixture(fixtures, monkeypatch):
+    # per id, not per kind: raising one coefficient of a fixture turns
+    # exactly that fixture's check to FAIL and leaves every other id passing
+    table = [("connection", fid) for fid, _ in verify.CONNECTION_TABLE]
+    table += [("printed", fid) for fid in verify.PRINTED_HOMFLY_IDS]
+    assert len(table) == 14
+    for kind, fid in table:
+        mutated = verify.suite_connection(damaged(fid, RAISED)(fixtures, monkeypatch))
+        failed = [r.check_id for r in mutated if r.status == "FAIL"]
+        assert failed == ["%s:%s" % (kind, fid)], (fid, failed)
