@@ -743,12 +743,16 @@ def loads_poly(text):
         if len(cells) != len(vars) + 1:
             raise ValueError("bad term line: %r" % line)
         try:
-            exps = tuple(Fraction(c) for c in cells[1:])
-        except ZeroDivisionError:
-            raise ValueError("bad term line: %r" % line) from None
-        if exps in terms or not int(cells[0]):
+            exps = tuple(map(int, cells[1:]))
+        except ValueError:  # a fractional exponent, or not a number at all
+            try:
+                exps = tuple(Fraction(c) for c in cells[1:])
+            except ZeroDivisionError:
+                raise ValueError("bad term line: %r" % line) from None
+        coeff = int(cells[0])
+        if exps in terms or not coeff:
             raise ValueError("repeated exponents or zero coefficient: %r" % line)
-        terms[exps] = int(cells[0])
+        terms[exps] = coeff
     if vars is None:
         raise ValueError("missing #vars header")
     del meta["vars"]

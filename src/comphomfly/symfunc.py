@@ -4,9 +4,11 @@ Littlewood-Richardson coefficients as skew rows (the LR tableaux of a skew
 shape eta/alpha counted by content, in one cache), symmetric-group
 characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
 coefficients, the composite Adams expansion that drives the torus-knot
-engine (one factored sum over skew rows), and the finite-rank Adams
-expansion of the oracle.  Everything is integer-exact.  Both border-strip
-steps run on bitmask beta-sets (`_slide`).
+engine (the product rule K applied r times to Koike's small skew shapes,
+then psi^r once: K (psi^r (x) psi^r) = (psi^r (x) psi^r) K^r, because
+p_k^perp = k d/dp_k), and the finite-rank Adams expansion of the oracle.
+Everything is integer-exact.  Both border-strip steps run on bitmask
+beta-sets (`_slide`).
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
 
-from .partitions import EMPTY, Partition, conjugate, join
+from .partitions import EMPTY, Partition, conjugate
 from .qexact import IntegralityError
 
 
@@ -155,10 +157,6 @@ def zclass(mu):
 # Adams operation (plethysm by a power sum)
 
 
-def _stretch(mu, r):
-    return Partition(sorted((r * part for part in mu), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def adams_coefficients(lam, r):
     """Schur expansion of s_lam with every variable raised to the r-th power.
@@ -178,7 +176,7 @@ def adams_coefficients(lam, r):
     for mu in partitions_of(n):
         chi = sym_character(lam, mu)
         if chi:
-            weights.append((Fraction(chi, zclass(mu)), _stretch(mu, r)))
+            weights.append((Fraction(chi, zclass(mu)), Partition(r * p for p in mu)))
     out = {}
     for nu in partitions_of(r * n):
         total = sum(w * sym_character(nu, rmu) for w, rmu in weights)
@@ -193,60 +191,50 @@ def adams_coefficients(lam, r):
 # composite characters
 
 
-def _adams_image(row, r):
-    """Schur expansion of sum c * psi^r(s_nu) over the (nu, c) of a skew row."""
-    out = {}
-    for nu, c in row:
-        for eta, a in adams_coefficients(nu, r).items():
-            out[eta] = out.get(eta, 0) + c * a
-    return {eta: v for eta, v in out.items() if v}
+def _outer(pairs, rows):
+    """The linear map sending each pair (eta, delta) to the sum of
+    w * left (x) right over the (w, left, right) of rows(eta, delta)."""
+    out = Counter()
+    for (eta, delta), c in pairs.items():
+        for w, left, right in rows(eta, delta):
+            for beta, n1 in left:
+                for gamma, n2 in right:
+                    out[beta, gamma] += w * c * n1 * n2
+    return {key: v for key, v in out.items() if v}
 
 
-def _skew_table(expansion, bound):
-    """{alpha: {beta: sum c * N^eta_{beta,alpha}}} over the (eta, c) of an
-    expansion, with alpha inside both eta and bound.
-
-    Bounding alpha per eta keeps the row cache to rows that can meet the
-    other slot: bound is the join of that slot's shapes.
-    """
-    table = {}
-    for eta, c in expansion.items():
-        for alpha in subpartitions(Partition(map(min, eta, bound))):
-            row = table.setdefault(alpha, {})
-            for beta, n in skew_row(eta, alpha):
-                row[beta] = row.get(beta, 0) + c * n
-    return table
+def _skew_pairs(pairs):
+    """One product-rule step K = sum over alpha of s_alpha^perp (x) s_alpha^perp."""
+    return _outer(pairs, lambda eta, delta: (
+        (1, skew_row(eta, alpha), skew_row(delta, alpha))
+        for alpha in subpartitions(Partition(map(min, eta, delta)))
+    ))
 
 
 def composite_adams(lam, mu, r):
     """Composite-character expansion of the r-th Adams image of s_[lam,mu].
 
-    Two identities, summed in one pass.  Koike's formula gives the composite
-    character as sum over tau of (-1)^{|tau|} s_{lam/tau}(x) s_{mu/tau'}(y),
-    with tau' the conjugate of tau; the product rule gives
-    s_eta(x) s_delta(y) = sum over alpha of s_[eta/alpha, delta/alpha].  So
-    each (tau, alpha) adds one outer product: the Adams image of s_{lam/tau}
-    skewed by alpha in the x-slot, times that of s_{mu/tau'} in the y-slot.
-    The conjugate is forced: with tau in its place the r = 1 image is not
-    s_[lam,mu] itself (tested).
+    Koike's formula writes s_[lam,mu] as the sum over tau of (-1)^{|tau|}
+    s_{lam/tau} (x) s_{mu/tau'}, tau' the conjugate of tau (tau itself breaks
+    r = 1; tested).  The product rule s_eta(x) s_delta(y) = sum over alpha
+    of s_[eta/alpha, delta/alpha] reads the keys off K = sum_alpha
+    s_alpha^perp (x) s_alpha^perp = exp(sum_k p_k^perp (x) p_k^perp / k).
+    psi^r maps p_j to p_{rj} and p_k^perp is k d/dp_k, so p_k^perp psi^r is
+    r psi^r p_{k/r}^perp when r divides k and 0 otherwise, and K (psi^r (x)
+    psi^r) = (psi^r (x) psi^r) K^r: K runs r times on the small shapes of
+    lam/tau and mu/tau', then psi^r once on each slot.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
-    acc = {}
-    for tau in subpartitions(lam):
-        right = _adams_image(skew_row(mu, conjugate(tau)), r)
-        if not right:
-            continue
-        left = _adams_image(skew_row(lam, tau), r)
-        sign = -1 if tau.size() % 2 else 1
-        rights = _skew_table(right, reduce(join, left, EMPTY))
-        for alpha, betas in _skew_table(left, reduce(join, right, EMPTY)).items():
-            gammas = rights.get(alpha, {})
-            for beta, c1 in betas.items():
-                for gamma, c2 in gammas.items():
-                    key = (beta, gamma)
-                    acc[key] = acc.get(key, 0) + sign * c1 * c2
-    return {k: v for k, v in acc.items() if v}
+    pairs = _outer({(lam, mu): 1}, lambda eta, delta: (
+        ((-1) ** tau.size(), skew_row(eta, tau), skew_row(delta, conjugate(tau)))
+        for tau in subpartitions(eta)
+    ))
+    for _ in range(r):
+        pairs = _skew_pairs(pairs)
+    return _outer(pairs, lambda beta, gamma: [
+        (1, adams_coefficients(beta, r).items(), adams_coefficients(gamma, r).items())
+    ])
 
 
 def format_expansion(expansion):

@@ -524,6 +524,29 @@ def test_repeated_exponents_and_zero_coefficients_are_refused():
     assert loads_poly(text)[0] == parse_expr("1 + 2*q", QA)
 
 
+def test_term_line_exponents_read_as_ints_or_fractions():
+    # a cell int() reads gives the value Fraction() would; the rest go to
+    # Fraction, which takes 1/2, 2/4 and 1.5 and refuses 1/0 and 0x10
+    def load(*cells):
+        return loads_poly("#vars q\n" + "".join("3\t%s\n" % c for c in cells))[0]
+
+    for cell, exp in [
+        ("1/2", Fraction(1, 2)),
+        ("2/4", Fraction(1, 2)),
+        ("1.5", Fraction(3, 2)),
+        ("-3", -3),
+        ("+3", 3),
+        ("1_0", 10),
+    ]:
+        assert load(cell) == Laurent.monomial(("q",), 3, q=exp), cell
+    for cell in ("1/0", "0x10"):
+        with pytest.raises(ValueError):
+            load(cell)
+    # an int cell and a Fraction cell of one value are one exponent
+    with pytest.raises(ValueError, match="repeated exponents"):
+        load("2", "4/2")
+
+
 def test_repeated_header_is_refused():
     text = dumps_poly(parse_expr("1 + q", QA), {"id": "x"})
     for line in ("#vars q a", "#id y", "#checksum sha256:0"):

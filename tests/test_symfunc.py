@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -287,21 +288,40 @@ def test_composite_adams_matches_six_loop_reference():
             ), (lam, mu, r)
 
 
-def test_unbalanced_color_builds_only_the_rows_it_joins():
-    # [0|3,1] at r = 4 pairs an empty slot with 16-box Adams shapes: only
-    # the rows over alpha = 0 are joined, not the 16-box shapes' whole tables
+def test_composite_adams_skews_only_the_small_shapes():
+    # the product rule runs before the Adams image, so every skew row is
+    # taken of a shape inside lam or mu, never of an Adams-image shape:
+    # [0|3,1] at r = 4 builds two rows, [3,1] and [0] over the empty shape
     sf.skew_row.cache_clear()
     expansion = sf.composite_adams(EMPTY, P("3,1"), 4)
-    assert sf.skew_row.cache_info().misses <= 100
+    assert sf.skew_row.cache_info().misses <= 10
     digest = hashlib.sha256(sf.format_expansion(expansion).encode()).hexdigest()
     assert digest == "f86fa8888d7f87302f1895e1aee347c38dacbb3329e53c5aac834967a8f0ec43"
-    # the benchmark's colors skew each shape only by the alphas inside the
-    # other slot's join: about 2,300 rows, where every alpha inside the two
-    # slots' meet would build about 19,500
+    # the benchmark's colors need 35 rows at r = 3 (skewing their 9- to
+    # 12-box Adams images took 2,320)
     sf.skew_row.cache_clear()
     for lam, mu in [("2,1", "2,1"), ("2,2", "2"), ("3,1", "2,1"), ("2,2", "2,2")]:
         sf.composite_adams(P(lam), P(mu), 3)
-    assert sf.skew_row.cache_info().misses <= 2500
+    assert sf.skew_row.cache_info().misses <= 100
+
+
+def test_composite_adams_needs_all_r_product_rule_steps(monkeypatch):
+    # negative control for K (psi^r (x) psi^r) = (psi^r (x) psi^r) K^r: with
+    # the first of the two steps skipped, r = 2 leaves the reference, which
+    # takes the Adams images first and skews them once, on every color whose
+    # two slots are both nonempty (K is the identity when one is empty)
+    step = sf._skew_pairs
+    skip = itertools.cycle([True, False])
+    monkeypatch.setattr(
+        sf, "_skew_pairs", lambda pairs: pairs if next(skip) else step(pairs)
+    )
+    differs = [
+        (lam, mu)
+        for lam, mu in SMALL_COLORS
+        if sf.composite_adams(lam, mu, 2) != reference_composite_adams(lam, mu, 2)
+    ]
+    assert differs == [(lam, mu) for lam, mu in SMALL_COLORS if lam and mu]
+    assert len(differs) == 15
 
 
 def test_format_expansion_golden():
