@@ -24,6 +24,8 @@ from .rosso import TorusKnot, composite_homfly
 from .symfunc import composite_adams, format_expansion
 from . import verify
 
+_ENGINE_ERRORS = (ResidualRankError, InexactDivisionError, IntegralityError)
+
 
 def _parse_color(args):
     if args.weight:
@@ -43,7 +45,7 @@ def cmd_compute(args):
         return 2
     try:
         result = composite_homfly(knot, lam, mu)
-    except (ResidualRankError, InexactDivisionError, IntegralityError) as err:
+    except _ENGINE_ERRORS as err:
         print("engine failure: %s" % err, file=sys.stderr)
         return 3
     if args.show_terms:
@@ -104,7 +106,11 @@ def cmd_expand(args):
     except (ValueError, KeyError) as err:
         print("argument error: %s" % err, file=sys.stderr)
         return 2
-    expansion = composite_adams(lam, mu, r)
+    try:
+        expansion = composite_adams(lam, mu, r)
+    except _ENGINE_ERRORS as err:
+        print("engine failure: %s" % err, file=sys.stderr)
+        return 3
     text = format_expansion(expansion)
     if text:
         print(text)

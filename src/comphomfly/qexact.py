@@ -195,21 +195,6 @@ class Laurent:
         i = self.vars.index(name)
         return Fraction(max(e[i] for e in self.terms), self.den)
 
-    def coefficient_of(self, name, power):
-        """Coefficient of name^power, a Laurent in the remaining variables."""
-        i = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        target = _fraction(power) * self.den
-        if target.denominator != 1:
-            return Laurent(rest)
-        target = int(target)
-        terms = {
-            exps[:i] + exps[i + 1 :]: c
-            for exps, c in self.terms.items()
-            if exps[i] == target
-        }
-        return _build(rest, terms, self.den)
-
     def has_integer_exponents(self):
         return all(e % self.den == 0 for exps in self.terms for e in exps)
 

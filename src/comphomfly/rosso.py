@@ -4,9 +4,10 @@ Assembles normalized and unnormalized HOMFLY-PT polynomials of torus knots
 from three symbolic ingredients: braiding eigenvalues with rank-dependent
 exponents, composite Adams coefficients, and stable quantum dimensions in
 factored bracket form.  A separate finite-rank code path, the stabilization
-oracle, recomputes the same invariant at a concrete rank with its own expansion,
-eigenvalues and dimensions; both add their terms with `qexact.bracket_sum`,
-the one exact route for bracket quotients, as balanced rows of raw brackets.
+oracle, recomputes the same invariant at a concrete rank with its own
+composite expansion, eigenvalues and dimensions; both take psi^r from
+`symfunc.adams_at_rank` and sum with `qexact.bracket_sum`, the one exact
+route for bracket quotients, over balanced rows of raw brackets.
 """
 
 from __future__ import annotations
@@ -243,13 +244,16 @@ def qdim_at_rank(shape, N):
 def finite_N_oracle(knot, lam, mu, N):
     """Normalized invariant of the materialized diagram at concrete rank N.
 
-    Fully finite computation: the rank-N Adams expansion (character route),
-    concrete eigenvalue exponents, and direct Weyl-product dimensions.
-    Shares no code with the symbolic engine's expansion, eigenvalue, or
-    dimension steps.  The term q^{theta(nu) r/s - theta(zeta) rs} c *
-    qdim(nu)/qdim(zeta) is a row over the Weyl numerators of nu and zeta, the
-    shared Weyl denominator never built.  Its brackets are constants [m] with
-    a-exponent 0, so a is dropped from the (q,) result of `bracket_sum`.
+    Fully finite computation: the rank-N Adams expansion of the composed
+    diagram, concrete eigenvalue exponents, and direct Weyl-product
+    dimensions.  Of the engine's steps it shares only the single-shape
+    psi^r, `adams_at_rank` (tested against `brute_force_adams` and
+    `reference_adams`); Koike's sum with K^r against the rank-N shape of
+    `compose_at_N`, the eigenvalues and the dimensions stay independent.
+    The term q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta) is a
+    row over the Weyl numerators of nu and zeta, the shared Weyl denominator
+    never built.  Its brackets are constants [m] with a-exponent 0, so a is
+    dropped from the (q,) result of `bracket_sum`.
     """
     r, s = knot.r, knot.s
     power = Fraction(r, s)

@@ -2,11 +2,11 @@
 
 Littlewood-Richardson coefficients as skew rows (the LR tableaux of a skew
 shape eta/alpha counted by content, in one cache), symmetric-group
-characters by the Murnaghan-Nakayama recursion, Adams (plethysm-by-power-sum)
-coefficients, the composite Adams expansion that drives the torus-knot
-engine (the product rule K applied r times to Koike's small skew shapes,
-then psi^r once: K (psi^r (x) psi^r) = (psi^r (x) psi^r) K^r, because
-p_k^perp = k d/dp_k), and the finite-rank Adams expansion of the oracle.
+characters by the Murnaghan-Nakayama recursion, the Adams (plethysm by a
+power sum) expansion as one Horner sum, and the composite Adams expansion
+that drives the torus-knot engine (the product rule K applied r times to
+Koike's small skew shapes, then psi^r once: K (psi^r (x) psi^r) =
+(psi^r (x) psi^r) K^r, because p_k^perp = k d/dp_k).
 Everything is integer-exact.  Both border-strip steps run on bitmask
 beta-sets (`_slide`).
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
@@ -154,40 +153,6 @@ def zclass(mu):
 
 
 # ---------------------------------------------------------------------------
-# Adams operation (plethysm by a power sum)
-
-
-@lru_cache(maxsize=None)
-def adams_coefficients(lam, r):
-    """Schur expansion of s_lam with every variable raised to the r-th power.
-
-    Coefficient of s_nu is sum over mu |- |lam| of
-    chi^lam(C_mu) * chi^nu(C_{r*mu}) / z_mu; the z_mu denominator is the
-    one that survives the sanity checks (see the project notes).
-    """
-    if r < 1:
-        raise ValueError("Adams index must be >= 1")
-    if not lam:
-        return {EMPTY: 1}
-    if r == 1:
-        return {lam: 1}
-    n = lam.size()
-    weights = []
-    for mu in partitions_of(n):
-        chi = sym_character(lam, mu)
-        if chi:
-            weights.append((Fraction(chi, zclass(mu)), Partition(r * p for p in mu)))
-    out = {}
-    for nu in partitions_of(r * n):
-        total = sum(w * sym_character(nu, rmu) for w, rmu in weights)
-        if total:
-            if total.denominator != 1:
-                raise IntegralityError("non-integer Adams coefficient")
-            out[nu] = int(total)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # composite characters
 
 
@@ -224,8 +189,6 @@ def composite_adams(lam, mu, r):
     psi^r) = (psi^r (x) psi^r) K^r: K runs r times on the small shapes of
     lam/tau and mu/tau', then psi^r once on each slot.
     """
-    if r < 1:
-        raise ValueError("Adams index must be >= 1")
     pairs = _outer({(lam, mu): 1}, lambda eta, delta: (
         ((-1) ** tau.size(), skew_row(eta, tau), skew_row(delta, conjugate(tau)))
         for tau in subpartitions(eta)
@@ -256,7 +219,7 @@ def format_expansion(expansion):
 
 
 # ---------------------------------------------------------------------------
-# finite-rank expansions (the independent route used by the oracles)
+# Adams operation (plethysm by a power sum), one Horner sum on beta-sets
 
 
 def _pk_times_beta(expansion, k):
@@ -277,8 +240,8 @@ def adams_at_rank(zeta, r, max_rows):
     the classes read smallest part first, G(prefix) = w(prefix) +
     sum_k p_{rk} G(prefix + k), applies each p_{rk} once per trie edge.  It
     runs in integers over L, the lcm of the z_mu used, so a coefficient L
-    does not divide is a hard error, not a floor.  Independent of the
-    composite-character machinery above.
+    does not divide is a hard error, not a floor.  The package's one psi^r
+    sum: the oracle takes it at its rank, `adams_coefficients` in full.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
@@ -303,7 +266,15 @@ def adams_at_rank(zeta, r, max_rows):
     out = {}
     for mask, c in horner(sorted(classes), 0).items():
         if c % L:
-            raise IntegralityError("non-integer finite-rank expansion")
+            raise IntegralityError("non-integer Adams coefficient")
         beads = (b for b in range(mask.bit_length()) if mask >> b & 1)
         out[Partition([b - i for i, b in enumerate(beads)][::-1])] = c // L
     return out
+
+
+@lru_cache(maxsize=None)
+def adams_coefficients(lam, r):
+    """Schur expansion of s_lam with every variable raised to the r-th power:
+    the finite-rank sum at r*|lam| beads, which no shape of r*|lam| boxes
+    outgrows, so nothing is dropped."""
+    return adams_at_rank(lam, r, r * lam.size())

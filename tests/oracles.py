@@ -1,10 +1,13 @@
-"""Finite-rank composite-character oracles and monomial expansions for the tests.
+"""Reference expansions, finite-rank composite-character oracles and
+monomial expansions for the tests.
 
-None of this is on a path the CLI or `verify` runs.  The composite character
-expansion here scans subdiagrams and reads each LR coefficient on its own, so
-it shares no summation with `symfunc.composite_adams`, which the tests check
-against it.  The monomial expansions are brute-force oracles for the Adams
-coefficients and the building blocks of the Macdonald checker.
+None of this is on a path the CLI or `verify` runs.  `reference_adams` is the
+character double sum over Fractions, a second route to the Adams expansion
+that `symfunc.adams_at_rank` computes as a Horner sum.  The composite
+character expansion here scans subdiagrams and reads each LR coefficient on
+its own, so it shares no summation with `symfunc.composite_adams`, which the
+tests check against it.  The monomial expansions are brute-force oracles for
+the Adams coefficients and the building blocks of the Macdonald checker.
 """
 
 from fractions import Fraction
@@ -13,6 +16,7 @@ from itertools import permutations
 
 from comphomfly import symfunc as sf
 from comphomfly.partitions import Partition, RankTooSmallError, conjugate, dual_at_N
+from comphomfly.qexact import IntegralityError
 from comphomfly.symfunc import partitions_of, sym_character, zclass
 
 
@@ -20,6 +24,29 @@ def exponent_range(p):
     """Per-variable (min, max) exponent pairs of a nonzero Laurent polynomial."""
     columns = zip(*(exps for exps, _ in p.sorted_terms()))
     return [(min(col), max(col)) for col in columns]
+
+
+@lru_cache(maxsize=None)
+def reference_adams(lam, r):
+    """Schur expansion of s_lam(x^r) by the character double sum.
+
+    Coefficient of s_nu is the sum over mu |- |lam| of
+    chi^lam(C_mu) * chi^nu(C_{r*mu}) / z_mu, in Fractions, for every
+    nu |- r|lam|; a non-integer total raises.
+    """
+    weights = []
+    for mu in partitions_of(lam.size()):
+        chi = sym_character(lam, mu)
+        if chi:
+            weights.append((Fraction(chi, zclass(mu)), Partition(r * p for p in mu)))
+    out = {}
+    for nu in partitions_of(r * lam.size()):
+        total = sum(w * sym_character(nu, rmu) for w, rmu in weights)
+        if total:
+            if total.denominator != 1:
+                raise IntegralityError("non-integer Adams coefficient")
+            out[nu] = int(total)
+    return out
 
 
 def reduce_columns(lam, N):

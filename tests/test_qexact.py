@@ -124,7 +124,6 @@ def test_float_exponents_are_refused():
     calls = [
         lambda: Laurent.monomial(QA, 1, q=0.1),
         lambda: Laurent.var(QA, "q", 0.5),
-        lambda: p.coefficient_of("q", 1.0),
         lambda: p.substitute({"a": (1, {"q": 0.5})}),
         lambda: SymExponent.make(e0=0.1),
         lambda: SymExponent.make(e1=1).scale(0.5),

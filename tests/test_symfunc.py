@@ -11,6 +11,7 @@ from oracles import (
     composite_schur_at_rank,
     reduce_columns,
     monomial_to_schur,
+    reference_adams,
     reference_character_expansion,
     schur_monomials,
     schur_product,
@@ -162,6 +163,18 @@ def test_adams_examples():
         assert sf.adams_coefficients(lam, 1) == {lam: 1}
 
 
+def test_adams_coefficients_match_the_character_double_sum():
+    # the Horner sum at full length against the Fraction double sum, on
+    # every shape of <= 6 boxes (the empty one included) and r = 1..4
+    checks = 0
+    for size in range(7):
+        for lam in sf.partitions_of(size):
+            for r in (1, 2, 3, 4):
+                assert sf.adams_coefficients(lam, r) == reference_adams(lam, r), (lam, r)
+                checks += 1
+    assert checks == 30 * 4
+
+
 def test_adams_key_sizes():
     for lam in (P("1"), P("2"), P("2,1")):
         for r in (2, 3):
@@ -288,21 +301,31 @@ def test_composite_adams_matches_six_loop_reference():
             ), (lam, mu, r)
 
 
+def _cold_caches():
+    for cached in (sf.skew_row, sf._mn, sf.adams_coefficients):
+        cached.cache_clear()
+
+
 def test_composite_adams_skews_only_the_small_shapes():
     # the product rule runs before the Adams image, so every skew row is
     # taken of a shape inside lam or mu, never of an Adams-image shape:
-    # [0|3,1] at r = 4 builds two rows, [3,1] and [0] over the empty shape
-    sf.skew_row.cache_clear()
+    # [0|3,1] at r = 4 builds two rows, [3,1] and [0] over the empty shape;
+    # and characters are evaluated only on those small shapes, 13 of them
+    # (a scan over every target shape of r|lam| boxes took 1,493)
+    _cold_caches()
     expansion = sf.composite_adams(EMPTY, P("3,1"), 4)
     assert sf.skew_row.cache_info().misses <= 10
+    assert sf._mn.cache_info().misses <= 20
     digest = hashlib.sha256(sf.format_expansion(expansion).encode()).hexdigest()
     assert digest == "f86fa8888d7f87302f1895e1aee347c38dacbb3329e53c5aac834967a8f0ec43"
-    # the benchmark's colors need 35 rows at r = 3 (skewing their 9- to
-    # 12-box Adams images took 2,320)
-    sf.skew_row.cache_clear()
+    # the benchmark's colors need 35 rows and 28 characters at r = 3
+    # (skewing their 9- to 12-box Adams images took 2,320 rows, and the
+    # target-shape scan 691 characters)
+    _cold_caches()
     for lam, mu in [("2,1", "2,1"), ("2,2", "2"), ("3,1", "2,1"), ("2,2", "2,2")]:
         sf.composite_adams(P(lam), P(mu), 3)
     assert sf.skew_row.cache_info().misses <= 100
+    assert sf._mn.cache_info().misses <= 50
 
 
 def test_composite_adams_needs_all_r_product_rule_steps(monkeypatch):
@@ -463,7 +486,7 @@ def test_adams_at_rank_truncates_adams_coefficients():
     for size in range(6):
         for zeta in sf.partitions_of(size):
             for r in (1, 2, 3):
-                full = sf.adams_coefficients(zeta, r)
+                full = reference_adams(zeta, r)
                 for N in range(max(len(zeta), 1), 7):
                     expected = {nu: c for nu, c in full.items() if len(nu) <= N}
                     assert sf.adams_at_rank(zeta, r, N) == expected, (zeta, r, N)
@@ -472,16 +495,23 @@ def test_adams_at_rank_truncates_adams_coefficients():
 
 
 def test_adams_at_rank_refuses_nonpositive_index():
+    # the one Adams routine refuses, and so does everything built on it
     for r in (0, -1):
-        with pytest.raises(ValueError, match="Adams index must be >= 1"):
-            sf.adams_at_rank(P("2,1"), r, 3)
+        for call in (
+            lambda: sf.adams_at_rank(P("2,1"), r, 3),
+            lambda: sf.adams_coefficients(P("2,1"), r),
+            lambda: sf.composite_adams(P("1"), P("2"), r),
+            lambda: sf.composite_adams(EMPTY, EMPTY, r),
+        ):
+            with pytest.raises(ValueError, match="Adams index must be >= 1"):
+                call()
 
 
 def test_adams_at_rank_at_oracle_sizes(monkeypatch):
     # the oracle's own zeta for [2,1|2,1], at the ranks it runs at
     for N in (4, 5):
         zeta = compose_at_N(P("2,1"), P("2,1"), N)
-        full = sf.adams_coefficients(zeta, 2)
+        full = reference_adams(zeta, 2)
         expected = {nu: c for nu, c in full.items() if len(nu) <= N}
         assert sf.adams_at_rank(zeta, 2, N) == expected, N
     # negative control: a wrong centralizer order on the identity class

@@ -41,7 +41,10 @@ def test_fixtures_reparse_bit_exactly(fixtures):
 
 def test_hd_fixtures_a0_tilde_normalized(fixtures):
     for fid in verify.HD_FIXTURE_IDS:
-        a0 = fixtures[fid].poly.coefficient_of("a", 0)
+        poly = fixtures[fid].poly
+        i = poly.vars.index("a")
+        a0_terms = {e[:i] + e[i + 1 :]: c for e, c in poly.terms.items() if e[i] == 0}
+        a0 = Laurent(poly.vars[:i] + poly.vars[i + 1 :], a0_terms, poly.den)
         norm, extracted = tilde_normalize(a0)
         assert not any(extracted.values()), fid
         constant = norm.terms.get(tuple([0] * len(norm.vars)))
@@ -375,3 +378,26 @@ def test_each_connection_and_printed_id_fails_on_its_own_fixture(fixtures, monke
         mutated = verify.suite_connection(damaged(fid, RAISED)(fixtures, monkeypatch))
         failed = [r.check_id for r in mutated if r.status == "FAIL"]
         assert failed == ["%s:%s" % (kind, fid)], (fid, failed)
+
+
+def test_each_exceptional_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
+    # per id: raising one coefficient of a fixture turns to FAIL exactly the
+    # ids that read it, and together the fixtures reach all 8 PASS ids
+    had32 = ["exceptional:3_2:had:%s" % tag for tag in ("A1", "A2", "E7", "E8")]
+    had43 = ["exceptional:4_3:had:%s" % tag for tag in ("A1", "A2")]
+    table = {
+        "3_2:jd_e8": ["exceptional:3_2:had:E8"],
+        "3_2:jd_e7": ["exceptional:3_2:had:E7"],
+        "3_2:hd_1__1": ["exceptional:3_2:had:A2"],
+        "3_2:hd_0__2": ["exceptional:3_2:had:A1"],
+        "4_3:hd_1__1": had43,
+        "3_2:had": had32 + ["canceling:3_2:had"],
+        "4_3:had": had43 + ["canceling:4_3:had"],
+    }
+    passing = {r.check_id for r in verify.suite_exceptional(fixtures) if r.status == "PASS"}
+    assert len(passing) == 8
+    assert set().union(*table.values()) == passing
+    for fid, expected in table.items():
+        mutated = verify.suite_exceptional(damaged(fid, RAISED)(fixtures, monkeypatch))
+        failed = [r.check_id for r in mutated if r.status == "FAIL"]
+        assert failed == expected, (fid, failed)
