@@ -21,10 +21,10 @@ from .qexact import (
     dumps_poly,
 )
 from .rosso import TorusKnot, composite_homfly
-from .symfunc import composite_adams, format_expansion
+from .symfunc import AbacusError, composite_adams, format_expansion
 from . import verify
 
-_ENGINE_ERRORS = (ResidualRankError, InexactDivisionError, IntegralityError)
+_ENGINE_ERRORS = (ResidualRankError, InexactDivisionError, IntegralityError, AbacusError)
 
 
 def _parse_color(args):

@@ -420,9 +420,6 @@ class SymExponent(NamedTuple):
     def is_rank_free(self):
         return self.em1 == 0
 
-    def at_rank(self, N):
-        return self.e1 * N + self.e0 + Fraction(self.em1, N)
-
     def render(self):
         """Human form e1*N + e0 + em1/N, leaving out zero parts."""
         bits = []

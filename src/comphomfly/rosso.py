@@ -6,8 +6,9 @@ exponents, composite Adams coefficients, and stable quantum dimensions in
 factored bracket form.  A separate finite-rank code path, the stabilization
 oracle, recomputes the same invariant at a concrete rank with its own
 composite expansion, eigenvalues and dimensions; both take psi^r from
-`symfunc.adams_at_rank` and sum with `qexact.bracket_sum`, the one exact
-route for bracket quotients, over balanced rows of raw brackets.
+`symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
+r-abacus, and sum with `qexact.bracket_sum`, the one exact route for
+bracket quotients, over balanced rows of raw brackets.
 """
 
 from __future__ import annotations
@@ -152,17 +153,6 @@ class InvariantResult:
     normalized: Laurent
     terms: list = field(default_factory=list)
 
-    def diagnostics_text(self):
-        lines = [
-            "knot %s color %s|%s: %d terms" % (self.knot, self.lam, self.mu, len(self.terms))
-        ]
-        lines.extend(
-            "term %s|%s c=%d exponent %s"
-            % (t.beta, t.gamma, t.coefficient, t.twist.render())
-            for t in self.terms
-        )
-        return "\n".join(lines)
-
 
 def _assemble(knot, lam, mu, expansion, theta_color):
     """Twist each term and normalize it at the bracket level.
@@ -247,7 +237,8 @@ def finite_N_oracle(knot, lam, mu, N):
     Fully finite computation: the rank-N Adams expansion of the composed
     diagram, concrete eigenvalue exponents, and direct Weyl-product
     dimensions.  Of the engine's steps it shares only the single-shape
-    psi^r, `adams_at_rank` (tested against `brute_force_adams` and
+    psi^r, `adams_at_rank`, the r-quotient sum at N beads (tested against
+    the tests' monomial `brute_force_adams` and character double sum
     `reference_adams`); Koike's sum with K^r against the rank-N shape of
     `compose_at_N`, the eigenvalues and the dimensions stay independent.
     The term q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta) is a

@@ -1,29 +1,26 @@
 """Symmetric-function combinatorics over exact integers.
 
 Littlewood-Richardson coefficients as skew rows (the LR tableaux of a skew
-shape eta/alpha counted by content, in one cache), symmetric-group
-characters by the Murnaghan-Nakayama recursion, the Adams (plethysm by a
-power sum) expansion as one Horner sum, and the composite Adams expansion
-that drives the torus-knot engine (the product rule K applied r times to
-Koike's small skew shapes, then psi^r once: K (psi^r (x) psi^r) =
-(psi^r (x) psi^r) K^r, because p_k^perp = k d/dp_k).
-Everything is integer-exact.  Both border-strip steps run on bitmask
+shape eta/alpha counted by content, in one cache), the Adams (plethysm by
+a power sum) expansion as Littlewood's r-quotient sum of LR rows on the
+r-abacus, and the composite Adams expansion that drives the torus-knot
+engine (the product rule K applied r times to Koike's small skew shapes,
+then psi^r once: K (psi^r (x) psi^r) = (psi^r (x) psi^r) K^r, because
+p_k^perp = k d/dp_k).  Everything is integer-exact: no characters, no
+class sums and no division.  The ribbon signs are read on bitmask
 beta-sets (`_slide`).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
 
 from .partitions import EMPTY, Partition, conjugate
-from .qexact import IntegralityError
 
 
-class SizeMismatchError(ValueError):
-    """Character evaluated on a class of the wrong symmetric group."""
+class AbacusError(ArithmeticError):
+    """An r-quotient's beads did not strip back to the packed beads; a formula bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,55 +101,6 @@ def lr_coefficient(lam, mu, nu):
 
 
 # ---------------------------------------------------------------------------
-# symmetric-group characters (Murnaghan-Nakayama)
-
-
-def _slide(mask, k):
-    """Every way to move one bead of a beta-set k places onto a free slot.
-
-    A beta-set of n beads is an int whose set bits are the bead positions:
-    row i of the shape is the i-th highest position minus (n - i).  Sliding
-    a bead up k places adds a border strip of k boxes, sliding it down
-    (k < 0) removes one, and the strip's sign is (-1)^(number of beads
-    jumped).  A bead never passes position 0.  Yields (mask, sign).
-    """
-    between = (1 << abs(k) - 1) - 1  # the |k| - 1 slots a bead jumps,
-    shift = 1 if k > 0 else k + 1  # lowest of them at b + shift
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        b = low.bit_length() - 1
-        target = b + k
-        if target < 0 or mask >> target & 1:
-            continue
-        jumped = mask >> b + shift & between
-        yield mask ^ low ^ (1 << target), -1 if jumped.bit_count() & 1 else 1
-
-
-def sym_character(lam, mu):
-    """chi^lam evaluated on the conjugacy class of cycle type mu."""
-    if lam.size() != mu.size():
-        raise SizeMismatchError("|%s| != |%s|" % (lam, mu))
-    n = len(lam)
-    return _mn(sum(1 << r + n - i for i, r in enumerate(lam, 1)), mu)
-
-
-@lru_cache(maxsize=None)
-def _mn(mask, parts):
-    """Murnaghan-Nakayama on a beta-set: one border strip off per part."""
-    if not parts:
-        return 1 if mask & mask + 1 == 0 else 0  # beads packed at the bottom
-    k, rest = parts[0], parts[1:]
-    return sum(sign * _mn(new, rest) for new, sign in _slide(mask, -k))
-
-
-def zclass(mu):
-    """Centralizer order z_mu = prod_i i^{m_i} m_i!."""
-    return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
-
-
-# ---------------------------------------------------------------------------
 # composite characters
 
 
@@ -219,56 +167,80 @@ def format_expansion(expansion):
 
 
 # ---------------------------------------------------------------------------
-# Adams operation (plethysm by a power sum), one Horner sum on beta-sets
+# Adams operation (plethysm by a power sum), Littlewood's r-quotient sum
 
 
-def _pk_times_beta(expansion, k):
-    """p_k times a Schur expansion keyed on beta-sets: slide one bead up k."""
-    out = {}
-    for mask, coeff in expansion.items():
-        for new, sign in _slide(mask, k):
-            out[new] = out.get(new, 0) + sign * coeff
-    return {key: v for key, v in out.items() if v}
+def _slide(mask, k):
+    """Every way to move one bead of a beta-set k places onto a free slot.
+
+    A beta-set of n beads is an int whose set bits are the bead positions:
+    row i of the shape is the i-th highest position minus (n - i).  Sliding
+    a bead up k places adds a border strip of k boxes, sliding it down
+    (k < 0) removes one, and the strip's sign is (-1)^(number of beads
+    jumped).  A bead never passes position 0.  Yields (mask, sign).
+    """
+    between = (1 << abs(k) - 1) - 1  # the |k| - 1 slots a bead jumps,
+    shift = 1 if k > 0 else k + 1  # lowest of them at b + shift
+    rest = mask
+    while rest:  # highest bead first: a ribbon strip skips the packed beads below
+        b = rest.bit_length() - 1
+        rest ^= 1 << b
+        target = b + k
+        if target < 0 or mask >> target & 1:
+            continue
+        jumped = mask >> b + shift & between
+        yield mask ^ 1 << b ^ 1 << target, -1 if jumped.bit_count() & 1 else 1
 
 
 def adams_at_rank(zeta, r, max_rows):
     """Schur expansion of s_zeta(x^r) over shapes with at most max_rows rows.
 
-    Character route: sum over classes mu of chi^zeta(mu)/z_mu p_{r*mu} on
-    beta-sets of max_rows beads, which never hold a longer shape; border
-    strips only grow rows, so dropping those is sound.  One Horner sum over
-    the classes read smallest part first, G(prefix) = w(prefix) +
-    sum_k p_{rk} G(prefix + k), applies each p_{rk} once per trie edge.  It
-    runs in integers over L, the lcm of the z_mu used, so a coefficient L
-    does not divide is a hard error, not a floor.  The package's one psi^r
-    sum: the oracle takes it at its rank, `adams_coefficients` in full.
+    Littlewood's r-quotient sum (D. E. Littlewood, Proc. Roy. Soc. A 209,
+    1951; Lascoux-Leclerc-Thibon, J. Math. Phys. 38, 1997): the coefficient
+    of s_nu is sigma_r(nu) times the LR coefficient of zeta over the r
+    shapes of nu's r-quotient when nu's r-core is empty, and 0 otherwise.
+    On an abacus of max_rows beads, runner j holds n_j beads, as many as
+    the packed beads put there; the shapes are peeled off zeta one runner
+    at a time by skew rows, a shape with more than n_j rows is skipped
+    (its nu would be longer), and each tuple's beads sit at r*q + j.  The
+    sign strips r-ribbons until the beads are packed, which takes exactly
+    |zeta| moves, or the placement is wrong.  The package's one psi^r sum:
+    the oracle takes it at its rank, `adams_coefficients` in full.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
-    classes = []
-    for mu in partitions_of(zeta.size()):
-        chi = sym_character(zeta, mu)
-        if chi:
-            classes.append((mu[::-1], chi, zclass(mu)))
-    L = math.lcm(*(z for _, _, z in classes))
-
-    def horner(group, depth):
-        acc = {}
-        for head, sub in groupby(group, lambda c: c[0][depth : depth + 1]):
-            if head:
-                for mask, c in _pk_times_beta(horner(sub, depth + 1), r * head[0]).items():
-                    acc[mask] = acc.get(mask, 0) + c
-            else:  # the one class that ends at this prefix
-                [(_, chi, z)] = sub
-                acc[(1 << max_rows) - 1] = chi * (L // z)  # the empty shape
-        return {mask: c for mask, c in acc.items() if c}
-
+    beads = [len(range(j, max_rows, r)) for j in range(r)]
+    quotients = {((), zeta): 1}  # (shapes placed, rest of zeta) -> LR count
+    for n in beads[:-1]:
+        peeled = Counter()
+        for (shapes, rest), c in quotients.items():
+            for alpha in subpartitions(rest):
+                if len(alpha) <= n:
+                    for beta, k in skew_row(rest, alpha):
+                        peeled[shapes + (alpha,), beta] += c * k
+        quotients = peeled
+    packed = (1 << max_rows) - 1
     out = {}
-    for mask, c in horner(sorted(classes), 0).items():
-        if c % L:
-            raise IntegralityError("non-integer Adams coefficient")
-        beads = (b for b in range(mask.bit_length()) if mask >> b & 1)
-        out[Partition([b - i for i, b in enumerate(beads)][::-1])] = c // L
+    for (shapes, last), c in quotients.items():
+        if len(last) > beads[-1]:
+            continue
+        mask = key = sum(
+            1 << r * (q + n - i) + j
+            for j, (shape, n) in enumerate(zip(shapes + (last,), beads))
+            for i, q in enumerate(shape + (0,) * (n - len(shape)), 1)
+        )
+        sign = 1
+        for _ in range(zeta.size()):  # a missing ribbon zeroes the sign
+            mask, step = next(_slide(mask, -r), (mask, 0))
+            sign *= step
+        if not sign or mask != packed:
+            raise AbacusError("r-quotient beads do not strip to the packed beads")
+        rows = []
+        while key & key + 1:  # until the beads are packed at the bottom
+            b = key.bit_length() - 1
+            key ^= 1 << b
+            rows.append(b - key.bit_count())
+        out[Partition(rows)] = sign * c
     return out
 
 

@@ -1,15 +1,20 @@
-"""Reference expansions, finite-rank composite-character oracles and
-monomial expansions for the tests.
+"""Reference expansions, symmetric-group characters, finite-rank
+composite-character oracles and monomial expansions for the tests.
 
 None of this is on a path the CLI or `verify` runs.  `reference_adams` is the
 character double sum over Fractions, a second route to the Adams expansion
-that `symfunc.adams_at_rank` computes as a Horner sum.  The composite
-character expansion here scans subdiagrams and reads each LR coefficient on
-its own, so it shares no summation with `symfunc.composite_adams`, which the
-tests check against it.  The monomial expansions are brute-force oracles for
-the Adams coefficients and the building blocks of the Macdonald checker.
+that `symfunc.adams_at_rank` computes as Littlewood's r-quotient sum; the
+characters it needs (Murnaghan-Nakayama on bitmask beta-sets) live here,
+beside the chained power sums the tests check border strips with.  The
+composite character expansion here scans subdiagrams and reads each LR
+coefficient on its own, so it shares no summation with
+`symfunc.composite_adams`, which the tests check against it.  The monomial
+expansions are brute-force oracles for the Adams coefficients and the
+building blocks of the Macdonald checker.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -17,7 +22,47 @@ from itertools import permutations
 from comphomfly import symfunc as sf
 from comphomfly.partitions import Partition, RankTooSmallError, conjugate, dual_at_N
 from comphomfly.qexact import IntegralityError
-from comphomfly.symfunc import partitions_of, sym_character, zclass
+from comphomfly.symfunc import _slide, partitions_of
+
+
+class SizeMismatchError(ValueError):
+    """Character evaluated on a class of the wrong symmetric group."""
+
+
+def sym_character(lam, mu):
+    """chi^lam evaluated on the conjugacy class of cycle type mu."""
+    if lam.size() != mu.size():
+        raise SizeMismatchError("|%s| != |%s|" % (lam, mu))
+    n = len(lam)
+    return _mn(sum(1 << r + n - i for i, r in enumerate(lam, 1)), mu)
+
+
+@lru_cache(maxsize=None)
+def _mn(mask, parts):
+    """Murnaghan-Nakayama on a beta-set: one border strip off per part."""
+    if not parts:
+        return 1 if mask & mask + 1 == 0 else 0  # beads packed at the bottom
+    k, rest = parts[0], parts[1:]
+    return sum(sign * _mn(new, rest) for new, sign in _slide(mask, -k))
+
+
+def zclass(mu):
+    """Centralizer order z_mu = prod_i i^{m_i} m_i!."""
+    return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
+
+
+def pk_times_beta(expansion, k):
+    """p_k times a Schur expansion keyed on beta-sets: slide one bead up k."""
+    out = {}
+    for mask, coeff in expansion.items():
+        for new, sign in _slide(mask, k):
+            out[new] = out.get(new, 0) + sign * coeff
+    return {key: v for key, v in out.items() if v}
+
+
+def exponent_at_rank(e, N):
+    """A SymExponent e1*N + e0 + em1/N evaluated at the rank N."""
+    return e.e1 * N + e.e0 + Fraction(e.em1, N)
 
 
 def exponent_range(p):

@@ -81,14 +81,16 @@ def test_package_holds_only_reachable_definitions():
     # walk from cli.main, verify's top-level definitions, __all__ and the
     # names the benchmark's tracer wraps, following every identifier to the
     # top-level functions, classes and assignments of that name; a
-    # definition nothing reaches fails here (test-only code lives in tests/)
+    # definition nothing reaches fails here (test-only code lives in tests/).
+    # A method is reached if it is a dunder or the package reads its name
+    # as an attribute somewhere.
     import comphomfly
 
     root = pathlib.Path(cli.__file__).parents[2]
     tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
     install = next(n for n in tracing.body if getattr(n, "name", None) == "install")
     roots = ["main", *comphomfly.__all__, *identifiers(install)]
-    defs, bodies = set(), {}
+    defs, bodies, methods = set(), {}, set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -102,13 +104,27 @@ def test_package_holds_only_reachable_definitions():
                 continue
             for name in names:
                 bodies.setdefault(name, []).append(("%s.%s" % (path.stem, name), node))
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    (path.stem, node.name, n.name)
+                    for n in node.body
+                    if isinstance(n, ast.FunctionDef)
+                )
     reached = set()
     while roots:
         for key, node in bodies.get(roots.pop(), ()):
             if key not in reached:
                 reached.add(key)
                 roots.extend(identifiers(node))
+    attributes = {node.attr for _, node in package_nodes() if isinstance(node, ast.Attribute)}
+    unread = [
+        "%s.%s.%s" % method
+        for method in sorted(methods)
+        if not (method[2].startswith("__") and method[2].endswith("__"))
+        and method[2] not in attributes
+    ]
     assert sorted(defs - reached) == []
+    assert unread == []
 
 
 def test_package_has_no_floats():
@@ -267,17 +283,20 @@ try:
     sys.exit("fractional normalized exponents passed")
 except IntegralityError:
     pass
-true_zclass = symfunc.zclass
-symfunc.zclass = lambda mu: true_zclass(mu) + 1
+# a skew row one box too big places r-quotient beads that do not strip back
+true_skew_row = symfunc.skew_row
+symfunc.skew_row = lambda eta, alpha: tuple(
+    (Partition((beta.width + 1,) + beta[1:]), c) for beta, c in true_skew_row(eta, alpha)
+)
 try:
     rosso.finite_N_oracle(rosso.TorusKnot(3, 2), EMPTY, Partition((2,)), 3)
-    sys.exit("non-integer Adams coefficient passed")
-except IntegralityError as exc:
-    if str(exc) != "non-integer Adams coefficient":
-        sys.exit("wrong integrality error: %s" % exc)
+    sys.exit("misplaced r-quotient beads passed")
+except symfunc.AbacusError as exc:
+    if str(exc) != "r-quotient beads do not strip to the packed beads":
+        sys.exit("wrong abacus error: %s" % exc)
 code = cli.main(["expand", "--color", "0|2", "--r", "2"])
 if code != 3:
-    sys.exit("expand exited %r on a non-integer Adams coefficient" % code)
+    sys.exit("expand exited %r on misplaced r-quotient beads" % code)
 sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
 """
 
@@ -296,7 +315,8 @@ def test_typed_errors_survive_python_O():
     )
     assert proc.returncode == 3, proc.stderr
     # one line from expand, one from compute
-    assert proc.stderr.count("engine failure: non-integer Adams coefficient\n") == 2
+    message = "engine failure: r-quotient beads do not strip to the packed beads\n"
+    assert proc.stderr.count(message) == 2
 
 
 PACKAGE_MODULES = {

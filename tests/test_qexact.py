@@ -30,7 +30,7 @@ from comphomfly.qexact import (
     tilde_normalize,
 )
 
-from oracles import exponent_range
+from oracles import exponent_at_rank, exponent_range
 
 QA = ("q", "a")
 QTA = ("q", "t", "a")
@@ -268,7 +268,7 @@ def test_sym_exponent_algebra():
     assert (e + (-e)).is_rank_free()
     scaled = e.scale(-6)
     assert scaled == SymExponent.make(3, 0, -3)
-    assert e.at_rank(2) == Fraction(-3, 4)
+    assert exponent_at_rank(e, 2) == Fraction(-3, 4)
     assert not e.is_rank_free()
     assert e.render() == "-1/2*N + 1/2/N"
     assert e.render_power() == "a^(-1/2)*q^(1/2/N)"

