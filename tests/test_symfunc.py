@@ -484,19 +484,25 @@ def test_power_schur_matches_partition_strips():
 
 
 def test_adams_at_rank_truncates_adams_coefficients():
-    # every bead count from len(zeta) to one past full length, so runners
-    # hold unequal bead counts whenever r does not divide N, on every shape
-    # with r*|zeta| <= 10
+    # every shape of up to 5 boxes at r = 1..3 and 1 to 6 rows, and every
+    # bead count from len(zeta) to one past full length at r = 1..4 where
+    # r*|zeta| <= 10, so runners hold unequal bead counts whenever r does
+    # not divide N
     checks = 0
     for size in range(6):
         for zeta in sf.partitions_of(size):
-            for r in range(1, min(4, 10 // max(size, 1)) + 1):
+            for r in range(1, 5):
+                ranks = set(range(max(len(zeta), 1), 7)) if r <= 3 else set()
+                if r * size <= 10:
+                    ranks |= set(range(len(zeta), r * size + 2))
+                if not ranks:
+                    continue
                 full = reference_adams(zeta, r)
-                for N in range(len(zeta), r * size + 2):
+                for N in sorted(ranks):
                     expected = {nu: c for nu, c in full.items() if len(nu) <= N}
                     assert sf.adams_at_rank(zeta, r, N) == expected, (zeta, r, N)
                     checks += 1
-    assert checks == 269
+    assert checks == 364
 
 
 def test_adams_at_rank_refuses_nonpositive_index():

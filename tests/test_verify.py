@@ -382,13 +382,14 @@ def test_each_connection_and_printed_id_fails_on_its_own_fixture(fixtures, monke
 
 def assert_each_id_fails_on_a_fixture_it_reads(suite, change, table, fixtures, monkeypatch):
     """Per id: change(poly) on one fixture turns to FAIL exactly the ids
-    that read it, and together the fixtures reach every PASS id of suite."""
+    that read it, in the order the suite reports them, and together the
+    fixtures reach every PASS id of suite."""
     passing = {r.check_id for r in suite(fixtures) if r.status == "PASS"}
     assert set().union(*table.values()) == passing
     for fid, expected in table.items():
         mutated = suite(damaged(fid, change)(fixtures, monkeypatch))
         failed = [r.check_id for r in mutated if r.status == "FAIL"]
-        assert sorted(failed) == sorted(expected), (fid, failed)
+        assert failed == expected, (fid, failed)
     return len(passing)
 
 
