@@ -24,8 +24,6 @@ from .qexact import (
     Laurent,
     ResidualRankError,
     SymExponent,
-    exact_divide,
-    parse_expr,
     tilde_normalize,
 )
 from .rosso import (
@@ -58,11 +56,9 @@ __all__ = [
     "compose_at_N",
     "composite_homfly",
     "conjugate",
-    "exact_divide",
     "finite_N_oracle",
     "join",
     "kappa",
-    "parse_expr",
     "quantum_dimension",
     "tilde_normalize",
 ]

@@ -6,28 +6,25 @@ exceptional-series substitutions).  A polynomial stores int exponent tuples
 over one positive denominator, which is whatever common denominator its
 operation produced, not necessarily the lowest.  The ring operations and
 exact division never touch a Fraction; Fractions appear only where exponents
-cross the boundary (term files, parsing, printing, inspection and
-substitution arguments), and a float exponent or coefficient raises
-TypeError.  Engine output uses variables (q, a), fixtures (q, t, a),
-finite-rank cross-checks (q,).  The printed term order is lexicographic on
-(a-exponent, q-exponent, t-exponent), which makes every printed or
-serialized form deterministic; the ring operations and exact division never
-consult it.  `parse_expr` reads Python expression syntax with `^` for power,
-fractional exponents in parentheses (q^(-1/2)) and `/` as exact division.
-A sum of bracket quotients, the engine's hot path, has one exact route,
-`bracket_sum`: one packed integer and one divmod, with no `exact_divide`.
+cross the boundary (term files, printing, inspection and substitution
+arguments), and a float exponent or coefficient raises TypeError.  Engine
+output uses variables (q, a), fixtures (q, t, a), finite-rank cross-checks
+(q,).  The printed term order is lexicographic on (a-exponent, q-exponent,
+t-exponent), which makes every printed or serialized form deterministic; the
+ring operations and exact division never consult it.  A sum of bracket
+quotients, the engine's hot path, has one exact route, `bracket_sum`: one
+packed integer and one divmod.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import heapq
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
-from operator import add, mul, sub
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -119,10 +116,6 @@ class Laurent:
             raise ValueError("unknown variables %s" % sorted(unknown))
         key = tuple(_fraction(exps.get(v, 0)) for v in vars)
         return cls(vars, {key: coeff})
-
-    @classmethod
-    def var(cls, vars, name, power=1):
-        return cls.monomial(vars, 1, **{name: _fraction(power)})
 
     # -- ring operations -----------------------------------------------------
 
@@ -376,11 +369,10 @@ def exact_divide(num, den):
 
 
 def tilde_normalize(p):
-    """Divide out the per-variable lowest monomial; return (result, extracted).
+    """p with its per-variable lowest monomial divided out.
 
-    The extracted part is a {variable: Fraction exponent} dict.  Whether
-    the result has nonnegative exponents and unit constant term is the
-    caller's claim to assert, not enforced here.
+    Whether the result has nonnegative exponents and unit constant term is
+    the caller's claim to assert, not enforced here.
     """
     if not p:
         raise ValueError("cannot tilde-normalize zero")
@@ -388,8 +380,7 @@ def tilde_normalize(p):
     terms = {
         tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()
     }
-    extracted = {v: Fraction(m, p.den) for v, m in zip(p.vars, mins)}
-    return _build(p.vars, terms, p.den), extracted
+    return _build(p.vars, terms, p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -745,77 +736,3 @@ def loads_poly(text):
             raise ValueError("checksum mismatch: file is damaged")
         meta["checksum"] = checksum
     return Laurent(vars, terms), meta
-
-
-# ---------------------------------------------------------------------------
-# expression parsing (readable expected values in tests)
-
-_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: exact_divide}
-
-
-def parse_expr(text, vars=("q", "t", "a")):
-    """Parse an explicit expression like '1 + q*t - a^2*q^(1/2)'.
-
-    Int literals, the names in `vars`, unary and binary + and -, *, `/` as
-    exact division and `^` (or `**`) for power; a bare q^1/2 reads as
-    (q^1)/2.  The text is parsed with `ast` and walked over that whitelist,
-    never evaluated; anything else raises ValueError.
-    """
-    vars = tuple(vars)
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as err:
-        raise ValueError("cannot parse %r: %s" % (text, err.msg)) from None
-
-    def walk(node):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            return _power(walk(node.left), _exponent(node.right))
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.Name):
-            if node.id not in vars:
-                raise ValueError("unknown variable %r" % node.id)
-            return Laurent.var(vars, node.id)
-        return Laurent(vars, {(0,) * len(vars): _int(node)})
-
-    return walk(tree.body)
-
-
-def _int(node):
-    """The value of an int literal node; bool, float and the rest raise."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    raise ValueError("unsupported expression %r" % ast.unparse(node))
-
-
-def _exponent(node):
-    """A power's exponent, [-]int or [-]int/int, as a Fraction."""
-    den = 1
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-        node, den = node.left, _int(node.right)
-        if not den:
-            raise ValueError("zero denominator in exponent")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return Fraction(-_int(node.operand), den)
-    return Fraction(_int(node), den)
-
-
-def _power(base, power):
-    """base^power: any base to a nonnegative int power; otherwise the base
-    must be a monomial, with coefficient 1 for a fractional power and +-1
-    for a negative one."""
-    if power.denominator == 1 and power >= 0:
-        return base ** int(power)
-    if len(base.terms) != 1:
-        kind = "negative" if power.denominator == 1 else "fractional"
-        raise ValueError("%s power of a non-monomial" % kind)
-    ((exps, coeff),) = base.terms.items()
-    if power.denominator != 1 and coeff != 1:
-        raise ValueError("fractional power of signed monomial")
-    if abs(coeff) != 1:
-        raise ValueError("negative power with non-unit coefficient")
-    sign = coeff if power.numerator % 2 else 1
-    return Laurent(base.vars, {tuple(e * power for e in exps): sign}, base.den)

@@ -10,18 +10,21 @@ composite character expansion here scans subdiagrams and reads each LR
 coefficient on its own, so it shares no summation with
 `symfunc.composite_adams`, which the tests check against it.  The monomial
 expansions are brute-force oracles for the Adams coefficients and the
-building blocks of the Macdonald checker.
+building blocks of the Macdonald checker.  `parse_expr` reads expected
+values written as expressions, with `/` as `qexact.exact_divide`.
 """
 
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import add, mul, sub
 
 from comphomfly import symfunc as sf
 from comphomfly.partitions import Partition, RankTooSmallError, conjugate, dual_at_N
-from comphomfly.qexact import IntegralityError
+from comphomfly.qexact import IntegralityError, Laurent, exact_divide
 from comphomfly.symfunc import _slide, partitions_of
 
 
@@ -77,16 +80,28 @@ def reference_adams(lam, r):
 
     Coefficient of s_nu is the sum over mu |- |lam| of
     chi^lam(C_mu) * chi^nu(C_{r*mu}) / z_mu, in Fractions, for every
-    nu |- r|lam|; a non-integer total raises.
+    nu |- r|lam|; a non-integer total raises.  Every chi^nu(C_{r*mu}) comes
+    at once from expanding p_{r*mu} on a beta-set of r|lam| packed beads
+    (Murnaghan-Nakayama), keyed on nu's beta-set of as many beads.
     """
+    n = r * lam.size()
     weights = []
     for mu in partitions_of(lam.size()):
         chi = sym_character(lam, mu)
         if chi:
-            weights.append((Fraction(chi, zclass(mu)), Partition(r * p for p in mu)))
+            weights.append((Fraction(chi, zclass(mu)), mu))
+    common = math.lcm(*(w.denominator for w, _ in weights))
+    totals = {}
+    for w, mu in weights:
+        expansion = {(1 << n) - 1: w.numerator * (common // w.denominator)}
+        for k in reversed(mu):
+            expansion = pk_times_beta(expansion, r * k)
+        for mask, c in expansion.items():
+            totals[mask] = totals.get(mask, 0) + c
     out = {}
-    for nu in partitions_of(r * lam.size()):
-        total = sum(w * sym_character(nu, rmu) for w, rmu in weights)
+    for nu in partitions_of(n):
+        mask = sum(1 << p + n - i for i, p in enumerate(nu, 1)) | (1 << n - len(nu)) - 1
+        total = Fraction(totals.get(mask, 0), common)
         if total:
             if total.denominator != 1:
                 raise IntegralityError("non-integer Adams coefficient")
@@ -262,3 +277,77 @@ def monomial_power_matrix(degree):
                 row[rho] = Fraction(c, zclass(rho))
         out[mu] = row
     return out
+
+
+# ---------------------------------------------------------------------------
+# expression parsing (readable expected values)
+
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: exact_divide}
+
+
+def parse_expr(text, vars=("q", "t", "a")):
+    """Parse an explicit expression like '1 + q*t - a^2*q^(1/2)'.
+
+    Int literals, the names in `vars`, unary and binary + and -, *, `/` as
+    exact division and `^` (or `**`) for power; a bare q^1/2 reads as
+    (q^1)/2.  The text is parsed with `ast` and walked over that whitelist,
+    never evaluated; anything else raises ValueError.
+    """
+    vars = tuple(vars)
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as err:
+        raise ValueError("cannot parse %r: %s" % (text, err.msg)) from None
+
+    def walk(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return _power(walk(node.left), _exponent(node.right))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = walk(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node, ast.Name):
+            if node.id not in vars:
+                raise ValueError("unknown variable %r" % node.id)
+            return Laurent.monomial(vars, 1, **{node.id: 1})
+        return Laurent(vars, {(0,) * len(vars): _int(node)})
+
+    return walk(tree.body)
+
+
+def _int(node):
+    """The value of an int literal node; bool, float and the rest raise."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise ValueError("unsupported expression %r" % ast.unparse(node))
+
+
+def _exponent(node):
+    """A power's exponent, [-]int or [-]int/int, as a Fraction."""
+    den = 1
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        node, den = node.left, _int(node.right)
+        if not den:
+            raise ValueError("zero denominator in exponent")
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Fraction(-_int(node.operand), den)
+    return Fraction(_int(node), den)
+
+
+def _power(base, power):
+    """base^power: any base to a nonnegative int power; otherwise the base
+    must be a monomial, with coefficient 1 for a fractional power and +-1
+    for a negative one."""
+    if power.denominator == 1 and power >= 0:
+        return base ** int(power)
+    if len(base.terms) != 1:
+        kind = "negative" if power.denominator == 1 else "fractional"
+        raise ValueError("%s power of a non-monomial" % kind)
+    ((exps, coeff),) = base.terms.items()
+    if power.denominator != 1 and coeff != 1:
+        raise ValueError("fractional power of signed monomial")
+    if abs(coeff) != 1:
+        raise ValueError("negative power with non-unit coefficient")
+    sign = coeff if power.numerator % 2 else 1
+    return Laurent(base.vars, {tuple(e * power for e in exps): sign}, base.den)

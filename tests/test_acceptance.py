@@ -18,7 +18,6 @@ from comphomfly.qexact import (
     UNIT_BRACKET,
     bracket_numerator,
     exact_divide,
-    parse_expr,
 )
 from comphomfly.rosso import (
     TorusKnot,
@@ -30,7 +29,13 @@ from comphomfly import symfunc as sf
 from comphomfly import verify
 
 import macdonald as md
-from oracles import composite_schur_at_rank, monomial_to_schur, reduce_columns, schur_monomials
+from oracles import (
+    composite_schur_at_rank,
+    monomial_to_schur,
+    parse_expr,
+    reduce_columns,
+    schur_monomials,
+)
 
 P = Partition.parse
 QA = ("q", "a")

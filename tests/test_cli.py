@@ -242,10 +242,11 @@ OPTIMIZED_FAILURES = """
 import sys
 from fractions import Fraction
 import macdonald
-from comphomfly import cli, rosso, symfunc
+from oracles import parse_expr
+from comphomfly import cli, rosso, symfunc, verify
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
-    Bracket, InexactDivisionError, IntegralityError, SymExponent, exact_divide, parse_expr,
+    Bracket, InexactDivisionError, IntegralityError, SymExponent, exact_divide,
 )
 
 assert not __debug__, "must run under python -O"
@@ -253,6 +254,14 @@ try:
     exact_divide(parse_expr("1+t^2"), parse_expr("1+t"))
     sys.exit("inexact division passed")
 except InexactDivisionError:
+    pass
+# the canceling check substitutes, which tests divisibility only over
+# integer exponents
+had = verify.Fixture("3_2:had", rosso.TorusKnot(3, 2), "", parse_expr("1 + q^(1/2)*t"), "")
+try:
+    verify.check_canceling(had, 3)
+    sys.exit("fractional canceling fixture passed")
+except verify.FixtureError:
     pass
 # every bracket division runs through bracket_sum; 1/[2] is no polynomial,
 # and a row must be balanced for its unit brackets to cancel
@@ -303,7 +312,7 @@ sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
 
 def test_typed_errors_survive_python_O():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    tests = str(pathlib.Path(__file__).resolve().parent)  # the Macdonald checker
+    tests = str(pathlib.Path(__file__).resolve().parent)  # the Macdonald checker, the parser
     path = filter(None, [src, tests, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(

@@ -6,11 +6,11 @@ from itertools import permutations
 import pytest
 
 from comphomfly.partitions import Partition
-from comphomfly.qexact import exact_divide, parse_expr
+from comphomfly.qexact import exact_divide
 from comphomfly.symfunc import partitions_of
 
 import macdonald as md
-from oracles import monomial_power_matrix
+from oracles import monomial_power_matrix, parse_expr
 
 P = Partition.parse
 QT = ("q", "t")

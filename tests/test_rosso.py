@@ -20,7 +20,6 @@ from comphomfly.qexact import (
     SymExponent,
     UNIT_BRACKET as UNIT,
     exact_divide,
-    parse_expr,
 )
 from comphomfly.rosso import (
     TorusKnot,
@@ -34,7 +33,7 @@ from comphomfly.rosso import (
 )
 from comphomfly.symfunc import partitions_of
 
-from oracles import exponent_at_rank
+from oracles import exponent_at_rank, parse_expr
 
 P = Partition.parse
 QA = ("q", "a")

@@ -1,15 +1,17 @@
 import dataclasses
 import pathlib
 import shutil
+from fractions import Fraction
 
 import pytest
 
 from comphomfly.partitions import Partition
 from comphomfly.qexact import Laurent, dumps_poly, loads_poly, tilde_normalize
-from comphomfly import verify
+from comphomfly import cli, qexact, rosso, verify
 
 P = Partition.parse
 QA = ("q", "a")
+QTA = ("q", "t", "a")
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +47,8 @@ def test_hd_fixtures_a0_tilde_normalized(fixtures):
         i = poly.vars.index("a")
         a0_terms = {e[:i] + e[i + 1 :]: c for e, c in poly.terms.items() if e[i] == 0}
         a0 = Laurent(poly.vars[:i] + poly.vars[i + 1 :], a0_terms, poly.den)
-        norm, extracted = tilde_normalize(a0)
-        assert not any(extracted.values()), fid
+        norm = tilde_normalize(a0)
+        assert norm == a0, fid
         constant = norm.terms.get(tuple([0] * len(norm.vars)))
         assert constant == 1, fid
 
@@ -248,6 +250,45 @@ def test_corrupted_fixture_file_detected(tmp_path):
         verify.load_fixtures(dst)
 
 
+CANCELING_PIVOTS = {"3_2:had": 3, "4_3:had": 7}
+INDIVISIBLE = "indivisible by 1 - q t^-1 a^6"
+
+
+def test_canceling_fails_one_step_off_the_pivot(fixtures):
+    # the value at (t=1, a=-1) does not see the pivot, so a pivot one q-power
+    # off reaches the divisibility branch; what is left at q = t a^-6 is the
+    # two pivots' difference there
+    at_root = {"q": (1, {"t": 1, "a": -6})}
+    for fid, pivot in CANCELING_PIVOTS.items():
+        had = fixtures[fid]
+        assert verify.check_canceling(had, pivot).status == "PASS", fid
+        for off in (pivot - 1, pivot + 1):
+            report = verify.check_canceling(had, off)
+            moved = Laurent.monomial(QTA, 1, q=pivot, t=-1, a=6)
+            moved = moved - Laurent.monomial(QTA, 1, q=off, t=-1, a=6)
+            assert (report.status, report.note, report.right) == ("FAIL", INDIVISIBLE, "0")
+            assert report.left == str(moved.substitute(at_root)), (fid, off)
+
+
+def test_canceling_refuses_a_fractional_exponent(fixtures, tmp_path, capsys):
+    # substitution tests divisibility only over integer exponents
+    had = fixtures["3_2:had"]
+    poly = had.poly + Laurent.monomial(QTA, 1, t=Fraction(1, 2))
+    message = "fixture 3_2:had: the canceling check needs integer exponents"
+    with pytest.raises(verify.FixtureError, match=message):
+        verify.check_canceling(dataclasses.replace(had, poly=poly), 3)
+    dst = tmp_path / "fixtures"
+    shutil.copytree(verify.fixture_root(), dst)
+    target = dst / "3_2" / "had.poly"
+    meta = loads_poly(target.read_text())[1]
+    meta.pop("checksum")
+    target.write_text(dumps_poly(poly, meta))
+    for flags, want in ((), 1), (("--strict",), 2):
+        code = cli.main(["verify", "--fixtures", str(dst), "--suite", "exceptional", *flags])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (want, "", "fixture error: %s\n" % message)
+
+
 def test_hyperpolynomial_reconstruction_from_refined_pair(fixtures):
     """Rebuild the trefoil hyperpolynomial from the two refined fixtures.
 
@@ -293,6 +334,19 @@ def test_run_suite_all_deterministic(fixtures):
     assert counts["FAIL"] == 0
     with pytest.raises(KeyError):
         verify.run_suite("bogus", fixtures)
+
+
+def test_run_suite_all_needs_no_polynomial_division(fixtures, monkeypatch):
+    # the checks divide only through the engine's bracket sums
+    expected = verify.run_suite("all", fixtures)
+
+    def refuse(num, den):
+        raise AssertionError("exact_divide called")
+
+    for module in (qexact, rosso, verify):
+        monkeypatch.setattr(module, "exact_divide", refuse)
+    verify.engine.cache_clear()  # recompute the engine's results under the patch
+    assert verify.run_suite("all", fixtures) == expected
 
 
 def changed_first_coefficient(step):
