@@ -18,7 +18,6 @@ from .partitions import (
 )
 from .qexact import (
     Bracket,
-    BracketProduct,
     InexactDivisionError,
     IntegralityError,
     Laurent,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bracket",
-    "BracketProduct",
     "CompositeDiagram",
     "InexactDivisionError",
     "IntegralityError",

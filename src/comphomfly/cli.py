@@ -19,6 +19,7 @@ from .qexact import (
     IntegralityError,
     ResidualRankError,
     dumps_poly,
+    render_quotient,
 )
 from .rosso import TorusKnot, composite_homfly
 from .symfunc import AbacusError, composite_adams, format_expansion
@@ -66,7 +67,7 @@ def cmd_compute(args):
                     gamma,
                     braiding_eigenvalue(beta, gamma).render_power(),
                     coeff,
-                    quantum_dimension(beta, gamma).render(),
+                    render_quotient(*quantum_dimension(beta, gamma)),
                 )
             )
         return 0
@@ -172,7 +173,7 @@ def build_parser():
     check.add_argument(
         "--suite",
         default="all",
-        choices=("connection", "duality", "evaluation", "exceptional", "oracle", "all"),
+        choices=(*verify.SUITES, "all"),
     )
     check.add_argument("--fixtures", help="fixture directory override")
     check.add_argument("--strict", action="store_true", help="exit 2 when fixtures are missing")

@@ -23,7 +23,6 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
 from operator import add, sub
 from typing import NamedTuple
 
@@ -155,18 +154,6 @@ class Laurent:
         return _build(self.vars, {k: c for k, c in acc.items() if c}, den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Laurent.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Laurent) or self.vars != other.vars:
@@ -369,13 +356,13 @@ def exact_divide(num, den):
 
 
 def tilde_normalize(p):
-    """p with its per-variable lowest monomial divided out.
+    """p with its per-variable lowest monomial divided out; zero stays zero.
 
     Whether the result has nonnegative exponents and unit constant term is
     the caller's claim to assert, not enforced here.
     """
     if not p:
-        raise ValueError("cannot tilde-normalize zero")
+        return p
     mins = [lo for lo, _ in _span(p.terms)]
     terms = {
         tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()
@@ -471,6 +458,25 @@ class Bracket(NamedTuple):
 
 
 UNIT_BRACKET = Bracket(0, 1)
+
+
+def render_quotient(num, den):
+    """The printed quotient of two bracket lists, as in "[3][N+1]/[N-1]^2".
+
+    Equal brackets cancel and unit brackets drop; each side is sorted, a
+    repeated bracket written as a power, and an empty numerator as 1.
+    Entries are checked as in `bracket_sum`.
+    """
+    num, den = _cancel(num, den)
+    del num[UNIT_BRACKET], den[UNIT_BRACKET]
+
+    def block(side):
+        return "".join(
+            b.render() + ("^%d" % k if k > 1 else "") for b, k in sorted(side.items())
+        )
+
+    text = block(num) or "1"
+    return text + "/" + block(den) if den else text
 
 
 def bracket_numerator(b):
@@ -610,7 +616,9 @@ def _pack(rows, k):
 
 
 def _cancel(num, den):
-    """num - den and den - num as Counters, each entry checked as BracketProduct says."""
+    """num - den and den - num as Counters.  Every entry must be a Bracket,
+    else TypeError, with a positive leading part (u > 0, or u == 0 and
+    v > 0), else ValueError."""
     for b in (*num, *den):
         if not isinstance(b, Bracket):
             raise TypeError("expected a Bracket, got %r" % (b,))
@@ -619,51 +627,6 @@ def _cancel(num, den):
             raise ValueError("bracket %s has no positive leading part" % b.render())
     num, den = Counter(num), Counter(den)
     return num - den, den - num
-
-
-class BracketProduct:
-    """A quotient of bracket multisets in canonical form, the printed and
-    compared value of a quantum dimension.
-
-    Every entry must be a Bracket, else TypeError, with a positive leading
-    part (u > 0, or u == 0 and v > 0), else ValueError, as in `bracket_sum`.
-    Construction cancels identical brackets between numerator and
-    denominator and discards unit brackets [1].
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=(), den=()):
-        num, den = _cancel(num, den)
-        del num[UNIT_BRACKET], den[UNIT_BRACKET]
-        self.num = tuple(sorted(num.elements()))
-        self.den = tuple(sorted(den.elements()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BracketProduct)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def render(self):
-        def block(brackets):
-            pieces = []
-            for b, run in groupby(brackets):
-                k = len(list(run))
-                pieces.append(b.render() + ("^%d" % k if k > 1 else ""))
-            return "".join(pieces)
-
-        text = block(self.num) or "1"
-        if self.den:
-            text += "/" + block(self.den)
-        return text
-
-    __repr__ = render
-    __str__ = render
 
 
 # ---------------------------------------------------------------------------

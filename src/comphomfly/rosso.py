@@ -27,13 +27,13 @@ from .partitions import (
 )
 from .qexact import (
     Bracket,
-    BracketProduct,
     IntegralityError,
     Laurent,
     SymExponent,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
     bracket_sum,
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
+    render_quotient,
     sym_to_qa,
 )
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
@@ -93,8 +93,9 @@ def braiding_eigenvalue(lam, mu):
     )
 
 
-def _hook_content(beta, gamma):
-    """dim[beta, gamma] as equally long, uncancelled num and den bracket lists.
+def quantum_dimension(beta, gamma):
+    """Stable quantum dimension of [beta, gamma] as equally long, uncancelled
+    num and den bracket lists, the rows `bracket_sum` reads.
 
     Three hook-content factors: gamma's dimension at rank N - len(beta), a
     bracket [N - len(beta) + j - i] over its hook for each box (i, j) of
@@ -115,11 +116,6 @@ def _hook_content(beta, gamma):
     return num, den
 
 
-def quantum_dimension(beta, gamma):
-    """Stable quantum dimension of [beta, gamma] as a canonical bracket product."""
-    return BracketProduct(*_hook_content(beta, gamma))
-
-
 @dataclass(frozen=True)
 class FactoredTerm:
     """One summand of the unnormalized expansion, kept in factored form."""
@@ -133,7 +129,7 @@ class FactoredTerm:
         return "%d * %s * %s  [%s|%s]" % (
             self.coefficient,
             self.twist.render_power(),
-            quantum_dimension(self.beta, self.gamma).render(),
+            render_quotient(*quantum_dimension(self.beta, self.gamma)),
             self.beta,
             self.gamma,
         )
@@ -164,12 +160,12 @@ def _assemble(knot, lam, mu, expansion, theta_color):
     r, s = knot.r, knot.s
     power = Fraction(r, s)  # the fractional eigenvalue power max/min
     pref = theta_color.scale(-r * s)
-    color_num, color_den = _hook_content(lam, mu)
+    color_num, color_den = quantum_dimension(lam, mu)
     terms, rows = [], []
     for (beta, gamma), coefficient in sorted(expansion.items(), reverse=True):
         twist = pref + braiding_eigenvalue(beta, gamma).scale(power)
         terms.append(FactoredTerm(beta, gamma, coefficient, twist))
-        num, den = _hook_content(beta, gamma)
+        num, den = quantum_dimension(beta, gamma)
         rows.append((sym_to_qa(twist) * coefficient, num + color_den, den + color_num))
     total = bracket_sum(rows)
     if not total.has_integer_exponents():
@@ -224,11 +220,11 @@ def _weyl_numerator(shape, N):
 
 
 def qdim_at_rank(shape, N):
-    """Quantum dimension at rank N as a bracket product of constant brackets:
-    the Weyl numerator over the Weyl denominator, cancelled on construction."""
+    """Quantum dimension at rank N as equally long, uncancelled num and den
+    lists of constant brackets: the Weyl numerator and the Weyl denominator."""
     if len(shape) > N:
         raise RankTooSmallError("%s does not fit in rank %d" % (shape, N))
-    return BracketProduct(_weyl_numerator(shape, N), _weyl_numerator(EMPTY, N))
+    return _weyl_numerator(shape, N), _weyl_numerator(EMPTY, N)
 
 
 def finite_N_oracle(knot, lam, mu, N):

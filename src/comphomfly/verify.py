@@ -110,6 +110,8 @@ def load_fixtures(root=None):
             poly, meta = loads_poly(path.read_text())
             if "knot" not in meta:
                 raise ValueError("no #knot header")
+            if not poly:
+                raise ValueError("no terms")
             knot = TorusKnot.parse(meta["knot"])
         except ValueError as err:
             raise ValueError("fixture %s: %s" % (path, err)) from None
@@ -134,8 +136,8 @@ FIXTURE_VARS = {"hd": QTA, "had": QTA, "homfly": QA, "factor": QA, "jd": ("q", "
 
 
 def get_fixture(fixtures, fid):
-    """The fixture with id fid; FixtureError if it is missing or its vars
-    are not the ones its checks read."""
+    """The fixture with id fid; FixtureError if it is missing, its vars are
+    not the ones its checks read, or an a-exponent is not an integer."""
     if fid not in fixtures:
         raise FixtureError("missing fixture %s" % fid)
     have = fixtures[fid].poly.vars
@@ -144,6 +146,10 @@ def get_fixture(fixtures, fid):
         raise FixtureError(
             "fixture %s: #vars %s, the checks read %s" % (fid, " ".join(have), " ".join(want))
         )
+    # a is substituted with a sign (a -> -a, a = -t^nu), which needs integer exponents
+    poly = fixtures[fid].poly
+    if "a" in have and any(e[have.index("a")] % poly.den for e in poly.terms):
+        raise FixtureError("fixture %s: the checks need integer a-exponents" % fid)
     return fixtures[fid]
 
 

@@ -340,7 +340,7 @@ def _power(base, power):
     must be a monomial, with coefficient 1 for a fractional power and +-1
     for a negative one."""
     if power.denominator == 1 and power >= 0:
-        return base ** int(power)
+        return math.prod([base] * int(power), start=Laurent.one(base.vars))
     if len(base.terms) != 1:
         kind = "negative" if power.denominator == 1 else "fractional"
         raise ValueError("%s power of a non-monomial" % kind)

@@ -18,6 +18,7 @@ from comphomfly.qexact import (
     UNIT_BRACKET,
     bracket_numerator,
     exact_divide,
+    render_quotient,
 )
 from comphomfly.rosso import (
     TorusKnot,
@@ -59,19 +60,17 @@ def test_criterion_1_table_reproduction():
 
     sym = SymExponent.make
 
-    def bp(num, den=()):
-        from comphomfly.qexact import BracketProduct
-
-        return BracketProduct([Bracket(*b) for b in num], [Bracket(*b) for b in den])
+    def dim(beta, gamma):
+        return render_quotient(*quantum_dimension(P(beta), P(gamma)))
 
     # single-diagram table: eigenvalues, Adams column, dimensions
     assert braiding_eigenvalue(EMPTY, P("1")) == sym(Fraction(-1, 2), 0, Fraction(1, 2))
     assert braiding_eigenvalue(EMPTY, P("2")) == sym(-1, -1, 2)
     assert braiding_eigenvalue(EMPTY, P("1,1")) == sym(-1, 1, 2)
     assert sf.adams_coefficients(P("1"), 2) == {P("2"): 1, P("1,1"): -1}
-    assert quantum_dimension(EMPTY, P("1")) == bp([(1, 0)])
-    assert quantum_dimension(EMPTY, P("2")) == bp([(1, 0), (1, 1)], [(0, 2)])
-    assert quantum_dimension(EMPTY, P("1,1")) == bp([(1, -1), (1, 0)], [(0, 2)])
+    assert dim("0", "1") == "[N]"
+    assert dim("0", "2") == "[N][N+1]/[2]"
+    assert dim("0", "1,1") == "[N-1][N]/[2]"
 
     # composite table: eigenvalues, Adams coefficients, dimensions
     assert braiding_eigenvalue(P("1"), P("1")) == sym(-1)
@@ -87,16 +86,10 @@ def test_criterion_1_table_reproduction():
         (P("1,1"), P("1,1")): 1,
         (EMPTY, EMPTY): 1,
     }
-    assert quantum_dimension(P("1"), P("1")) == bp([(1, -1), (1, 1)])
-    assert quantum_dimension(P("2"), P("2")) == bp(
-        [(1, -1), (1, 0), (1, 0), (1, 3)], [(0, 2), (0, 2)]
-    )
-    assert quantum_dimension(P("2"), P("1,1")) == bp(
-        [(1, -2), (1, -1), (1, 1), (1, 2)], [(0, 2), (0, 2)]
-    )
-    assert quantum_dimension(P("1,1"), P("1,1")) == bp(
-        [(1, -3), (1, 0), (1, 0), (1, 1)], [(0, 2), (0, 2)]
-    )
+    assert dim("1", "1") == "[N-1][N+1]"
+    assert dim("2", "2") == "[N-1][N]^2[N+3]/[2]^2"
+    assert dim("2", "1,1") == "[N-2][N-1][N+1][N+2]/[2]^2"
+    assert dim("1,1", "1,1") == "[N-3][N]^2[N+1]/[2]^2"
     _verdict("criterion-1 table reproduction", 1, started)
 
 

@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -239,7 +240,9 @@ def test_compute_engine_failure_exit_code(capsys, monkeypatch):
 
 
 OPTIMIZED_FAILURES = """
+import pathlib
 import sys
+import tempfile
 from fractions import Fraction
 import macdonald
 from oracles import parse_expr
@@ -263,6 +266,23 @@ try:
     sys.exit("fractional canceling fixture passed")
 except verify.FixtureError:
     pass
+# a fixture with no terms, or with an a-exponent that the signed
+# substitutions of a cannot take, is refused before any check runs
+half_a = verify.Fixture("3_2:had", rosso.TorusKnot(3, 2), "", parse_expr("1 + a^(1/2)"), "")
+try:
+    verify.get_fixture({half_a.id: half_a}, half_a.id)
+    sys.exit("fractional a-exponent fixture passed")
+except verify.FixtureError:
+    pass
+with tempfile.TemporaryDirectory() as root:
+    headers_only = pathlib.Path(root, "3_2", "hd_2__1.poly")
+    headers_only.parent.mkdir()
+    headers_only.write_text("#vars q t a\\n#knot 3,2\\n")
+    try:
+        verify.load_fixtures(root)
+        sys.exit("fixture with no terms passed")
+    except ValueError:
+        pass
 # every bracket division runs through bracket_sum; 1/[2] is no polynomial,
 # and a row must be balanced for its unit brackets to cancel
 one = parse_expr("1", ("q", "a"))
@@ -590,6 +610,64 @@ def test_verify_missing_fixtures(capsys, tmp_path):
         capsys, "verify", "--suite", "connection", "--fixtures", str(tmp_path)
     )
     assert code == 1
+
+
+def replace_fixture(tmp_path, name, poly=None):
+    """A copy of the fixture directory whose 3_2/<name>.poly keeps its
+    headers and holds poly, none of its terms if poly is None."""
+    from comphomfly.qexact import loads_poly
+
+    dst = tmp_path / "fixtures"
+    shutil.copytree(verify.fixture_root(), dst)
+    target = dst / "3_2" / name
+    old, meta = loads_poly(target.read_text())
+    meta.pop("checksum")
+    if poly is None:
+        text = "".join("#%s %s\n" % item for item in {"vars": " ".join(old.vars), **meta}.items())
+    else:
+        text = dumps_poly(poly(old), meta)
+    target.write_text(text)
+    return dst, target
+
+
+def test_verify_refuses_a_fixture_with_no_terms(capsys, tmp_path):
+    # a term file of headers only would reach the checks as zero
+    dst, target = replace_fixture(tmp_path, "hd_2__1.poly")
+    message = "fixture error: fixture %s: no terms\n" % target
+    for flags, want in ((), 1), (("--strict",), 2):
+        assert run(capsys, "verify", "--fixtures", str(dst), *flags) == (want, "", message)
+
+
+def test_verify_refuses_a_fractional_a_exponent(capsys, tmp_path):
+    # the exceptional checks substitute a = -t^nu before the canceling
+    # check's own integer test runs, so get_fixture refuses a^(1/2)
+    from comphomfly.qexact import Laurent
+
+    dst, _ = replace_fixture(
+        tmp_path, "had.poly", lambda had: had + Laurent.monomial(had.vars, 1, a=Fraction(1, 2))
+    )
+    message = "fixture error: fixture 3_2:had: the checks need integer a-exponents\n"
+    for flags, want in ((), 1), (("--strict",), 2):
+        assert run(capsys, "verify", "--fixtures", str(dst), *flags) == (want, "", message)
+
+
+def test_verify_fails_a_fixture_that_vanishes_at_q1(capsys, tmp_path):
+    # q - 1 is zero at q = 1, and zero tilde-normalizes to zero: a FAIL, not
+    # a traceback
+    from comphomfly.qexact import Laurent
+
+    dst, _ = replace_fixture(
+        tmp_path,
+        "hd_2__1.poly",
+        lambda old: Laurent.monomial(old.vars, 1, q=1) - Laurent.one(old.vars),
+    )
+    code, out, err = run(capsys, "verify", "--fixtures", str(dst))
+    assert code == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    at_q1 = fails.index("FAIL q1-eval:3_2:hd_2__1")
+    assert err.splitlines()[2 * at_q1] == "  left:  0"
+    assert lines[-1].startswith("SUMMARY")
 
 
 def test_verify_partial_fixtures(capsys, tmp_path):

@@ -14,12 +14,12 @@ from comphomfly.partitions import (
 )
 from comphomfly.qexact import (
     Bracket,
-    BracketProduct,
     InexactDivisionError,
     Laurent,
     SymExponent,
     UNIT_BRACKET as UNIT,
     exact_divide,
+    render_quotient,
 )
 from comphomfly.rosso import (
     TorusKnot,
@@ -91,21 +91,15 @@ def test_braiding_eigenvalue_matches_finite_rank():
             assert exponent_at_rank(theta, N) == direct, (lam, mu, N)
 
 
-def bp(num, den=()):
-    return BracketProduct([Bracket(*b) for b in num], [Bracket(*b) for b in den])
-
-
 ONE_Q = Laurent.one(("q",))
 
 
 def dim_at(dim, N):
-    """A bracket product at rank N, as a Laurent in q^{1/2}: each [uN + v]
-    becomes the constant bracket [uN + v], and num and den, each padded with
-    the other's count of unit brackets, are one row summed over (q, a), a
-    dropped."""
-    num, den = ([Bracket(0, b.u * N + b.v) for b in side] for side in (dim.num, dim.den))
-    total = bracket_sum([(Laurent.one(QA), num + [UNIT] * len(den), den + [UNIT] * len(num))])
-    return total.substitute({"a": (1, {})})
+    """A (num, den) pair of equally long bracket lists at rank N, as a
+    Laurent in q^{1/2}: each [uN + v] becomes the constant bracket [uN + v],
+    and num over den is one row summed over (q, a), a dropped."""
+    num, den = ([Bracket(0, b.u * N + b.v) for b in side] for side in dim)
+    return bracket_sum([(Laurent.one(QA), num, den)]).substitute({"a": (1, {})})
 
 
 def quantum_integer(m):
@@ -169,51 +163,49 @@ def test_bracket_sums_use_one_division_primitive(monkeypatch):
     assert dim_at(wide, 6) == wide_at_6
 
 
-def test_hot_paths_build_no_bracket_product(monkeypatch):
-    # the engine and the oracle hand bracket_sum raw bracket lists; a
-    # BracketProduct is only the printed and compared value of a dimension
+def test_hot_paths_render_no_quotient(monkeypatch):
+    # the engine and the oracle hand bracket_sum raw bracket lists;
+    # render_quotient only prints a dimension
     colors = [(TREFOIL, "1", "1"), (TREFOIL, "2,1", "2,1"), (T43, "2", "1,1")]
     engine = [composite_homfly(knot, P(lam), P(mu)).normalized for knot, lam, mu in colors]
     oracle = [finite_N_oracle(knot, P(lam), P(mu), 4) for knot, lam, mu in colors]
     assert engine[0] == ADJOINT32
 
     def refuse(*args):
-        raise AssertionError("a hot path built a BracketProduct")
+        raise AssertionError("a hot path rendered a bracket quotient")
 
-    monkeypatch.setattr(BracketProduct, "__init__", refuse)
-    with pytest.raises(AssertionError, match="BracketProduct"):
-        quantum_dimension(P("1"), P("1"))
+    for module in (qexact, rosso):
+        monkeypatch.setattr(module, "render_quotient", refuse)
+    with pytest.raises(AssertionError, match="rendered a bracket quotient"):
+        composite_homfly(TREFOIL, P("1"), P("1")).terms[0].render()
     for (knot, lam, mu), want, at_4 in zip(colors, engine, oracle):
         assert composite_homfly(knot, P(lam), P(mu)).normalized == want
         assert finite_N_oracle(knot, P(lam), P(mu), 4) == at_4
 
 
 def test_quantum_dimension_tables():
-    assert quantum_dimension(EMPTY, EMPTY) == BracketProduct()
-    assert quantum_dimension(EMPTY, P("1")) == bp([(1, 0)])
-    assert quantum_dimension(EMPTY, P("2")) == bp([(1, 0), (1, 1)], [(0, 2)])
-    assert quantum_dimension(EMPTY, P("1,1")) == bp([(1, -1), (1, 0)], [(0, 2)])
-    assert quantum_dimension(P("1"), P("1")) == bp([(1, -1), (1, 1)])
-    assert quantum_dimension(P("2"), P("2")) == bp(
-        [(1, -1), (1, 0), (1, 0), (1, 3)], [(0, 2), (0, 2)]
-    )
-    assert quantum_dimension(P("2"), P("1,1")) == bp(
-        [(1, -2), (1, -1), (1, 1), (1, 2)], [(0, 2), (0, 2)]
-    )
-    assert quantum_dimension(P("1,1"), P("1,1")) == bp(
-        [(1, -3), (1, 0), (1, 0), (1, 1)], [(0, 2), (0, 2)]
-    )
+    def dim(beta, gamma):
+        return render_quotient(*quantum_dimension(P(beta), P(gamma)))
+
+    assert dim("0", "0") == "1"
+    assert dim("0", "1") == "[N]"
+    assert dim("0", "2") == "[N][N+1]/[2]"
+    assert dim("0", "1,1") == "[N-1][N]/[2]"
+    assert dim("1", "1") == "[N-1][N+1]"
+    assert dim("2", "2") == "[N-1][N]^2[N+3]/[2]^2"
+    assert dim("2", "1,1") == "[N-2][N-1][N+1][N+2]/[2]^2"
+    assert dim("1,1", "1,1") == "[N-3][N]^2[N+1]/[2]^2"
 
 
 def test_quantum_dimension_bracket_shapes():
-    # every bracket is [N + v] or a positive constant [v], as BracketProduct
+    # every bracket is [N + v] or a positive constant [v], as bracket_sum
     # requires; checked on each (beta, gamma) with at most 3 boxes per slot
     shapes = [shape for n in range(4) for shape in partitions_of(n)]
     assert len(shapes) == 7
     for beta in shapes:
         for gamma in shapes:
-            dim = quantum_dimension(beta, gamma)
-            for b in dim.num + dim.den:
+            num, den = quantum_dimension(beta, gamma)
+            for b in num + den:
                 assert b.u in (0, 1) and (b.u or b.v > 0), (beta, gamma, b)
 
 
