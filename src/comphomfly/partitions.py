@@ -66,12 +66,6 @@ class Partition(tuple):
         """Containment of diagrams, row by row."""
         return all(self.row(i) >= r for i, r in enumerate(other, start=1))
 
-    def boxes(self):
-        """All boxes (i, j), 1-based row i and column j."""
-        for i, r in enumerate(self, start=1):
-            for j in range(1, r + 1):
-                yield (i, j)
-
     def __str__(self):
         return ",".join(map(str, self)) if self else "0"
 
@@ -95,7 +89,7 @@ def conjugate(lam):
 
 def kappa(lam):
     """Twice the content sum: sum over boxes of 2(j - i)."""
-    return sum(2 * (j - i) for i, j in lam.boxes())
+    return sum(r * (r + 1 - 2 * i) for i, r in enumerate(lam, start=1))
 
 
 def join(lam, mu):

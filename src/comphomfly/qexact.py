@@ -13,7 +13,7 @@ output uses variables (q, a), fixtures (q, t, a), finite-rank cross-checks
 t-exponent), which makes every printed or serialized form deterministic; the
 ring operations and exact division never consult it.  A sum of bracket
 quotients, the engine's hot path, has one exact route, `bracket_sum`: one
-packed integer and one divmod.
+packed integer of merged rows, divided 2-adically by one binomial at a time.
 """
 
 from __future__ import annotations
@@ -167,12 +167,13 @@ class Laurent:
     # -- inspection (exponents come out as Fractions) -------------------------
 
     def sorted_terms(self):
-        order = sorted(range(len(self.vars)), key=lambda i: _var_rank(self.vars[i]))
-        ordered = sorted(self.terms.items(), key=lambda item: [item[0][i] for i in order])
-        return [(tuple(Fraction(e, self.den) for e in exps), c) for exps, c in ordered]
+        den = self.den
+        return [(tuple(Fraction(e, den) for e in exps), c) for exps, c in _ordered(self)]
 
     def degree(self, name):
         i = self.vars.index(name)
+        if not self.terms:
+            raise ValueError("the zero polynomial has no %s-degree" % name)
         return Fraction(max(e[i] for e in self.terms), self.den)
 
     def has_integer_exponents(self):
@@ -264,6 +265,12 @@ def _fraction(x):
     if isinstance(x, float):
         raise TypeError("exponent must be an int or Fraction, got float %r" % (x,))
     return Fraction(x)
+
+
+def _ordered(p):
+    """p's int-keyed (exponents, coefficient) items in the printed term order."""
+    order = sorted(range(len(p.vars)), key=lambda i: _var_rank(p.vars[i]))
+    return sorted(p.terms.items(), key=lambda item: [item[0][i] for i in order])
 
 
 def _build(vars, terms, den):
@@ -435,7 +442,8 @@ def sym_to_qa(e):
         raise ResidualRankError(
             "exponent %s retains rank-dependent parts" % (e.render(),)
         )
-    return Laurent(("q", "a"), {(e.e0, e.e1): 1})
+    (n0, d0), (n1, d1) = e.e0.as_integer_ratio(), e.e1.as_integer_ratio()
+    return _build(("q", "a"), {(n0 * d1, n1 * d0): 1}, d0 * d1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +475,11 @@ def render_quotient(num, den):
     repeated bracket written as a power, and an empty numerator as 1.
     Entries are checked as in `bracket_sum`.
     """
-    num, den = _cancel(num, den)
-    del num[UNIT_BRACKET], den[UNIT_BRACKET]
+    _check((*num, *den))
+    count = Counter(num)
+    count.subtract(den)
+    del count[UNIT_BRACKET]
+    num, den = +count, -count
 
     def block(side):
         return "".join(
@@ -495,19 +506,24 @@ def bracket_sum(terms):
     num and den are equally long lists of Brackets with a positive leading
     part, else ValueError (TypeError for a non-Bracket).  As [b] is
     bracket_numerator(b) over the unit bracket's, a row is its num binomials
-    over its den's.  Equal brackets cancel within a row; C is the dens'
-    multiset max, P = sum(piece * num * C/den), B = prod(C), and the sum is P/B.
+    over its den's.  Equal brackets cancel within a row, rows left with
+    equal brackets merge by adding pieces, C is the merged dens' multiset
+    max, P = sum(piece * num * C/den), B = prod(C), and the sum is P/B.
 
     Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
     the grid den = lcm(2, piece dens), h = den/2, where a bracket numerator
     is the monomial a^(-uh) q^(-vh) times (a^(2uh) q^(2vh) - 1).  The keys
     and the binomials' exponents span a lattice, made unit steps; then
     a -> X^width, with width > the q-span of P and > every binomial's
-    q-steps, and X -> 2^k.  A binomial is a positive digit shift s,
-    multiplying by it is F = (F << k*s) - F, and one divmod by B(2^k) gives
-    Q, whose balanced k-bit digits come from one to_bytes.  Q is accepted
+    q-steps, and X -> 2^k.  A binomial is a positive digit shift s, and
+    multiplying by it is F = (F << k*s) - F.  Q is P(2^k) divided by each
+    binomial in turn modulo 2^n (T. Jebelean, "An algorithm for exact
+    division", 1993): 2^(k*s) - 1 is odd, with inverse -(1 + 2^(k*s))
+    (1 + 2^(2k*s))...  B(2^k) >= 2^sum(k*s - 1) puts an exact Q below
+    2^(n-2) in size, n = bitlen(P) - sum(k*s - 1) + 2, so Q is the balanced
+    residue, and its k-bit digits come from one to_bytes.  Q is accepted
     only if
-      1. the remainder is 0;
+      1. multiplying Q back by every binomial gives P(2^k);
       2. ||Q||_1 * 2^len(C) < 2^(k-1);
       3. every q-step of Q lies in [-B_lo, span - B_hi], B_lo and B_hi
          being the lowest and highest q-steps of B's monomials.
@@ -515,9 +531,9 @@ def bracket_sum(terms):
     lies, like P, in the box where (q, a) -> X is injective.  By 2, and as
     k >= bitlen(bound) + 2 with bound = sum(||piece||_1 * 2^(binomials
     applied)) >= ||P||_1, the coefficients of Q'*B and of P are below
-    2^(k-1) in size.  By 1 they agree at X = 2^k, and a polynomial with
-    coefficients below 2^k in size that vanishes at 2^k is zero, so
-    Q'*B = P.
+    2^(k-1) in size.  By 1, Q*B = P as integers: Q'*B and P agree at X =
+    2^k, and a polynomial with coefficients below 2^k in size that vanishes
+    at 2^k is zero, so Q'*B = P.
 
     k1, the smallest multiple of 8 >= bitlen(bound) + len(C) + 2, bounds P,
     not Q.  Only if a check fails there is k2 tried, the same with
@@ -527,19 +543,26 @@ def bracket_sum(terms):
     three checks at k2.  A check failing there proves the sum inexact, and
     InexactDivisionError is raised with no remainder polynomial.
     """
-    cancelled, common = [], Counter()
+    merged, seen = {}, set()
     for piece, num, den in terms:
         if len(num) != len(den):
             raise ValueError("bracket row of %d over %d brackets" % (len(num), len(den)))
-        num, den = _cancel(num, den)
-        cancelled.append((piece, num, den))
-        common |= den
-    den = math.lcm(2, *(piece.den for piece, _, _ in terms))
+        count = Counter(num)
+        count.subtract(den)
+        seen.update(count)
+        key = frozenset(item for item in count.items() if item[1])
+        merged[key] = merged[key] + piece if key in merged else piece
+    _check(seen)
+    cancelled, common = [], Counter()
+    for key, piece in merged.items():
+        if piece:
+            count = Counter(dict(key))
+            cancelled.append((piece, +count, -count))
+            common |= cancelled[-1][2]
+    den = math.lcm(2, *(piece.den for piece, _, _ in cancelled))
     h = den // 2
     rows, lows, highs, bound = [], [], [], 0
     for piece, num, d in cancelled:
-        if not piece:
-            continue
         brackets = [*num.elements(), *(common - d).elements()]
         scale = den // piece.den
         oq = -h * sum(b.v for b in brackets)
@@ -570,7 +593,6 @@ def bracket_sum(terms):
         row = sorted(shifts[b] for b in brackets)  # short shifts first: cheaper
         digits.append((exps, row))
         top = max(top, max(exps) + sum(row))
-    divisor = [({0: 1}, [shifts[b] for b in common])]  # B, as one row
     blo = sum(min(steps[b], 0) for b in common)
     bhi = sum(max(steps[b], 0) for b in common)
     oq = qlo + h * sum(b.v for b in common)
@@ -578,8 +600,20 @@ def bracket_sum(terms):
     grow = math.prod(top // shifts[b] + 1 for b in common)
     k1, k2 = (-(-(n.bit_length() + len(common) + 2) // 8) * 8 for n in (bound, bound * grow))
     for k in sorted({k1, k2}):
-        quotient, rem = divmod(_pack(digits, k), _pack(divisor, k))
-        if rem:
+        total, binomials = _pack(digits, k), [k * shifts[b] for b in common]
+        nbits = max(total.bit_length() - sum(m - 1 for m in binomials) + 2, 1)
+        mask, quotient = (1 << nbits) - 1, total
+        for m in binomials:
+            quotient = -quotient & mask
+            while m < nbits:
+                quotient += (quotient << m) & mask
+                m *= 2
+        quotient &= mask
+        quotient -= (quotient >> (nbits - 1)) << nbits  # the balanced residue
+        back = quotient
+        for m in binomials:
+            back = (back << m) - back
+        if back != total:
             continue
         half, size = 1 << (k - 1), k // 8
         zero = half.to_bytes(size, "little")
@@ -615,18 +649,14 @@ def _pack(rows, k):
     return total
 
 
-def _cancel(num, den):
-    """num - den and den - num as Counters.  Every entry must be a Bracket,
-    else TypeError, with a positive leading part (u > 0, or u == 0 and
-    v > 0), else ValueError."""
-    for b in (*num, *den):
+def _check(brackets):
+    """TypeError for a non-Bracket, ValueError for no positive leading part."""
+    for b in brackets:
         if not isinstance(b, Bracket):
             raise TypeError("expected a Bracket, got %r" % (b,))
         # tuple order: (u, v) > (0, 0) is exactly a positive leading part
         if b <= (0, 0):
             raise ValueError("bracket %s has no positive leading part" % b.render())
-    num, den = Counter(num), Counter(den)
-    return num - den, den - num
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +673,10 @@ def dumps_poly(p, meta=None):
     meta = dict(meta or {})
     lines = []
     body = []
-    for exps, coeff in p.sorted_terms():
-        body.append("\t".join([str(coeff)] + [str(e) for e in exps]))
+    den = p.den
+    for exps, coeff in _ordered(p):
+        cells = [str(e // den) if e % den == 0 else str(Fraction(e, den)) for e in exps]
+        body.append("\t".join([str(coeff)] + cells))
     digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
     lines.append("#vars %s" % " ".join(p.vars))
     for key in sorted(meta):

@@ -8,7 +8,8 @@ oracle, recomputes the same invariant at a concrete rank with its own
 composite expansion, eigenvalues and dimensions; both take psi^r from
 `symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
 r-abacus, and sum with `qexact.bracket_sum`, the one exact route for
-bracket quotients, over balanced rows of raw brackets.
+bracket quotients, over balanced rows of raw brackets, merged by their
+cancelled brackets, packed and divided 2-adically.
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ def braiding_eigenvalue(lam, mu):
     term's eigenvalue to the power r/s meets the color's eigenvalue to the
     power -r*s, and `sym_to_qa` raises ResidualRankError if it does not.
     """
+    return SymExponent.make(*(Fraction(x, 2) for x in _doubled_eigenvalue(lam, mu)))
+
+
+def _doubled_eigenvalue(lam, mu):
+    """Twice the (e1, e0, em1) parts of `braiding_eigenvalue`, as ints."""
     m, n = lam.size(), mu.size()
-    return SymExponent.make(
-        Fraction(-(m + n), 2),
-        Fraction(-(kappa(lam) + kappa(mu)), 2),
-        Fraction((n - m) ** 2, 2),
-    )
+    return -(m + n), -(kappa(lam) + kappa(mu)), (n - m) ** 2
 
 
 def quantum_dimension(beta, gamma):
@@ -106,9 +108,9 @@ def quantum_dimension(beta, gamma):
     num, den = [], []
     for shape, other in ((gamma, beta), (beta, gamma)):
         cols = conjugate(shape)
-        for i, j in shape.boxes():
-            num.append(Bracket(1, j - i - len(other)))
-            den.append(Bracket(0, shape.row(i) - j + cols.row(j) - i + 1))
+        for i, row in enumerate(shape, start=1):
+            num += [Bracket(1, j - i - len(other)) for j in range(1, row + 1)]
+            den += [Bracket(0, row - j + cols[j - 1] - i + 1) for j in range(1, row + 1)]
     for i, g in enumerate(gamma, start=1):
         for p, b in enumerate(beta, start=1):
             num.append(Bracket(1, g + b + 1 - p - i))
@@ -158,25 +160,22 @@ def _assemble(knot, lam, mu, expansion, theta_color):
     cancels each row's shared brackets and adds the twisted terms.
     """
     r, s = knot.r, knot.s
-    power = Fraction(r, s)  # the fractional eigenvalue power max/min
+    # twist = pref + braiding_eigenvalue(beta, gamma) * r/s, r/s = max/min; with
+    # x a doubled int part of the eigenvalue, a part p + x*r/(2s) is (n + x*m)/d
     pref = theta_color.scale(-r * s)
+    parts = [(p.numerator * 2 * s, p.denominator * r, p.denominator * 2 * s) for p in pref]
     color_num, color_den = quantum_dimension(lam, mu)
     terms, rows = [], []
     for (beta, gamma), coefficient in sorted(expansion.items(), reverse=True):
-        twist = pref + braiding_eigenvalue(beta, gamma).scale(power)
+        doubled = _doubled_eigenvalue(beta, gamma)
+        twist = SymExponent(*(Fraction(n + x * m, d) for (n, m, d), x in zip(parts, doubled)))
         terms.append(FactoredTerm(beta, gamma, coefficient, twist))
         num, den = quantum_dimension(beta, gamma)
         rows.append((sym_to_qa(twist) * coefficient, num + color_den, den + color_num))
     total = bracket_sum(rows)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
-    return InvariantResult(
-        knot=knot,
-        lam=lam,
-        mu=mu,
-        normalized=total,
-        terms=terms,
-    )
+    return InvariantResult(knot, lam, mu, total, terms)
 
 
 def composite_homfly(knot, lam, mu):

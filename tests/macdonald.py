@@ -199,8 +199,9 @@ def _integral_constant(lam):
     """c_lam = prod over boxes s of (1 - q^{arm(s)} t^{leg(s)+1})."""
     cols = conjugate(lam)
     out = _ONE
-    for i, j in lam.boxes():
-        out = out * (_ONE - _mono(q=lam.row(i) - j, t=cols.row(j) - i + 1))
+    for i, row in enumerate(lam, start=1):
+        for j in range(1, row + 1):
+            out = out * (_ONE - _mono(q=row - j, t=cols.row(j) - i + 1))
     return out
 
 

@@ -296,6 +296,14 @@ try:
     sys.exit("unbalanced bracket row passed")
 except ValueError:
     pass
+# (q^(1/2) - 1)/[N - 1] multiplies back to its packed sum; only the
+# quotient's q-window shows it inexact
+window = parse_expr("q^(1/2) - 1", ("q", "a"))
+try:
+    rosso.bracket_sum([(window, [Bracket(0, 1)], [Bracket(1, -1)])])
+    sys.exit("bracket sum outside the q-window passed")
+except InexactDivisionError:
+    pass
 # with c_lam = 1 the solve must divide (1+q)(1-t) by 1-qt for P_[2]
 macdonald._integral_constant = lambda lam: macdonald.Laurent.one(macdonald.QT)
 macdonald._p_coefficients.cache_clear()

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from comphomfly import qexact
+from comphomfly import qexact, rosso
+from comphomfly.partitions import Partition
 from comphomfly.qexact import (
     Bracket,
     InexactDivisionError,
@@ -420,8 +421,9 @@ def test_packed_second_width():
 
 
 def test_packed_remainder_raises():
-    # 1/[2] is no polynomial: divmod leaves a remainder at every width, and
-    # the error carries no remainder polynomial
+    # 1/[2] is no polynomial: at every width the 2-adic quotient, multiplied
+    # back by the binomial, misses the packed sum, and the error carries no
+    # remainder polynomial
     with pytest.raises(InexactDivisionError) as err:
         bracket_sum([(Laurent.one(QA), [UNIT_BRACKET], [Bracket(0, 2)])])
     assert err.value.remainder is None
@@ -430,11 +432,72 @@ def test_packed_remainder_raises():
 def test_packed_q_window_raises():
     # (q^(1/2) - 1)/[N - 1] is no polynomial, yet q^(1/2) - 1 packs to the
     # same int as the binomial a^(1/2) q^(-1/2) - a^(-1/2) q^(1/2) up to its
-    # monomial, so divmod leaves no remainder; only the quotient's digit,
-    # below the q-window, shows the sum inexact
+    # monomial, so the quotient multiplies back to the packed sum; only its
+    # digit, below the q-window, shows the sum inexact
     piece = Laurent.monomial(QA, 1, q=Fraction(1, 2)) - Laurent.one(QA)
     with pytest.raises(InexactDivisionError):
         bracket_sum([(piece, [UNIT_BRACKET], [Bracket(1, -1)])])
+
+
+def test_bracket_sum_merges_rows_with_equal_brackets(monkeypatch):
+    # rows whose cancelled bracket lists agree are packed as one: the first
+    # two sum pieces over dens 2 and 1 to (q - q^-1)[3][N-1]/[2], the next
+    # two cancel to zero and are not packed, and the last, 5(q^(1/2) -
+    # q^(-1/2))[N-1], stands alone
+    two, three, down = Bracket(0, 2), Bracket(0, 3), Bracket(1, -1)
+    third = Fraction(1, 3)
+    terms = [
+        (Laurent(QA, {(2, 0): 1}, 2), [three, down], [two, UNIT_BRACKET]),
+        (Laurent.monomial(QA, -1, q=-1), [down, two, three], [two, two, UNIT_BRACKET]),
+        (Laurent.monomial(QA, 2, a=third), [three], [UNIT_BRACKET]),
+        (Laurent.monomial(QA, -2, a=third), [three, down], [UNIT_BRACKET, down]),
+        (bracket_numerator(UNIT_BRACKET) * 5, [down], [UNIT_BRACKET]),
+    ]
+    packed = []
+    real = qexact._pack
+
+    def spy(rows, k):
+        packed.append(len(rows))
+        return real(rows, k)
+
+    monkeypatch.setattr(qexact, "_pack", spy)
+    assert bracket_sum(terms) == stepwise_sum(terms)
+    assert packed == [2]
+    # with the cancelling pair alone the sum is zero, and nothing is packed
+    packed.clear()
+    assert bracket_sum(terms[2:4]) == Laurent.zero(QA) == stepwise_sum(terms[2:4])
+    assert packed == [0]
+
+
+def test_bracket_sum_packs_one_row_per_cancelled_list(monkeypatch):
+    # T(3,2) [2,1|2,1] hands bracket_sum 66 rows with 40 distinct cancelled
+    # bracket lists, and 40 rows are packed
+    rows, packed = [], []
+    real_sum, real_pack = rosso.bracket_sum, qexact._pack
+
+    def record(terms):
+        rows.extend(terms)
+        return real_sum(terms)
+
+    def spy(digits, k):
+        packed.append(len(digits))
+        return real_pack(digits, k)
+
+    monkeypatch.setattr(rosso, "bracket_sum", record)
+    monkeypatch.setattr(qexact, "_pack", spy)
+    lam = Partition((2, 1))
+    rosso.composite_homfly(rosso.TorusKnot(3, 2), lam, lam)
+    lists = set()
+    for _, num, den in rows:
+        num, den = Counter(num), Counter(den)
+        lists.add((frozenset((num - den).items()), frozenset((den - num).items())))
+    assert len(rows) == 66 and len(lists) == 40 and packed == [40]
+
+
+def test_degree_of_zero_names_the_cause():
+    assert Laurent.monomial(QA, 3, a=2, q=-1).degree("a") == 2
+    with pytest.raises(ValueError, match="zero polynomial has no a-degree"):
+        Laurent.zero(QA).degree("a")
 
 
 def test_bracket_sum_refuses_malformed_rows():
