@@ -31,6 +31,7 @@ from .qexact import (
     IntegralityError,
     Laurent,
     SymExponent,
+    _build,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
     bracket_sum,
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
@@ -205,17 +206,12 @@ def classical_homfly(knot, lam):
 # finite-rank oracle
 
 
-def _theta_exponent_at_rank(shape, N):
-    """Exponent of the rank-N braiding eigenvalue of a single diagram."""
-    n = shape.size()
-    return Fraction(-(kappa(shape) + n * N), 2) + Fraction(n * n, 2 * N)
-
-
 def _weyl_numerator(shape, N):
     """The constant brackets [shape_i - shape_j + j - i] over the positive-root
-    pairs i < j <= N; the empty shape's is the Weyl denominator."""
-    pairs = ((i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1))
-    return [Bracket(0, shape.row(i) - shape.row(j) + j - i) for i, j in pairs]
+    pairs i < j <= N, each the gap between two of the N beads shape_i + N - i;
+    the empty shape's is the Weyl denominator."""
+    beads = [shape.row(i) + N - i for i in range(1, N + 1)]
+    return [Bracket(0, b - c) for i, b in enumerate(beads) for c in beads[i + 1 :]]
 
 
 def qdim_at_rank(shape, N):
@@ -238,16 +234,21 @@ def finite_N_oracle(knot, lam, mu, N):
     `compose_at_N`, the eigenvalues and the dimensions stay independent.
     The term q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta) is a
     row over the Weyl numerators of nu and zeta, the shared Weyl denominator
-    never built.  Its brackets are constants [m] with a-exponent 0, so a is
-    dropped from the (q,) result of `bracket_sum`.
+    never built, and its exponent is an int over 2N*s.  Its brackets are
+    constants [m] with a-exponent 0, so a is dropped from the (q,) result
+    of `bracket_sum`.
     """
     r, s = knot.r, knot.s
-    power = Fraction(r, s)
+
+    def theta(shape):  # 2N times the rank-N eigenvalue exponent of shape
+        n = shape.size()
+        return n * n - (kappa(shape) + n * N) * N
+
     zeta = compose_at_N(lam, mu, N)
-    lead = -_theta_exponent_at_rank(zeta, N) * r * s
+    lead = theta(zeta) * s * s
     zeta_num = _weyl_numerator(zeta, N)
     rows = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
-        mono = Laurent(("q", "a"), {(_theta_exponent_at_rank(nu, N) * power + lead, 0): coeff})
+        mono = _build(("q", "a"), {(r * (theta(nu) - lead), 0): coeff}, 2 * N * s)
         rows.append((mono, _weyl_numerator(nu, N), zeta_num))
     return bracket_sum(rows).substitute({"a": (1, {})})

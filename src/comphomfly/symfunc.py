@@ -8,7 +8,7 @@ engine (the product rule K applied r times to Koike's small skew shapes,
 then psi^r once: K (psi^r (x) psi^r) = (psi^r (x) psi^r) K^r, because
 p_k^perp = k d/dp_k).  Everything is integer-exact: no characters, no
 class sums and no division.  The ribbon signs are read on bitmask
-beta-sets (`_slide`).
+beta-sets, one slide per bead down its runner (`adams_at_rank`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .partitions import EMPTY, Partition, conjugate
+from .partitions import Partition, conjugate
 
 
 class AbacusError(ArithmeticError):
@@ -28,24 +28,16 @@ class AbacusError(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n, max_part=None):
-    """All partitions of n with parts bounded by max_part, largest-first."""
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append(Partition((first,) + rest))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def subpartitions(lam):
-    """All partitions whose diagram fits inside lam, sorted."""
-    shapes = (nu for n in range(lam.size() + 1) for nu in partitions_of(n, lam.width))
-    return tuple(sorted(nu for nu in shapes if lam.contains(nu)))
+    """All partitions whose diagram fits inside lam, sorted.
+
+    Built row by row: row i runs from 0 to the smaller of lam_i and the row
+    above, so every shape is made once, already in tuple order.
+    """
+    shapes = [()]
+    for bound in lam:
+        shapes = [s + (a,) for s in shapes for a in range(min(s[-1:] + (bound,)) + 1)]
+    return tuple(map(Partition, shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +82,7 @@ def skew_row(eta, alpha):
                 counts[v] -= 1
 
     place(0)
-    # rows share the cached partitions_of instances, not a Partition per entry
-    shapes = {beta: beta for beta in partitions_of(len(cells))}
-    return tuple(sorted((shapes[beta], c) for beta, c in rows.items()))
+    return tuple(sorted((Partition(beta), c) for beta, c in rows.items()))
 
 
 def lr_coefficient(lam, mu, nu):
@@ -152,44 +142,20 @@ def format_expansion(expansion):
     """Serialize an expansion as sorted `key<TAB>coefficient` lines.
 
     Keys may be partitions or composite pairs; ordering is descending on
-    the row tuples, matching the printed tables.
+    the row tuples, matching the printed tables.  Each distinct partition
+    is rendered once.
     """
-
-    def text_of(item):
-        if isinstance(item, Partition):
-            return str(item)
-        return "|".join(str(part) for part in item)
-
-    lines = []
-    for item in sorted(expansion, reverse=True):
-        lines.append("%s\t%d" % (text_of(item), expansion[item]))
-    return "\n".join(lines)
+    items = sorted(expansion, reverse=True)
+    keys = [(item,) if isinstance(item, Partition) else item for item in items]
+    text = {part: str(part) for part in set().union(*keys)}
+    return "\n".join(
+        "%s\t%d" % ("|".join([text[part] for part in key]), expansion[item])
+        for item, key in zip(items, keys)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Adams operation (plethysm by a power sum), Littlewood's r-quotient sum
-
-
-def _slide(mask, k):
-    """Every way to move one bead of a beta-set k places onto a free slot.
-
-    A beta-set of n beads is an int whose set bits are the bead positions:
-    row i of the shape is the i-th highest position minus (n - i).  Sliding
-    a bead up k places adds a border strip of k boxes, sliding it down
-    (k < 0) removes one, and the strip's sign is (-1)^(number of beads
-    jumped).  A bead never passes position 0.  Yields (mask, sign).
-    """
-    between = (1 << abs(k) - 1) - 1  # the |k| - 1 slots a bead jumps,
-    shift = 1 if k > 0 else k + 1  # lowest of them at b + shift
-    rest = mask
-    while rest:  # highest bead first: a ribbon strip skips the packed beads below
-        b = rest.bit_length() - 1
-        rest ^= 1 << b
-        target = b + k
-        if target < 0 or mask >> target & 1:
-            continue
-        jumped = mask >> b + shift & between
-        yield mask ^ 1 << b ^ 1 << target, -1 if jumped.bit_count() & 1 else 1
 
 
 def adams_at_rank(zeta, r, max_rows):
@@ -201,23 +167,32 @@ def adams_at_rank(zeta, r, max_rows):
     shapes of nu's r-quotient when nu's r-core is empty, and 0 otherwise.
     On an abacus of max_rows beads, runner j holds n_j beads, as many as
     the packed beads put there; the shapes are peeled off zeta one runner
-    at a time by skew rows, a shape with more than n_j rows is skipped
-    (its nu would be longer), and each tuple's beads sit at r*q + j.  The
-    sign strips r-ribbons until the beads are packed, which takes exactly
-    |zeta| moves, or the placement is wrong.  The package's one psi^r sum:
-    the oracle takes it at its rank, `adams_coefficients` in full.
+    at a time by skew rows.  A shape alpha with more than n_j rows is
+    skipped (its nu would be longer), and so is one with alpha_i <
+    rest_{i+m}, m the beads on the runners still to fill: rest/alpha then
+    has a column of more than m boxes, and no shapes of at most m rows in
+    all hold its content.  Each tuple's beads sit at r*q + j.  The sign
+    slides each bead, lowest first, down its runner to its packed slot,
+    (-1) to the beads it jumps (James-Kerber 2.7: the ribbon sign does not
+    depend on the order of removal); the slides take exactly |zeta|
+    r-ribbon moves, or the placement is wrong.  The package's one psi^r
+    sum: the oracle takes it at its rank, `adams_coefficients` in full.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
     beads = [len(range(j, max_rows, r)) for j in range(r)]
     quotients = {((), zeta): 1}  # (shapes placed, rest of zeta) -> LR count
-    for n in beads[:-1]:
+    for j, n in enumerate(beads[:-1]):
+        m = sum(beads[j + 1 :])
         peeled = Counter()
         for (shapes, rest), c in quotients.items():
             for alpha in subpartitions(rest):
-                if len(alpha) <= n:
-                    for beta, k in skew_row(rest, alpha):
-                        peeled[shapes + (alpha,), beta] += c * k
+                # at most n rows, and alpha_i >= rest_{i+m} for every i
+                if len(alpha) <= n and len(rest) <= len(alpha) + m and all(
+                    map(int.__ge__, alpha, rest[m:])
+                ):
+                    for beta, lr in skew_row(rest, alpha):
+                        peeled[shapes + (alpha,), beta] += c * lr
         quotients = peeled
     packed = (1 << max_rows) - 1
     out = {}
@@ -229,18 +204,23 @@ def adams_at_rank(zeta, r, max_rows):
             for j, (shape, n) in enumerate(zip(shapes + (last,), beads))
             for i, q in enumerate(shape + (0,) * (n - len(shape)), 1)
         )
-        sign = 1
-        for _ in range(zeta.size()):  # a missing ribbon zeroes the sign
-            mask, step = next(_slide(mask, -r), (mask, 0))
-            sign *= step
-        if not sign or mask != packed:
-            raise AbacusError("r-quotient beads do not strip to the packed beads")
+        filled = [0] * r  # beads already packed on each runner
         rows = []
-        while key & key + 1:  # until the beads are packed at the bottom
-            b = key.bit_length() - 1
-            key ^= 1 << b
-            rows.append(b - key.bit_count())
-        out[Partition(rows)] = sign * c
+        moves = jumped = 0
+        while key:  # lowest bead first
+            low = key & -key
+            key ^= low
+            b = low.bit_length() - 1
+            runner = b % r
+            t = r * filled[runner] + runner  # its packed slot: below it, and free
+            filled[runner] += 1
+            moves += (b - t) // r
+            jumped += (mask >> t & (1 << b - t) - 1).bit_count()
+            mask ^= low ^ 1 << t
+            rows.append(b - len(rows))
+        if moves != zeta.size() or mask != packed:
+            raise AbacusError("r-quotient beads do not strip to the packed beads")
+        out[Partition(rows[::-1])] = -c if jumped & 1 else c
     return out
 
 

@@ -36,9 +36,14 @@ from itertools import combinations, permutations
 
 from comphomfly.partitions import Partition, conjugate, dual_at_N
 from comphomfly.qexact import InexactDivisionError, Laurent, exact_divide
-from comphomfly.symfunc import partitions_of
 
-from oracles import exponent_range, monomial_power_matrix, schur_monomials, zclass
+from oracles import (
+    exponent_range,
+    monomial_power_matrix,
+    partitions_of,
+    schur_monomials,
+    zclass,
+)
 
 QT = ("q", "t")
 

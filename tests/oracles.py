@@ -1,11 +1,13 @@
-"""Reference expansions, symmetric-group characters, finite-rank
-composite-character oracles and monomial expansions for the tests.
+"""Partition enumeration, reference expansions, symmetric-group characters,
+finite-rank composite-character oracles and monomial expansions for the tests.
 
-None of this is on a path the CLI or `verify` runs.  `reference_adams` is the
+None of this is on a path the CLI or `verify` runs.  `partitions_of` lists
+the partitions of n for the tests' grids.  `reference_adams` is the
 character double sum over Fractions, a second route to the Adams expansion
 that `symfunc.adams_at_rank` computes as Littlewood's r-quotient sum; the
-characters it needs (Murnaghan-Nakayama on bitmask beta-sets) live here,
-beside the chained power sums the tests check border strips with.  The
+characters it needs (Murnaghan-Nakayama on bitmask beta-sets, one border
+strip at a time by `slide`) live here, beside the chained power sums the
+tests check border strips with.  The
 composite character expansion here scans subdiagrams and reads each LR
 coefficient on its own, so it shares no summation with
 `symfunc.composite_adams`, which the tests check against it.  The monomial
@@ -23,9 +25,44 @@ from itertools import permutations
 from operator import add, mul, sub
 
 from comphomfly import symfunc as sf
-from comphomfly.partitions import Partition, RankTooSmallError, conjugate, dual_at_N
+from comphomfly.partitions import EMPTY, Partition, RankTooSmallError, conjugate, dual_at_N
 from comphomfly.qexact import IntegralityError, Laurent, exact_divide
-from comphomfly.symfunc import _slide, partitions_of
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n, max_part=None):
+    """All partitions of n with parts bounded by max_part, largest-first."""
+    if max_part is None or max_part > n:
+        max_part = n
+    if n == 0:
+        return (EMPTY,)
+    out = []
+    for first in range(max_part, 0, -1):
+        for rest in partitions_of(n - first, first):
+            out.append(Partition((first,) + rest))
+    return tuple(out)
+
+
+def slide(mask, k):
+    """Every way to move one bead of a beta-set k places onto a free slot.
+
+    A beta-set of n beads is an int whose set bits are the bead positions:
+    row i of the shape is the i-th highest position minus (n - i).  Sliding
+    a bead up k places adds a border strip of k boxes, sliding it down
+    (k < 0) removes one, and the strip's sign is (-1)^(number of beads
+    jumped).  A bead never passes position 0.  Yields (mask, sign).
+    """
+    between = (1 << abs(k) - 1) - 1  # the |k| - 1 slots a bead jumps,
+    shift = 1 if k > 0 else k + 1  # lowest of them at b + shift
+    rest = mask
+    while rest:  # highest bead first: a ribbon strip skips the packed beads below
+        b = rest.bit_length() - 1
+        rest ^= 1 << b
+        target = b + k
+        if target < 0 or mask >> target & 1:
+            continue
+        jumped = mask >> b + shift & between
+        yield mask ^ 1 << b ^ 1 << target, -1 if jumped.bit_count() & 1 else 1
 
 
 class SizeMismatchError(ValueError):
@@ -46,7 +83,7 @@ def _mn(mask, parts):
     if not parts:
         return 1 if mask & mask + 1 == 0 else 0  # beads packed at the bottom
     k, rest = parts[0], parts[1:]
-    return sum(sign * _mn(new, rest) for new, sign in _slide(mask, -k))
+    return sum(sign * _mn(new, rest) for new, sign in slide(mask, -k))
 
 
 def zclass(mu):
@@ -58,7 +95,7 @@ def pk_times_beta(expansion, k):
     """p_k times a Schur expansion keyed on beta-sets: slide one bead up k."""
     out = {}
     for mask, coeff in expansion.items():
-        for new, sign in _slide(mask, k):
+        for new, sign in slide(mask, k):
             out[new] = out.get(new, 0) + sign * coeff
     return {key: v for key, v in out.items() if v}
 
@@ -126,7 +163,7 @@ def reduce_columns(lam, N):
 def schur_product(lam, mu):
     """Expansion of s_lam * s_mu as {nu: N^nu_{lam,mu}}, zeros omitted."""
     out = {}
-    for nu in sf.partitions_of(lam.size() + mu.size()):
+    for nu in partitions_of(lam.size() + mu.size()):
         c = sf.lr_coefficient(lam, mu, nu)
         if c:
             out[nu] = c

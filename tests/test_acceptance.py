@@ -34,6 +34,7 @@ from oracles import (
     composite_schur_at_rank,
     monomial_to_schur,
     parse_expr,
+    partitions_of,
     reduce_columns,
     schur_monomials,
 )
@@ -131,7 +132,7 @@ def test_criterion_5_finite_rank_oracle(fixtures):
     assert all(r.status == "PASS" for r in reports), [
         r.line() for r in reports if r.status != "PASS"
     ]
-    _verdict("criterion-5 stabilization oracle", 20, started)
+    _verdict("criterion-5 stabilization oracle", 5, started)
 
 
 def test_criterion_6_symmetry_suite(fixtures):
@@ -196,7 +197,7 @@ def test_criterion_8_exceptional_suite(fixtures):
 def test_criterion_9_macdonald_checks():
     started = time.time()
     for size in range(0, 5):
-        for lam in sf.partitions_of(size):
+        for lam in partitions_of(size):
             for n in range(max(1, len(lam)), 4):
                 p = md.macdonald_p(lam, n)
                 s = md.schur_restricted(lam, n)
@@ -258,7 +259,7 @@ def test_criterion_10_property_suites():
 
     # plethysm brute-force oracle, |lam| <= 3, r <= 3
     for size in range(0, 4):
-        for lam in sf.partitions_of(size):
+        for lam in partitions_of(size):
             for r in (1, 2, 3):
                 monomials = schur_monomials(lam, 4)
                 scaled = {

@@ -7,10 +7,9 @@ import pytest
 
 from comphomfly.partitions import Partition
 from comphomfly.qexact import exact_divide
-from comphomfly.symfunc import partitions_of
 
 import macdonald as md
-from oracles import monomial_power_matrix, parse_expr
+from oracles import monomial_power_matrix, parse_expr, partitions_of
 
 P = Partition.parse
 QT = ("q", "t")

@@ -31,9 +31,8 @@ from comphomfly.rosso import (
     qdim_at_rank,
     quantum_dimension,
 )
-from comphomfly.symfunc import partitions_of
 
-from oracles import exponent_at_rank, parse_expr
+from oracles import exponent_at_rank, parse_expr, partitions_of
 
 P = Partition.parse
 QA = ("q", "a")

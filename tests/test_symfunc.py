@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -6,12 +7,14 @@ import pytest
 
 from comphomfly.partitions import EMPTY, Partition, compose_at_N
 from comphomfly import symfunc as sf
+from comphomfly.rosso import TorusKnot, finite_N_oracle
 
 import oracles
 from oracles import (
     composite_schur_at_rank,
     reduce_columns,
     monomial_to_schur,
+    partitions_of,
     reference_adams,
     reference_character_expansion,
     schur_monomials,
@@ -25,8 +28,8 @@ SMALL_COLORS = [
     (lam, mu)
     for n in range(5)
     for a in range(n + 1)
-    for lam in sf.partitions_of(a)
-    for mu in sf.partitions_of(n - a)
+    for lam in partitions_of(a)
+    for mu in partitions_of(n - a)
 ]
 
 
@@ -84,12 +87,12 @@ def test_skew_rows_match_fixed_content_count():
     # every skew shape eta/alpha with |eta| <= 8, every content beta
     rows = compared = nonzero = 0
     for n in range(9):
-        for eta in sf.partitions_of(n):
+        for eta in partitions_of(n):
             for alpha in sf.subpartitions(eta):
                 row = sf.skew_row(eta, alpha)
                 assert list(row) == sorted(row), (eta, alpha)
                 expected = {}
-                for beta in sf.partitions_of(n - alpha.size()):
+                for beta in partitions_of(n - alpha.size()):
                     c = fixed_content_count(alpha, beta, eta)
                     if c:
                         expected[beta] = c
@@ -133,7 +136,7 @@ def test_schur_product_dimensions():
 
 
 def test_characters():
-    for mu in sf.partitions_of(4):
+    for mu in partitions_of(4):
         assert oracles.sym_character(P("4"), mu) == 1
     assert oracles.sym_character(P("1,1"), P("2")) == -1
     assert oracles.sym_character(P("2,1"), P("1,1,1")) == 2
@@ -145,8 +148,8 @@ def test_characters():
 def test_character_cache_eviction():
     oracles._mn.cache_clear()
     values = {}
-    for lam in sf.partitions_of(5):
-        for mu in sf.partitions_of(5):
+    for lam in partitions_of(5):
+        for mu in partitions_of(5):
             values[(lam, mu)] = oracles.sym_character(lam, mu)
     oracles._mn.cache_clear()
     for (lam, mu), expected in values.items():
@@ -169,7 +172,7 @@ def test_adams_coefficients_match_the_character_double_sum():
     # every shape of <= 6 boxes (the empty one included) and r = 1..4
     checks = 0
     for size in range(7):
-        for lam in sf.partitions_of(size):
+        for lam in partitions_of(size):
             for r in (1, 2, 3, 4):
                 assert sf.adams_coefficients(lam, r) == reference_adams(lam, r), (lam, r)
                 checks += 1
@@ -192,7 +195,7 @@ def brute_force_adams(lam, r, nvars):
 
 def test_adams_brute_force_oracle():
     for size in range(0, 4):
-        for lam in sf.partitions_of(size):
+        for lam in partitions_of(size):
             for r in (1, 2, 3):
                 nvars = 4
                 expected = brute_force_adams(lam, r, nvars)
@@ -204,7 +207,7 @@ def test_adams_brute_force_oracle():
 def test_adams_specialization_dimensions():
     # both sides of the Adams expansion agree at x_1 = ... = x_k = 1
     for size in range(1, 4):
-        for lam in sf.partitions_of(size):
+        for lam in partitions_of(size):
             for r in (2, 3):
                 expansion = sf.adams_coefficients(lam, r)
                 for k in range(1, 5):
@@ -223,8 +226,8 @@ def test_character_product_round_trip():
         (lam, mu)
         for a in range(4)
         for b in range(4)
-        for lam in sf.partitions_of(a)
-        for mu in sf.partitions_of(b)
+        for lam in partitions_of(a)
+        for mu in partitions_of(b)
     ]
     assert len(colors) == 49
     for lam, mu in colors:
@@ -403,8 +406,8 @@ def _shape(mask):
 
 
 def reference_slide(beads, k):
-    """`_slide` on a strictly decreasing tuple of bead positions, with the
-    jumped beads counted one by one: (shape, sign) per legal move."""
+    """`oracles.slide` on a strictly decreasing tuple of bead positions, with
+    the jumped beads counted one by one: (shape, sign) per legal move."""
     n = len(beads)
     out = []
     for b in beads:
@@ -421,13 +424,13 @@ def test_slide_matches_tuple_beta_sets():
     # every shape of <= 6 boxes, with 0 to 2 spare beads, up and down 1..7
     cases = below_zero = 0
     for size in range(7):
-        for shape in sf.partitions_of(size):
+        for shape in partitions_of(size):
             for n in range(len(shape), len(shape) + 3):
                 beads = tuple(shape.row(i) + n - i for i in range(1, n + 1))
                 mask = sum(1 << b for b in beads)
                 assert _shape(mask) == shape
                 for k in [*range(1, 8), *range(-7, 0)]:
-                    moves = list(sf._slide(mask, k))
+                    moves = list(oracles.slide(mask, k))
                     assert all(new.bit_count() == n for new, _ in moves)
                     got = Counter((_shape(new), sign) for new, sign in moves)
                     assert got == Counter(reference_slide(beads, k)), (shape, n, k)
@@ -467,7 +470,7 @@ def test_power_schur_matches_partition_strips():
     # every stretched class r*mu with |mu| <= 5, r <= 3, at 1 to 7 rows,
     # as chained p_k on bitmask beta-sets of max_rows beads
     for size in range(6):
-        for mu in sf.partitions_of(size):
+        for mu in partitions_of(size):
             for r in (1, 2, 3):
                 parts = tuple(r * p for p in mu)
                 for max_rows in range(1, 8):
@@ -490,7 +493,7 @@ def test_adams_at_rank_truncates_adams_coefficients():
     # not divide N
     checks = 0
     for size in range(6):
-        for zeta in sf.partitions_of(size):
+        for zeta in partitions_of(size):
             for r in range(1, 5):
                 ranks = set(range(max(len(zeta), 1), 7)) if r <= 3 else set()
                 if r * size <= 10:
@@ -519,12 +522,16 @@ def test_adams_at_rank_refuses_nonpositive_index():
 
 
 def test_adams_at_rank_at_oracle_sizes(monkeypatch):
-    # the oracle's own zeta for [2,1|2,1], at the ranks it runs at
-    for N in (4, 5):
-        zeta = compose_at_N(P("2,1"), P("2,1"), N)
-        full = reference_adams(zeta, 2)
+    # the oracle's own zeta at the ranks it runs at: [2,1|2,1] at r = 2, and
+    # [1|1] and [2|1] at r = 3 and 4, where runners hold unequal bead counts
+    cases = [("2,1", "2,1", N, 2) for N in (4, 5)]
+    cases += [("1", "1", N, r) for N in range(2, 6) for r in (3, 4)]
+    cases += [("2", "1", N, r) for N in range(2, 5) for r in (3, 4)]
+    for lam, mu, N, r in cases:
+        zeta = compose_at_N(P(lam), P(mu), N)
+        full = reference_adams(zeta, r)
         expected = {nu: c for nu, c in full.items() if len(nu) <= N}
-        assert sf.adams_at_rank(zeta, 2, N) == expected, N
+        assert sf.adams_at_rank(zeta, r, N) == expected, (lam, mu, N, r)
     # negative control: a skew row one box too big places beads that do not
     # strip to the packed beads in |zeta| ribbon moves
     skew_row = sf.skew_row
@@ -533,3 +540,33 @@ def test_adams_at_rank_at_oracle_sizes(monkeypatch):
     ))
     with pytest.raises(sf.AbacusError, match="do not strip to the packed beads"):
         sf.adams_at_rank(compose_at_N(P("2,1"), P("2,1"), 4), 2, 4)
+
+
+def fits(rest, alpha, m):
+    """No column of rest/alpha holds more than m boxes: alpha_i >= rest_{i+m}."""
+    return all(alpha.row(i) >= rest.row(i + m) for i in range(1, len(rest) + 1))
+
+
+def test_adams_at_rank_skips_quotients_that_cannot_fit(monkeypatch):
+    # at r = 2 the oracle fills runner 0 and leaves m = N // 2 beads for
+    # runner 1, so a rest/alpha with a column taller than m has LR
+    # coefficient zero against every shape runner 1 can hold, and no skew
+    # row is taken for it; a cold cache pins the rows taken (117 without
+    # the skip)
+    calls, misses = [], []
+    uncached = sf.skew_row.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def cold(eta, alpha):
+        misses.append((eta, alpha))
+        return uncached(eta, alpha)
+
+    def recording(eta, alpha):
+        calls.append((eta, alpha, N))  # N: the rank of the running oracle
+        return cold(eta, alpha)
+
+    monkeypatch.setattr(sf, "skew_row", recording)
+    for N in range(4, 8):
+        finite_N_oracle(TorusKnot(3, 2), P("2,1"), P("2,1"), N)
+    assert calls and all(fits(eta, alpha, N // 2) for eta, alpha, N in calls)
+    assert len(misses) == 80
