@@ -15,8 +15,8 @@ cancelled brackets, packed and divided 2-adically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import (
     EMPTY,
@@ -41,23 +41,19 @@ from .qexact import (
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
 
 
-@dataclass(frozen=True)
-class TorusKnot:
+class TorusKnot(NamedTuple("TorusKnot", [("r", int), ("s", int)])):
     """The (r, s) torus knot; stored with r > s >= 1 and gcd(r, s) = 1."""
 
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        r, s = self.r, self.s
+    def __new__(cls, r, s):
         if r < s:
             r, s = s, r
         if s < 1 or r < 2:
             raise ValueError("torus knot needs r >= 2, s >= 1")
         if math.gcd(r, s) != 1:
             raise ValueError("(%d, %d) is a link, not a knot" % (r, s))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        return super().__new__(cls, r, s)
 
     @classmethod
     def parse(cls, text):
@@ -119,8 +115,7 @@ def quantum_dimension(beta, gamma):
     return num, den
 
 
-@dataclass(frozen=True)
-class FactoredTerm:
+class FactoredTerm(NamedTuple):
     """One summand of the unnormalized expansion, kept in factored form."""
 
     beta: Partition
@@ -138,8 +133,7 @@ class FactoredTerm:
         )
 
 
-@dataclass
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """Engine output: the normalized polynomial and the factored expansion.
 
     `terms` holds the unnormalized summands c * twist * dim[beta, gamma];
@@ -150,20 +144,22 @@ class InvariantResult:
     lam: Partition
     mu: Partition
     normalized: Laurent
-    terms: list = field(default_factory=list)
+    terms: list
 
 
-def _assemble(knot, lam, mu, expansion, theta_color):
+def _assemble(knot, lam, mu, expansion):
     """Twist each term and normalize it at the bracket level.
 
-    A term's row divides its hook-content lists by the color's, crossed:
-    (term num + color den) over (term den + color num).  One `bracket_sum`
-    cancels each row's shared brackets and adds the twisted terms.
+    A term's twist is its eigenvalue to the power r/s times the color
+    [lam, mu]'s to the power -r*s.  Its row divides its hook-content lists
+    by the color's, crossed: (term num + color den) over (term den + color
+    num).  One `bracket_sum` cancels each row's shared brackets and adds the
+    twisted terms.
     """
     r, s = knot.r, knot.s
     # twist = pref + braiding_eigenvalue(beta, gamma) * r/s, r/s = max/min; with
     # x a doubled int part of the eigenvalue, a part p + x*r/(2s) is (n + x*m)/d
-    pref = theta_color.scale(-r * s)
+    pref = braiding_eigenvalue(lam, mu).scale(-r * s)
     parts = [(p.numerator * 2 * s, p.denominator * r, p.denominator * 2 * s) for p in pref]
     color_num, color_den = quantum_dimension(lam, mu)
     terms, rows = [], []
@@ -186,8 +182,7 @@ def composite_homfly(knot, lam, mu):
     eigenvalue power max/min; the two directions agree, and the small one
     keeps the expansion shallow.
     """
-    expansion = composite_adams(lam, mu, knot.s)
-    return _assemble(knot, lam, mu, expansion, braiding_eigenvalue(lam, mu))
+    return _assemble(knot, lam, mu, composite_adams(lam, mu, knot.s))
 
 
 def classical_homfly(knot, lam):
@@ -199,7 +194,7 @@ def classical_homfly(knot, lam):
     expansion = {
         (EMPTY, nu): c for nu, c in adams_coefficients(lam, knot.s).items()
     }
-    return _assemble(knot, EMPTY, lam, expansion, braiding_eigenvalue(EMPTY, lam))
+    return _assemble(knot, EMPTY, lam, expansion)
 
 
 # ---------------------------------------------------------------------------

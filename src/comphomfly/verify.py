@@ -10,13 +10,12 @@ specializations, canceling differentials, and the finite-rank oracle.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .partitions import CompositeDiagram, Partition, conjugate, join
 from .qexact import exact_divide  # noqa: F401  wrapped by name in perfbench/tracing.py
@@ -31,8 +30,7 @@ class FixtureError(ValueError):
     """A fixture the checks need is missing, or its header is not what they read."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """A transcribed polynomial with provenance."""
 
     id: str
@@ -50,8 +48,7 @@ class Fixture:
             ) from None
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Verdict of one check; failing reports carry both sides verbatim."""
 
     check_id: str
@@ -74,8 +71,7 @@ class CheckReport:
         return "%s %s%s" % (self.status, self.check_id, tail)
 
 
-@dataclass(frozen=True)
-class ExceptionalSeriesEntry:
+class ExceptionalSeriesEntry(NamedTuple):
     """One member of the exceptional chain with its a-specialization slope."""
 
     tag: str
@@ -98,7 +94,7 @@ EXCEPTIONAL_SERIES = (
 
 
 def fixture_root():
-    return Path(importlib.resources.files("comphomfly") / "fixtures")
+    return Path(__file__).parent / "fixtures"
 
 
 def load_fixtures(root=None):

@@ -128,6 +128,26 @@ def test_package_holds_only_reachable_definitions():
     assert unread == []
 
 
+def test_package_imports_neither_dataclasses_nor_importlib():
+    # records are NamedTuples and the fixtures are found beside the package
+    # file: the two modules and what they load cost most of the benchmark's
+    # setup_s, `import comphomfly.cli`
+    found = []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            "%s:%d" % (name, node.lineno)
+            for module in modules
+            if module.split(".")[0] in {"dataclasses", "importlib"}
+        ]
+    assert found == []
+
+
 def test_package_has_no_floats():
     # exactness has tolerance zero: no float literal and no float() call
     found = [
@@ -312,14 +332,18 @@ try:
     sys.exit("non-integral Macdonald solve passed")
 except InexactDivisionError:
     pass
+# a color eigenvalue shifted by q^(1/7) leaves fractional exponents
 lam = Partition((1,))
-shifted = rosso.braiding_eigenvalue(EMPTY, lam) + SymExponent.make(e0=Fraction(1, 7))
+true_eigenvalue = rosso.braiding_eigenvalue
+rosso.braiding_eigenvalue = lambda lam, mu: (
+    true_eigenvalue(lam, mu) + SymExponent.make(e0=Fraction(1, 7))
+)
 try:
-    expansion = symfunc.composite_adams(EMPTY, lam, 2)
-    rosso._assemble(rosso.TorusKnot(3, 2), EMPTY, lam, expansion, shifted)
+    rosso.composite_homfly(rosso.TorusKnot(3, 2), EMPTY, lam)
     sys.exit("fractional normalized exponents passed")
 except IntegralityError:
     pass
+rosso.braiding_eigenvalue = true_eigenvalue
 # a skew row one box too big places r-quotient beads that do not strip back
 true_skew_row = symfunc.skew_row
 symfunc.skew_row = lambda eta, alpha: tuple(

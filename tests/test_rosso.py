@@ -54,6 +54,10 @@ sym = SymExponent.make
 def test_torus_knot_validation():
     assert TorusKnot(2, 3) == TorusKnot(3, 2)
     assert TorusKnot.parse("3,2").r == 3
+    swapped = TorusKnot(2, 3)  # the larger number is stored first
+    assert (swapped.r, swapped.s) == (3, 2)
+    assert str(swapped) == "3,2"
+    assert repr(swapped) == "TorusKnot(r=3, s=2)"
     with pytest.raises(ValueError):
         TorusKnot(4, 2)
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 import shutil
 from fractions import Fraction
@@ -95,7 +94,7 @@ def test_printed_check_fails_on_a_flipped_coefficient(fixtures):
         key = next(iter(terms))
         terms[key] = -terms[key]
         poly = Laurent(original.poly.vars, terms, original.poly.den)
-        report = verify.check_printed(dataclasses.replace(original, poly=poly))
+        report = verify.check_printed(original._replace(poly=poly))
         assert report.status == "FAIL" and report.left and report.right, fid
 
 
@@ -208,7 +207,7 @@ def test_evaluation_fails_on_a_raised_factor_source(fixtures):
     poly = Laurent(original.poly.vars, raised_terms, original.poly.den)
     assert len(changed_exponents(poly, original.poly)) == 1
     damaged = dict(fixtures)
-    damaged[original.id] = dataclasses.replace(original, poly=poly)
+    damaged[original.id] = original._replace(poly=poly)
     assert statuses(damaged) == ["FAIL", "FAIL"]
 
 
@@ -276,7 +275,7 @@ def test_canceling_refuses_a_fractional_exponent(fixtures, tmp_path, capsys):
     poly = had.poly + Laurent.monomial(QTA, 1, t=Fraction(1, 2))
     message = "fixture 3_2:had: the canceling check needs integer exponents"
     with pytest.raises(verify.FixtureError, match=message):
-        verify.check_canceling(dataclasses.replace(had, poly=poly), 3)
+        verify.check_canceling(had._replace(poly=poly), 3)
     dst = tmp_path / "fixtures"
     shutil.copytree(verify.fixture_root(), dst)
     target = dst / "3_2" / "had.poly"
@@ -375,7 +374,7 @@ def damaged(fid, change):
 
     def mutate(fixtures, monkeypatch):
         out = dict(fixtures)
-        out[fid] = dataclasses.replace(fixtures[fid], poly=change(fixtures[fid].poly))
+        out[fid] = fixtures[fid]._replace(poly=change(fixtures[fid].poly))
         return out
 
     return mutate
@@ -387,7 +386,7 @@ def shifted_engine(fixtures, monkeypatch):
 
     def shifted(knot, lam, mu):
         result = engine(knot, lam, mu)
-        return dataclasses.replace(result, normalized=result.normalized + Laurent.one(QA))
+        return result._replace(normalized=result.normalized + Laurent.one(QA))
 
     monkeypatch.setattr(verify, "engine", shifted)
     return fixtures
