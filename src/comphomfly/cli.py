@@ -21,7 +21,7 @@ from .qexact import (
     dumps_poly,
     render_quotient,
 )
-from .rosso import TorusKnot, composite_homfly
+from .rosso import TorusKnot, braiding_eigenvalue, composite_homfly, quantum_dimension
 from .symfunc import AbacusError, composite_adams, format_expansion
 from . import verify
 
@@ -53,8 +53,6 @@ def cmd_compute(args):
         # table rows as printed in the source: the color's own row first
         # (needed for normalization even at coefficient 0), then the
         # expansion keys with their raw eigenvalues and dimensions
-        from .rosso import braiding_eigenvalue, quantum_dimension
-
         rows = [(lam, mu, 0)] if not any(
             (t.beta, t.gamma) == (lam, mu) for t in result.terms
         ) else []

@@ -1,4 +1,4 @@
-"""Exact multivariate Laurent arithmetic and the symbolic-rank exponent algebra.
+"""Exact multivariate Laurent arithmetic and the symbolic-rank exponent type.
 
 Polynomials live over arbitrary-precision integer coefficients with exact
 rational exponents (halves come from brackets, smaller denominators from the
@@ -7,7 +7,9 @@ over one positive denominator, which is whatever common denominator its
 operation produced, not necessarily the lowest.  The ring operations and
 exact division never touch a Fraction; Fractions appear only where exponents
 cross the boundary (term files, printing, inspection and substitution
-arguments), and a float exponent or coefficient raises TypeError.  Engine
+arguments, and the `SymExponent` a twist is printed as), and a float
+exponent or coefficient raises TypeError.  The engine and the oracle build
+each twisted monomial from int exponents over one den with `_build`.  Engine
 output uses variables (q, a), fixtures (q, t, a), finite-rank cross-checks
 (q,).  The printed term order is lexicographic on (a-exponent, q-exponent,
 t-exponent), which makes every printed or serialized form deterministic; the
@@ -382,7 +384,8 @@ def tilde_normalize(p):
 
 
 class SymExponent(NamedTuple):
-    """q-exponent of the shape e1*N + e0 + em1/N with exact parts."""
+    """q-exponent of the shape e1*N + e0 + em1/N with exact parts: the
+    printed form of an eigenvalue or a twist, never an engine operand."""
 
     e1: Fraction
     e0: Fraction
@@ -397,13 +400,6 @@ class SymExponent(NamedTuple):
 
     def __neg__(self):
         return SymExponent(-self.e1, -self.e0, -self.em1)
-
-    def scale(self, f):
-        f = _fraction(f)
-        return SymExponent(self.e1 * f, self.e0 * f, self.em1 * f)
-
-    def is_rank_free(self):
-        return self.em1 == 0
 
     def render(self):
         """Human form e1*N + e0 + em1/N, leaving out zero parts."""
@@ -430,20 +426,6 @@ class SymExponent(NamedTuple):
 
 def _fmt_frac(f):
     return str(f) if f.denominator == 1 and f >= 0 else "(%s)" % f
-
-
-def sym_to_qa(e):
-    """Lower a rank-free symbolic exponent into the (q, a) ring.
-
-    q^(e1*N + e0) becomes a^e1 q^e0.  A surviving 1/N part means an
-    upstream cancellation failed, which is always a bug.
-    """
-    if not e.is_rank_free():
-        raise ResidualRankError(
-            "exponent %s retains rank-dependent parts" % (e.render(),)
-        )
-    (n0, d0), (n1, d1) = e.e0.as_integer_ratio(), e.e1.as_integer_ratio()
-    return _build(("q", "a"), {(n0 * d1, n1 * d0): 1}, d0 * d1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from three symbolic ingredients: braiding eigenvalues with rank-dependent
 exponents, composite Adams coefficients, and stable quantum dimensions in
 factored bracket form.  A separate finite-rank code path, the stabilization
 oracle, recomputes the same invariant at a concrete rank with its own
-composite expansion, eigenvalues and dimensions; both take psi^r from
-`symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
+composite expansion, eigenvalues and dimensions.  Both build each term's
+twist as one int exponent over 2s (the oracle's over 2N*s), take psi^r
+from `symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
 r-abacus, and sum with `qexact.bracket_sum`, the one exact route for
 bracket quotients, over balanced rows of raw brackets, merged by their
 cancelled brackets, packed and divided 2-adically.
@@ -30,13 +31,13 @@ from .qexact import (
     Bracket,
     IntegralityError,
     Laurent,
+    ResidualRankError,
     SymExponent,
     _build,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
     bracket_sum,
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
     render_quotient,
-    sym_to_qa,
 )
 from .symfunc import adams_at_rank, adams_coefficients, composite_adams
 
@@ -81,7 +82,9 @@ def braiding_eigenvalue(lam, mu):
 
     The 1/N part survives here.  It cancels in each twisted term, where the
     term's eigenvalue to the power r/s meets the color's eigenvalue to the
-    power -r*s, and `sym_to_qa` raises ResidualRankError if it does not.
+    power -r*s, and `_assemble` raises ResidualRankError if it does not.
+    This is the printed form that `compute --show-terms` shows; `_assemble`
+    reads the doubled ints of `_doubled_eigenvalue` instead.
     """
     return SymExponent.make(*(Fraction(x, 2) for x in _doubled_eigenvalue(lam, mu)))
 
@@ -151,24 +154,29 @@ def _assemble(knot, lam, mu, expansion):
     """Twist each term and normalize it at the bracket level.
 
     A term's twist is its eigenvalue to the power r/s times the color
-    [lam, mu]'s to the power -r*s.  Its row divides its hook-content lists
-    by the color's, crossed: (term num + color den) over (term den + color
-    num).  One `bracket_sum` cancels each row's shared brackets and adds the
+    [lam, mu]'s to the power -r*s.  With d the doubled int parts of
+    `_doubled_eigenvalue`, that is r*(d(beta, gamma) - s^2*d(lam, mu)) over
+    2s, the oracle's form over 2N*s; a nonzero 1/N part raises
+    ResidualRankError.  Its row divides its hook-content lists by the
+    color's, crossed: (term num + color den) over (term den + color num).
+    One `bracket_sum` cancels each row's shared brackets and adds the
     twisted terms.
     """
     r, s = knot.r, knot.s
-    # twist = pref + braiding_eigenvalue(beta, gamma) * r/s, r/s = max/min; with
-    # x a doubled int part of the eigenvalue, a part p + x*r/(2s) is (n + x*m)/d
-    pref = braiding_eigenvalue(lam, mu).scale(-r * s)
-    parts = [(p.numerator * 2 * s, p.denominator * r, p.denominator * 2 * s) for p in pref]
+    lead = [x * s * s for x in _doubled_eigenvalue(lam, mu)]
     color_num, color_den = quantum_dimension(lam, mu)
     terms, rows = [], []
     for (beta, gamma), coefficient in sorted(expansion.items(), reverse=True):
-        doubled = _doubled_eigenvalue(beta, gamma)
-        twist = SymExponent(*(Fraction(n + x * m, d) for (n, m, d), x in zip(parts, doubled)))
+        e1, e0, em1 = (r * (x - y) for x, y in zip(_doubled_eigenvalue(beta, gamma), lead))
+        twist = SymExponent(*(Fraction(e, 2 * s) for e in (e1, e0, em1)))
+        if em1:
+            raise ResidualRankError(
+                "exponent %s retains rank-dependent parts" % (twist.render(),)
+            )
         terms.append(FactoredTerm(beta, gamma, coefficient, twist))
         num, den = quantum_dimension(beta, gamma)
-        rows.append((sym_to_qa(twist) * coefficient, num + color_den, den + color_num))
+        piece = _build(("q", "a"), {(e0, e1): coefficient}, 2 * s)
+        rows.append((piece, num + color_den, den + color_num))
     total = bracket_sum(rows)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")

@@ -388,9 +388,7 @@ def check_hm_bridge():
     def vpow(k):
         return Laurent.monomial(QA, 1, a=-Fraction(k, 2))
 
-    z2 = Laurent(
-        QA, {(Fraction(1), Fraction(0)): 1, (Fraction(0), Fraction(0)): -2, (Fraction(-1), Fraction(0)): 1}
-    )
+    z2 = Laurent(QA, {(1, 0): 1, (0, 0): -2, (-1, 0): 1})
     transcribed = (
         vpow(2) - 4 * vpow(4) + 4 * vpow(6)
         + z2 * (Laurent.one(QA) + 2 * vpow(2) - 7 * vpow(4) + 4 * vpow(6))

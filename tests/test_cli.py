@@ -263,13 +263,12 @@ OPTIMIZED_FAILURES = """
 import pathlib
 import sys
 import tempfile
-from fractions import Fraction
 import macdonald
 from oracles import parse_expr
 from comphomfly import cli, rosso, symfunc, verify
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
-    Bracket, InexactDivisionError, IntegralityError, SymExponent, exact_divide,
+    Bracket, InexactDivisionError, IntegralityError, ResidualRankError, exact_divide,
 )
 
 assert not __debug__, "must run under python -O"
@@ -332,18 +331,34 @@ try:
     sys.exit("non-integral Macdonald solve passed")
 except InexactDivisionError:
     pass
-# a color eigenvalue shifted by q^(1/7) leaves fractional exponents
+# every eigenvalue shifted by the doubled parts `by`: a twist moves by
+# r*(1 - s^2)/(2s) times each shift, -9/4 on T(3,2)
 lam = Partition((1,))
-true_eigenvalue = rosso.braiding_eigenvalue
-rosso.braiding_eigenvalue = lambda lam, mu: (
-    true_eigenvalue(lam, mu) + SymExponent.make(e0=Fraction(1, 7))
-)
+true_doubled = rosso._doubled_eigenvalue
+
+
+def shift_doubled(*by):
+    rosso._doubled_eigenvalue = lambda lam, mu: tuple(
+        x + d for x, d in zip(true_doubled(lam, mu), by)
+    )
+
+
+# a shift by q^(1/2) leaves fractional exponents
+shift_doubled(0, 1, 0)
 try:
     rosso.composite_homfly(rosso.TorusKnot(3, 2), EMPTY, lam)
     sys.exit("fractional normalized exponents passed")
 except IntegralityError:
     pass
-rosso.braiding_eigenvalue = true_eigenvalue
+# a shift by q^(1/(2N)) leaves a 1/N part that no twist cancels
+shift_doubled(0, 0, 1)
+try:
+    rosso.composite_homfly(rosso.TorusKnot(3, 2), EMPTY, lam)
+    sys.exit("residual 1/N exponents passed")
+except ResidualRankError as exc:
+    if "retains rank-dependent parts" not in str(exc):
+        sys.exit("wrong residual rank error: %s" % exc)
+rosso._doubled_eigenvalue = true_doubled
 # a skew row one box too big places r-quotient beads that do not strip back
 true_skew_row = symfunc.skew_row
 symfunc.skew_row = lambda eta, alpha: tuple(

@@ -16,7 +16,6 @@ from comphomfly.qexact import (
     Bracket,
     InexactDivisionError,
     Laurent,
-    ResidualRankError,
     SignedExponentError,
     SymExponent,
     UNIT_BRACKET,
@@ -26,7 +25,6 @@ from comphomfly.qexact import (
     exact_divide,
     loads_poly,
     render_quotient,
-    sym_to_qa,
     tilde_normalize,
 )
 
@@ -125,7 +123,6 @@ def test_float_exponents_are_refused():
         lambda: Laurent.monomial(QA, 1, q=0.1),
         lambda: p.substitute({"a": (1, {"q": 0.5})}),
         lambda: SymExponent.make(e0=0.1),
-        lambda: SymExponent.make(e1=1).scale(0.5),
         lambda: Laurent(("q",), {(0.5,): 1}),
     ]
     for call in calls:
@@ -262,11 +259,8 @@ def test_tilde_normalize():
 def test_sym_exponent_algebra():
     assert SymExponent._fields == ("e1", "e0", "em1")
     e = SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2))
-    assert (e + (-e)).is_rank_free()
-    scaled = e.scale(-6)
-    assert scaled == SymExponent.make(3, 0, -3)
+    assert e + (-e) == SymExponent.make()
     assert exponent_at_rank(e, 2) == Fraction(-3, 4)
-    assert not e.is_rank_free()
     assert e.render() == "-1/2*N + 1/2/N"
     assert e.render_power() == "a^(-1/2)*q^(1/2/N)"
     shifted = SymExponent.make(-1, -2, Fraction(-1, 3))
@@ -275,16 +269,6 @@ def test_sym_exponent_algebra():
     assert SymExponent.make(1, 1).render_power() == "a*q"
     assert SymExponent.make().render() == "0"
     assert SymExponent.make().render_power() == "1"
-
-
-def test_sym_monomial_and_lowering():
-    assert sym_to_qa(SymExponent.make(-1)) == Laurent.monomial(QA, 1, a=-1)
-    assert sym_to_qa(SymExponent.make(3, Fraction(-1, 2))) == Laurent.monomial(
-        QA, 1, a=3, q=Fraction(-1, 2)
-    )
-    assert sym_to_qa(SymExponent.make()) == Laurent.one(QA)
-    with pytest.raises(ResidualRankError):
-        sym_to_qa(SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2)))
 
 
 def test_bracket_over_unit_bracket():

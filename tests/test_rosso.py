@@ -256,10 +256,26 @@ def test_empty_color_and_unknot():
 
 
 def test_rank_cancellation_per_term():
-    for lam, mu in [(P("1"), P("1")), (P("2"), P("1,1")), (P("2,1"), P("1"))]:
-        result = composite_homfly(TREFOIL, lam, mu)
-        for term in result.terms:
-            assert term.twist.em1 == 0
+    # each term's twist is its printed eigenvalue to the power r/s times the
+    # color's to the power -r*s, scaled here in Fractions, with the 1/N part
+    # cancelled; on the grid knots for every color with |lam|+|mu| <= 3
+    colors = [
+        (lam, mu)
+        for n in range(4)
+        for a in range(n + 1)
+        for lam in partitions_of(a)
+        for mu in partitions_of(n - a)
+    ]
+    assert len(colors) == 18
+    for knot in GRID_KNOTS:
+        r, s = knot.r, knot.s
+        for lam, mu in colors:
+            color = braiding_eigenvalue(lam, mu)
+            for term in composite_homfly(knot, lam, mu).terms:
+                own = braiding_eigenvalue(term.beta, term.gamma)
+                expected = [Fraction(r, s) * x - r * s * y for x, y in zip(own, color)]
+                assert term.twist == SymExponent(*expected), (knot, lam, mu, term)
+                assert term.twist.em1 == 0
 
 
 def test_normalization_identity():
