@@ -14,6 +14,7 @@ flat block of rows of length lambda_1 fills the middle.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import ge
 from typing import NamedTuple
 
 
@@ -37,9 +38,9 @@ class Partition(tuple):
         if not {int}.issuperset(map(type, rows)):
             raise TypeError("row lengths must be ints: %r" % (rows,))
         rows = tuple(filter(None, rows))
-        if any(r < 0 for r in rows):
+        if rows and min(rows) < 0:
             raise ValueError("negative row length: %r" % (rows,))
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if not all(map(ge, rows, rows[1:])):
             raise ValueError("rows not weakly decreasing: %r" % (rows,))
         return super().__new__(cls, rows)
 

@@ -16,6 +16,9 @@ t-exponent), which makes every printed or serialized form deterministic; the
 ring operations and exact division never consult it.  A sum of bracket
 quotients, the engine's hot path, has one exact route, `bracket_sum`: one
 packed integer of merged rows, divided 2-adically by one binomial at a time.
+Its rows are cancelled and merged on (bracket, multiplicity) items, and the
+engine and the oracle take every bracket from one table, `bracket`, so
+equal brackets are one object.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import heapq
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, sub
 from typing import NamedTuple
 
@@ -447,7 +451,14 @@ class Bracket(NamedTuple):
         return "[%s%+d]" % (npart, self.v)
 
 
-UNIT_BRACKET = Bracket(0, 1)
+@lru_cache(maxsize=None)
+def bracket(u, v):
+    """The bracket table: the one Bracket [u*N + v], built on first use, so
+    equal brackets are one object and the hot paths build none twice."""
+    return Bracket(u, v)
+
+
+UNIT_BRACKET = bracket(0, 1)
 
 
 def render_quotient(num, den):
@@ -486,11 +497,15 @@ def bracket_sum(terms):
     """Exact sum of piece * num/den over (piece, num, den) rows, over (q, a).
 
     num and den are equally long lists of Brackets with a positive leading
-    part, else ValueError (TypeError for a non-Bracket).  As [b] is
-    bracket_numerator(b) over the unit bracket's, a row is its num binomials
-    over its den's.  Equal brackets cancel within a row, rows left with
-    equal brackets merge by adding pieces, C is the merged dens' multiset
-    max, P = sum(piece * num * C/den), B = prod(C), and the sum is P/B.
+    part, else ValueError (TypeError for a non-Bracket), even where it
+    cancels.  As [b] is bracket_numerator(b) over the unit bracket's, a row
+    is its num binomials over its den's.  Equal brackets cancel within a
+    row, rows left with equal brackets merge by adding pieces, C is the
+    merged dens' multiset max, P = sum(piece * num * C/den), B = prod(C),
+    and the sum is P/B.  The bookkeeping runs on multiplicities: a row is
+    counted, cancelled and keyed as (bracket, multiplicity) items, C is a
+    {bracket: multiplicity} max, and a row's multiplier C * num/den is C
+    plus its key, expanded to repeated shifts only for `_pack`.
 
     Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
     the grid den = lcm(2, piece dens), h = den/2, where a bracket numerator
@@ -530,35 +545,44 @@ def bracket_sum(terms):
         if len(num) != len(den):
             raise ValueError("bracket row of %d over %d brackets" % (len(num), len(den)))
         count = Counter(num)
-        count.subtract(den)
+        count.subtract(Counter(den))
         seen.update(count)
         key = frozenset(item for item in count.items() if item[1])
         merged[key] = merged[key] + piece if key in merged else piece
     _check(seen)
-    cancelled, common = [], Counter()
-    for key, piece in merged.items():
-        if piece:
-            count = Counter(dict(key))
-            cancelled.append((piece, +count, -count))
-            common |= cancelled[-1][2]
-    den = math.lcm(2, *(piece.den for piece, _, _ in cancelled))
+    cancelled = [(piece, key) for key, piece in merged.items() if piece]
+    common = {}  # C: each bracket at its largest den multiplicity
+    for _, key in cancelled:
+        for b, m in key:
+            if -m > common.get(b, 0):
+                common[b] = -m
+    den = math.lcm(2, *(piece.den for piece, _ in cancelled))
     h = den // 2
-    rows, lows, highs, bound = [], [], [], 0
-    for piece, num, d in cancelled:
-        brackets = [*num.elements(), *(common - d).elements()]
+    # a row's brackets are C plus its key: sum v, u and the negative v's of C
+    # once, then add each key's (bracket, multiplicity) items
+    cv = sum(b.v * m for b, m in common.items())
+    cu = sum(b.u * m for b, m in common.items())
+    cneg = sum(b.v * m for b, m in common.items() if b.v < 0)
+    rows, lows, highs, norms = [], [], [], 0
+    for piece, key in cancelled:
+        vs, us, neg = cv, cu, cneg
+        for b, m in key:
+            vs += b.v * m
+            us += b.u * m
+            if b.v < 0:
+                neg += b.v * m
         scale = den // piece.den
-        oq = -h * sum(b.v for b in brackets)
-        oa = -h * sum(b.u for b in brackets)
+        oq, oa = -h * vs, -h * us
         keys = {(i * scale + oq, j * scale + oa): c for (i, j), c in piece.terms.items()}
         (qlo, qhi), (alo, _) = _span(keys)
-        lows.append((qlo + 2 * h * sum(min(b.v, 0) for b in brackets), alo))
-        highs.append(qhi + 2 * h * sum(max(b.v, 0) for b in brackets))
-        rows.append((keys, brackets))
-        bound += sum(map(abs, keys.values())) << len(brackets)
-    common = [*common.elements()]
+        lows.append((qlo + 2 * h * neg, alo))
+        highs.append(qhi + 2 * h * (vs - neg))
+        rows.append((keys, key))
+        norms += sum(map(abs, keys.values()))
+    bound = norms << sum(common.values())  # a balanced row holds |C| brackets
     qlo = min((q for q, _ in lows), default=0)
     alo = min((a for _, a in lows), default=0)
-    every = {b for _, brackets in rows for b in brackets}.union(common)
+    every = common.keys() | {b for _, key in rows for b, _ in key}
     gq = math.gcd(
         *(i - qlo for keys, _ in rows for i, _ in keys), *(2 * h * b.v for b in every)
     ) or 1
@@ -570,19 +594,23 @@ def bracket_sum(terms):
     width = max([span] + [abs(v) for v in steps.values()]) + 1
     shifts = {b: steps[b] + width * (2 * h * b.u // ga) for b in every}
     digits, top = [], 0
-    for keys, brackets in rows:
+    for keys, key in rows:
         exps = {(i - qlo) // gq + width * ((j - alo) // ga): c for (i, j), c in keys.items()}
-        row = sorted(shifts[b] for b in brackets)  # short shifts first: cheaper
+        mult = dict(common)  # the row's multiplier, C plus its key
+        for b, m in key:
+            mult[b] = mult.get(b, 0) + m
+        # multiplicities expand only here; short shifts first: cheaper
+        row = sorted([s for b, m in mult.items() for s in (shifts[b],) * m])
         digits.append((exps, row))
         top = max(top, max(exps) + sum(row))
-    blo = sum(min(steps[b], 0) for b in common)
-    bhi = sum(max(steps[b], 0) for b in common)
-    oq = qlo + h * sum(b.v for b in common)
-    oa = alo + h * sum(b.u for b in common)
-    grow = math.prod(top // shifts[b] + 1 for b in common)
-    k1, k2 = (-(-(n.bit_length() + len(common) + 2) // 8) * 8 for n in (bound, bound * grow))
+    blo = sum(min(steps[b], 0) * m for b, m in common.items())
+    bhi = sum(max(steps[b], 0) * m for b, m in common.items())
+    oq, oa = qlo + h * cv, alo + h * cu
+    grow = math.prod((top // shifts[b] + 1) ** m for b, m in common.items())
+    cshifts = [shifts[b] for b, m in common.items() for _ in range(m)]  # B's binomials
+    k1, k2 = (-(-(n.bit_length() + len(cshifts) + 2) // 8) * 8 for n in (bound, bound * grow))
     for k in sorted({k1, k2}):
-        total, binomials = _pack(digits, k), [k * shifts[b] for b in common]
+        total, binomials = _pack(digits, k), [k * s for s in cshifts]
         nbits = max(total.bit_length() - sum(m - 1 for m in binomials) + 2, 1)
         mask, quotient = (1 << nbits) - 1, total
         for m in binomials:
@@ -613,7 +641,7 @@ def bracket_sum(terms):
             out[oq + gq * i, oa + ga * j] = c
             norm += abs(c)
         else:
-            if norm << len(common) < half:
+            if norm << len(cshifts) < half:
                 return _build(("q", "a"), out, den)
     raise InexactDivisionError("inexact bracket sum")
 

@@ -28,12 +28,12 @@ from .partitions import (
     kappa,
 )
 from .qexact import (
-    Bracket,
     IntegralityError,
     Laurent,
     ResidualRankError,
     SymExponent,
     _build,
+    bracket,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
     bracket_sum,
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
@@ -103,18 +103,20 @@ def quantum_dimension(beta, gamma):
     bracket [N - len(beta) + j - i] over its hook for each box (i, j) of
     gamma; beta's at rank N - len(gamma), built the same way; and one
     [N + gamma_i + beta_p + 1 - p - i] / [N + 1 - p - i] for each pair of
-    rows (i, p).  Every bracket is [N + const] or a positive constant [v].
+    rows (i, p).  Every bracket is [N + const] or a positive constant [v],
+    taken from the bracket table `qexact.bracket`, so a pass over many terms
+    builds each distinct bracket once.
     """
     num, den = [], []
     for shape, other in ((gamma, beta), (beta, gamma)):
         cols = conjugate(shape)
         for i, row in enumerate(shape, start=1):
-            num += [Bracket(1, j - i - len(other)) for j in range(1, row + 1)]
-            den += [Bracket(0, row - j + cols[j - 1] - i + 1) for j in range(1, row + 1)]
+            num += [bracket(1, j - i - len(other)) for j in range(1, row + 1)]
+            den += [bracket(0, row - j + cols[j - 1] - i + 1) for j in range(1, row + 1)]
     for i, g in enumerate(gamma, start=1):
         for p, b in enumerate(beta, start=1):
-            num.append(Bracket(1, g + b + 1 - p - i))
-            den.append(Bracket(1, 1 - p - i))
+            num.append(bracket(1, g + b + 1 - p - i))
+            den.append(bracket(1, 1 - p - i))
     return num, den
 
 
@@ -212,9 +214,11 @@ def classical_homfly(knot, lam):
 def _weyl_numerator(shape, N):
     """The constant brackets [shape_i - shape_j + j - i] over the positive-root
     pairs i < j <= N, each the gap between two of the N beads shape_i + N - i;
-    the empty shape's is the Weyl denominator."""
+    the empty shape's is the Weyl denominator.  The brackets come from the
+    bracket table `qexact.bracket`, so the oracle's N(N-1)/2 brackets per
+    shape are looked up, not built."""
     beads = [shape.row(i) + N - i for i in range(1, N + 1)]
-    return [Bracket(0, b - c) for i, b in enumerate(beads) for c in beads[i + 1 :]]
+    return [bracket(0, b - c) for i, b in enumerate(beads) for c in beads[i + 1 :]]
 
 
 def qdim_at_rank(shape, N):

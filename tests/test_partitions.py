@@ -36,10 +36,14 @@ def random_partition(rng, max_size=12):
 def test_construction_canonical():
     assert tuple(Partition((3, 1, 0, 0))) == (3, 1)
     assert tuple(Partition(())) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows not weakly decreasing"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative row length"):
         Partition((2, -1))
+    # the sign is checked first, so a negative row that also breaks the
+    # order is reported as negative
+    with pytest.raises(ValueError, match="negative row length"):
+        Partition((-1, 2))
 
 
 def test_construction_refuses_rows_that_are_not_ints():

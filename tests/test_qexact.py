@@ -496,6 +496,9 @@ def test_bracket_sum_refuses_malformed_rows():
             bracket_sum([(one, [bad], [UNIT_BRACKET])])
         with pytest.raises(ValueError, match="positive leading part"):
             bracket_sum([(one, [UNIT_BRACKET], [bad])])
+        # a bad bracket is refused even where it cancels in its own row
+        with pytest.raises(ValueError, match="positive leading part"):
+            bracket_sum([(one, [bad], [bad])])
     with pytest.raises(TypeError):
         bracket_sum([(one, [(0, 3)], [UNIT_BRACKET])])
     # the same brackets balanced by [1]s are summed: [2][3]/[1]^2

@@ -186,18 +186,48 @@ def test_hot_paths_render_no_quotient(monkeypatch):
         assert finite_N_oracle(knot, P(lam), P(mu), 4) == at_4
 
 
-def test_quantum_dimension_tables():
-    def dim(beta, gamma):
-        return render_quotient(*quantum_dimension(P(beta), P(gamma)))
+DIMENSION_TABLE = {
+    ("0", "0"): "1",
+    ("0", "1"): "[N]",
+    ("0", "2"): "[N][N+1]/[2]",
+    ("0", "1,1"): "[N-1][N]/[2]",
+    ("1", "1"): "[N-1][N+1]",
+    ("2", "2"): "[N-1][N]^2[N+3]/[2]^2",
+    ("2", "1,1"): "[N-2][N-1][N+1][N+2]/[2]^2",
+    ("1,1", "1,1"): "[N-3][N]^2[N+1]/[2]^2",
+}
 
-    assert dim("0", "0") == "1"
-    assert dim("0", "1") == "[N]"
-    assert dim("0", "2") == "[N][N+1]/[2]"
-    assert dim("0", "1,1") == "[N-1][N]/[2]"
-    assert dim("1", "1") == "[N-1][N+1]"
-    assert dim("2", "2") == "[N-1][N]^2[N+3]/[2]^2"
-    assert dim("2", "1,1") == "[N-2][N-1][N+1][N+2]/[2]^2"
-    assert dim("1,1", "1,1") == "[N-3][N]^2[N+1]/[2]^2"
+
+def rendered_dimensions():
+    return {
+        (beta, gamma): render_quotient(*quantum_dimension(P(beta), P(gamma)))
+        for beta, gamma in DIMENSION_TABLE
+    }
+
+
+def test_quantum_dimension_tables():
+    assert rendered_dimensions() == DIMENSION_TABLE
+
+
+def test_hot_paths_build_each_bracket_once(monkeypatch):
+    # the engine and the oracle take their brackets from the bracket table:
+    # over a whole compute and an oracle call, no (u, v) is built twice,
+    # whether or not earlier calls filled the table
+    built = []
+    new = Bracket.__new__
+
+    def spy(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Bracket, "__new__", spy)
+    composite_homfly(TREFOIL, P("2,1"), P("2,1"))
+    finite_N_oracle(TREFOIL, P("2,1"), P("2,1"), 7)
+    assert len(built) == len(set(built))
+    # equal brackets are one object, and dimensions print as before
+    once, again = (sum(quantum_dimension(P("2"), P("2")), []) for _ in range(2))
+    assert once == again and all(x is y for x, y in zip(once, again))
+    assert rendered_dimensions() == DIMENSION_TABLE
 
 
 def test_quantum_dimension_bracket_shapes():
