@@ -8,17 +8,17 @@ operation produced, not necessarily the lowest.  The ring operations and
 exact division never touch a Fraction; Fractions appear only where exponents
 cross the boundary (term files, printing, inspection and substitution
 arguments, and the `SymExponent` a twist is printed as), and a float
-exponent or coefficient raises TypeError.  The engine and the oracle build
-each twisted monomial from int exponents over one den with `_build`.  Engine
-output uses variables (q, a), fixtures (q, t, a), finite-rank cross-checks
-(q,).  The printed term order is lexicographic on (a-exponent, q-exponent,
-t-exponent), which makes every printed or serialized form deterministic; the
-ring operations and exact division never consult it.  A sum of bracket
-quotients, the engine's hot path, has one exact route, `bracket_sum`: one
-packed integer of merged rows, divided 2-adically by one binomial at a time.
-Its rows are cancelled and merged on (bracket, multiplicity) items, and the
-engine and the oracle take every bracket from one table, `bracket`, so
-equal brackets are one object.
+exponent or coefficient raises TypeError.  Engine output uses variables
+(q, a), fixtures (q, t, a), finite-rank cross-checks (q,).  The printed term
+order is lexicographic on (a-exponent, q-exponent, t-exponent), which makes
+every printed or serialized form deterministic; the ring operations and
+exact division never consult it.  A sum of bracket quotients, the engine's
+hot path, has one exact route, `bracket_sum`: one packed integer of merged
+rows, divided 2-adically by one binomial at a time.  A row is one signed
+monomial, an int coefficient and int q- and a-exponents over the one den
+the caller passes, times a bracket quotient; rows are cancelled and merged
+on (bracket, multiplicity) items, and the engine and the oracle take every
+bracket from one table, `bracket`, so equal brackets are one object.
 """
 
 from __future__ import annotations
@@ -493,24 +493,26 @@ def bracket_numerator(b):
 # bracket sums (Kronecker substitution)
 
 
-def bracket_sum(terms):
-    """Exact sum of piece * num/den over (piece, num, den) rows, over (q, a).
-
-    num and den are equally long lists of Brackets with a positive leading
-    part, else ValueError (TypeError for a non-Bracket), even where it
-    cancels.  As [b] is bracket_numerator(b) over the unit bracket's, a row
-    is its num binomials over its den's.  Equal brackets cancel within a
-    row, rows left with equal brackets merge by adding pieces, C is the
-    merged dens' multiset max, P = sum(piece * num * C/den), B = prod(C),
-    and the sum is P/B.  The bookkeeping runs on multiplicities: a row is
-    counted, cancelled and keyed as (bracket, multiplicity) items, C is a
-    {bracket: multiplicity} max, and a row's multiplier C * num/den is C
-    plus its key, expanded to repeated shifts only for `_pack`.
+def bracket_sum(rows, den):
+    """Exact sum of c q^(i/den) a^(j/den) * num/under over (c, i, j, num,
+    under) rows, over (q, a): c, i and j ints (else TypeError) and den a
+    positive int (else ValueError).  num and under are equally long lists
+    of Brackets with a positive leading part, else ValueError (TypeError
+    for a non-Bracket), even where it cancels.  As [b] is
+    bracket_numerator(b) over the unit bracket's, a row is its num
+    binomials over its under's.  Equal brackets cancel within a row, rows
+    left with equal brackets merge by adding the c of equal (i, j), C is
+    the unders' multiset max, P = sum(c q^i a^j * num * C/under), B =
+    prod(C), and the sum is P/B.  The bookkeeping runs on multiplicities:
+    a row is counted, cancelled and keyed as (bracket, multiplicity)
+    items, C is a {bracket: multiplicity} max, and a row's multiplier
+    C * num/under is C plus its key, expanded to repeated shifts only for
+    `_pack`.
 
     Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
-    the grid den = lcm(2, piece dens), h = den/2, where a bracket numerator
-    is the monomial a^(-uh) q^(-vh) times (a^(2uh) q^(2vh) - 1).  The keys
-    and the binomials' exponents span a lattice, made unit steps; then
+    the grid 2h = lcm(2, den), where a bracket numerator is the monomial
+    a^(-uh) q^(-vh) times (a^(2uh) q^(2vh) - 1).  The keys and the
+    binomials' exponents span a lattice, made unit steps; then
     a -> X^width, with width > the q-span of P and > every binomial's
     q-steps, and X -> 2^k.  A binomial is a positive digit shift s, and
     multiplying by it is F = (F << k*s) - F.  Q is P(2^k) divided by each
@@ -526,11 +528,11 @@ def bracket_sum(terms):
          being the lowest and highest q-steps of B's monomials.
     Then Q is exact: let Q' be the polynomial its digits spell.  By 3, Q'*B
     lies, like P, in the box where (q, a) -> X is injective.  By 2, and as
-    k >= bitlen(bound) + 2 with bound = sum(||piece||_1 * 2^(binomials
+    k >= bitlen(bound) + 2 with bound = sum(|merged c| * 2^(binomials
     applied)) >= ||P||_1, the coefficients of Q'*B and of P are below
     2^(k-1) in size.  By 1, Q*B = P as integers: Q'*B and P agree at X =
-    2^k, and a polynomial with coefficients below 2^k in size that vanishes
-    at 2^k is zero, so Q'*B = P.
+    2^k, and a polynomial with coefficients below 2^k in size that
+    vanishes at 2^k is zero, so Q'*B = P.
 
     k1, the smallest multiple of 8 >= bitlen(bound) + len(C) + 2, bounds P,
     not Q.  Only if a check fails there is k2 tried, the same with
@@ -540,61 +542,65 @@ def bracket_sum(terms):
     three checks at k2.  A check failing there proves the sum inexact, and
     InexactDivisionError is raised with no remainder polynomial.
     """
+    if not isinstance(den, int) or den < 1:
+        raise ValueError("den must be a positive int, got %r" % (den,))
     merged, seen = {}, set()
-    for piece, num, den in terms:
-        if len(num) != len(den):
-            raise ValueError("bracket row of %d over %d brackets" % (len(num), len(den)))
+    for c, i, j, num, under in rows:
+        if not (isinstance(c, int) and isinstance(i, int) and isinstance(j, int)):
+            raise TypeError("row coefficient and exponents must be ints, got %r" % ((c, i, j),))
+        if len(num) != len(under):
+            raise ValueError("bracket row of %d over %d brackets" % (len(num), len(under)))
         count = Counter(num)
-        count.subtract(Counter(den))
+        count.subtract(Counter(under))
         seen.update(count)
-        key = frozenset(item for item in count.items() if item[1])
-        merged[key] = merged[key] + piece if key in merged else piece
+        terms = merged.setdefault(frozenset(item for item in count.items() if item[1]), {})
+        terms[i, j] = terms.get((i, j), 0) + c
     _check(seen)
-    cancelled = [(piece, key) for key, piece in merged.items() if piece]
-    common = {}  # C: each bracket at its largest den multiplicity
+    cancelled = [(terms, key) for key, terms in merged.items() if any(terms.values())]
+    common = {}  # C: each bracket at its largest under multiplicity
     for _, key in cancelled:
         for b, m in key:
             if -m > common.get(b, 0):
                 common[b] = -m
-    den = math.lcm(2, *(piece.den for piece, _ in cancelled))
+    scale = 1 + den % 2  # onto the grid lcm(2, den)
+    den *= scale
     h = den // 2
     # a row's brackets are C plus its key: sum v, u and the negative v's of C
     # once, then add each key's (bracket, multiplicity) items
     cv = sum(b.v * m for b, m in common.items())
     cu = sum(b.u * m for b, m in common.items())
     cneg = sum(b.v * m for b, m in common.items() if b.v < 0)
-    rows, lows, highs, norms = [], [], [], 0
-    for piece, key in cancelled:
+    keyed, lows, highs, norms = [], [], [], 0
+    for terms, key in cancelled:
         vs, us, neg = cv, cu, cneg
         for b, m in key:
             vs += b.v * m
             us += b.u * m
             if b.v < 0:
                 neg += b.v * m
-        scale = den // piece.den
         oq, oa = -h * vs, -h * us
-        keys = {(i * scale + oq, j * scale + oa): c for (i, j), c in piece.terms.items()}
+        keys = {(i * scale + oq, j * scale + oa): c for (i, j), c in terms.items() if c}
         (qlo, qhi), (alo, _) = _span(keys)
         lows.append((qlo + 2 * h * neg, alo))
         highs.append(qhi + 2 * h * (vs - neg))
-        rows.append((keys, key))
+        keyed.append((keys, key))
         norms += sum(map(abs, keys.values()))
     bound = norms << sum(common.values())  # a balanced row holds |C| brackets
     qlo = min((q for q, _ in lows), default=0)
     alo = min((a for _, a in lows), default=0)
-    every = common.keys() | {b for _, key in rows for b, _ in key}
+    every = common.keys() | {b for _, key in keyed for b, _ in key}
     gq = math.gcd(
-        *(i - qlo for keys, _ in rows for i, _ in keys), *(2 * h * b.v for b in every)
+        *(i - qlo for keys, _ in keyed for i, _ in keys), *(2 * h * b.v for b in every)
     ) or 1
     ga = math.gcd(
-        *(j - alo for keys, _ in rows for _, j in keys), *(2 * h * b.u for b in every)
+        *(j - alo for keys, _ in keyed for _, j in keys), *(2 * h * b.u for b in every)
     ) or 1
     span = (max(highs, default=qlo) - qlo) // gq
     steps = {b: 2 * h * b.v // gq for b in every}
     width = max([span] + [abs(v) for v in steps.values()]) + 1
     shifts = {b: steps[b] + width * (2 * h * b.u // ga) for b in every}
     digits, top = [], 0
-    for keys, key in rows:
+    for keys, key in keyed:
         exps = {(i - qlo) // gq + width * ((j - alo) // ga): c for (i, j), c in keys.items()}
         mult = dict(common)  # the row's multiplier, C plus its key
         for b, m in key:

@@ -9,8 +9,8 @@ composite expansion, eigenvalues and dimensions.  Both build each term's
 twist as one int exponent over 2s (the oracle's over 2N*s), take psi^r
 from `symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
 r-abacus, and sum with `qexact.bracket_sum`, the one exact route for
-bracket quotients, over balanced rows of raw brackets, merged by their
-cancelled brackets, packed and divided 2-adically.
+bracket quotients, over rows of one int monomial over that exponent den
+and balanced lists of raw brackets, merged, packed and divided 2-adically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .qexact import (
     Laurent,
     ResidualRankError,
     SymExponent,
-    _build,
     bracket,
     bracket_numerator,  # noqa: F401  wrapped by name in perfbench/tracing.py
     bracket_sum,
@@ -159,10 +158,10 @@ def _assemble(knot, lam, mu, expansion):
     [lam, mu]'s to the power -r*s.  With d the doubled int parts of
     `_doubled_eigenvalue`, that is r*(d(beta, gamma) - s^2*d(lam, mu)) over
     2s, the oracle's form over 2N*s; a nonzero 1/N part raises
-    ResidualRankError.  Its row divides its hook-content lists by the
-    color's, crossed: (term num + color den) over (term den + color num).
-    One `bracket_sum` cancels each row's shared brackets and adds the
-    twisted terms.
+    ResidualRankError.  Its row is the coefficient, the q- and a-exponents
+    e0 and e1, and its hook-content lists divided by the color's, crossed:
+    (term num + color den) over (term den + color num).  One `bracket_sum`
+    over 2s cancels each row's shared brackets and adds the twisted terms.
     """
     r, s = knot.r, knot.s
     lead = [x * s * s for x in _doubled_eigenvalue(lam, mu)]
@@ -177,9 +176,8 @@ def _assemble(knot, lam, mu, expansion):
             )
         terms.append(FactoredTerm(beta, gamma, coefficient, twist))
         num, den = quantum_dimension(beta, gamma)
-        piece = _build(("q", "a"), {(e0, e1): coefficient}, 2 * s)
-        rows.append((piece, num + color_den, den + color_num))
-    total = bracket_sum(rows)
+        rows.append((coefficient, e0, e1, num + color_den, den + color_num))
+    total = bracket_sum(rows, 2 * s)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
     return InvariantResult(knot, lam, mu, total, terms)
@@ -240,10 +238,10 @@ def finite_N_oracle(knot, lam, mu, N):
     `reference_adams`); Koike's sum with K^r against the rank-N shape of
     `compose_at_N`, the eigenvalues and the dimensions stay independent.
     The term q^{theta(nu) r/s - theta(zeta) rs} c * qdim(nu)/qdim(zeta) is a
-    row over the Weyl numerators of nu and zeta, the shared Weyl denominator
-    never built, and its exponent is an int over 2N*s.  Its brackets are
-    constants [m] with a-exponent 0, so a is dropped from the (q,) result
-    of `bracket_sum`.
+    row of c, its q-exponent as an int over 2N*s and a-exponent 0, and the
+    Weyl numerators of nu over zeta, the shared Weyl denominator never
+    built.  Its brackets are constants [m] with a-exponent 0, so a is
+    dropped from the (q,) result of `bracket_sum` over 2N*s.
     """
     r, s = knot.r, knot.s
 
@@ -256,6 +254,5 @@ def finite_N_oracle(knot, lam, mu, N):
     zeta_num = _weyl_numerator(zeta, N)
     rows = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
-        mono = _build(("q", "a"), {(r * (theta(nu) - lead), 0): coeff}, 2 * N * s)
-        rows.append((mono, _weyl_numerator(nu, N), zeta_num))
-    return bracket_sum(rows).substitute({"a": (1, {})})
+        rows.append((coeff, r * (theta(nu) - lead), 0, _weyl_numerator(nu, N), zeta_num))
+    return bracket_sum(rows, 2 * N * s).substitute({"a": (1, {})})

@@ -139,18 +139,14 @@ def composite_adams(lam, mu, r):
 
 
 def format_expansion(expansion):
-    """Serialize an expansion as sorted `key<TAB>coefficient` lines.
-
-    Keys may be partitions or composite pairs; ordering is descending on
-    the row tuples, matching the printed tables.  Each distinct partition
-    is rendered once.
+    """Serialize a composite expansion as sorted `lam|mu<TAB>coefficient`
+    lines, descending on the (lam, mu) row tuples, matching the printed
+    tables.  Each distinct partition is rendered once.
     """
-    items = sorted(expansion, reverse=True)
-    keys = [(item,) if isinstance(item, Partition) else item for item in items]
-    text = {part: str(part) for part in set().union(*keys)}
+    pairs = sorted(expansion, reverse=True)
+    text = {part: str(part) for part in set().union(*pairs)}
     return "\n".join(
-        "%s\t%d" % ("|".join([text[part] for part in key]), expansion[item])
-        for item, key in zip(items, keys)
+        "%s|%s\t%d" % (text[lam], text[mu], expansion[lam, mu]) for lam, mu in pairs
     )
 
 

@@ -425,12 +425,12 @@ def check_color_exchange(fixtures):
     ]
 
 
-def check_stabilization(knot, lam, mu, span=4):
-    """Engine output at a = q^N against the finite-rank oracle."""
+def check_stabilization(knot, lam, mu):
+    """Engine output at a = q^N against the finite-rank oracle, four ranks."""
     reports = []
     eng = engine(knot, lam, mu).normalized
     base = len(lam) + len(mu)
-    for N in range(base, base + span):
+    for N in range(base, base + 4):
         cid = "oracle:%s:%s|%s:N=%d" % (knot, lam, mu, N)
         specialized = eng.substitute({"a": (1, {"q": N})})
         oracle = finite_N_oracle(knot, lam, mu, N)

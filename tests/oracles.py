@@ -13,7 +13,9 @@ coefficient on its own, so it shares no summation with
 `symfunc.composite_adams`, which the tests check against it.  The monomial
 expansions are brute-force oracles for the Adams coefficients and the
 building blocks of the Macdonald checker.  `parse_expr` reads expected
-values written as expressions, with `/` as `qexact.exact_divide`.
+values written as expressions, with `/` as `qexact.exact_divide`, and
+`kernel_rows` writes bracket sums over Laurent pieces as the int monomial
+rows `qexact.bracket_sum` reads.
 """
 
 import ast
@@ -388,3 +390,15 @@ def _power(base, power):
         raise ValueError("negative power with non-unit coefficient")
     sign = coeff if power.numerator % 2 else 1
     return Laurent(base.vars, {tuple(e * power for e in exps): sign}, base.den)
+
+
+def kernel_rows(terms):
+    """`qexact.bracket_sum`'s (rows, den) for (piece, num, den) terms, each
+    piece a Laurent over (q, a): one row per term of each piece, its
+    exponents put on the lcm of the piece dens, which is the den returned."""
+    den = math.lcm(*(piece.den for piece, _, _ in terms))
+    rows = []
+    for piece, num, under in terms:
+        scale = den // piece.den
+        rows += [(c, i * scale, j * scale, num, under) for (i, j), c in piece.terms.items()]
+    return rows, den

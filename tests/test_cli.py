@@ -148,6 +148,20 @@ def test_package_imports_neither_dataclasses_nor_importlib():
     assert found == []
 
 
+def test_package_imports_no_private_name_across_modules():
+    # a `_`-prefixed name belongs to its module, and the format it stands
+    # for is known there only: no package module imports one from another
+    found = [
+        "%s:%d %s" % (name, node.lineno, alias.name)
+        for name, node in package_nodes()
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "comphomfly")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_package_has_no_floats():
     # exactness has tolerance zero: no float literal and no float() call
     found = [
@@ -264,7 +278,7 @@ import pathlib
 import sys
 import tempfile
 import macdonald
-from oracles import parse_expr
+from oracles import kernel_rows, parse_expr
 from comphomfly import cli, rosso, symfunc, verify
 from comphomfly.partitions import EMPTY, Partition
 from comphomfly.qexact import (
@@ -306,20 +320,26 @@ with tempfile.TemporaryDirectory() as root:
 # and a row must be balanced for its unit brackets to cancel
 one = parse_expr("1", ("q", "a"))
 try:
-    rosso.bracket_sum([(one, [Bracket(0, 1)], [Bracket(0, 2)])])
+    rosso.bracket_sum(*kernel_rows([(one, [Bracket(0, 1)], [Bracket(0, 2)])]))
     sys.exit("inexact bracket sum passed")
 except InexactDivisionError:
     pass
 try:
-    rosso.bracket_sum([(one, [], [Bracket(0, 2)])])
+    rosso.bracket_sum(*kernel_rows([(one, [], [Bracket(0, 2)])]))
     sys.exit("unbalanced bracket row passed")
+except ValueError:
+    pass
+# its rows' exponents are ints over one positive den
+try:
+    rosso.bracket_sum([(1, 1, 0, [Bracket(0, 2)], [Bracket(0, 1)])], -2)
+    sys.exit("negative exponent den passed")
 except ValueError:
     pass
 # (q^(1/2) - 1)/[N - 1] multiplies back to its packed sum; only the
 # quotient's q-window shows it inexact
 window = parse_expr("q^(1/2) - 1", ("q", "a"))
 try:
-    rosso.bracket_sum([(window, [Bracket(0, 1)], [Bracket(1, -1)])])
+    rosso.bracket_sum(*kernel_rows([(window, [Bracket(0, 1)], [Bracket(1, -1)])]))
     sys.exit("bracket sum outside the q-window passed")
 except InexactDivisionError:
     pass

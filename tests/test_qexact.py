@@ -28,7 +28,7 @@ from comphomfly.qexact import (
     tilde_normalize,
 )
 
-from oracles import exponent_at_rank, exponent_range, parse_expr
+from oracles import exponent_at_rank, exponent_range, kernel_rows, parse_expr
 
 QA = ("q", "a")
 QTA = ("q", "t", "a")
@@ -381,10 +381,10 @@ def test_packed_bracket_sum_matches_stepwise():
             want = stepwise_sum(terms)
         except InexactDivisionError:
             with pytest.raises(InexactDivisionError):
-                bracket_sum(terms)
+                bracket_sum(*kernel_rows(terms))
             continue
         exact += 1
-        assert bracket_sum(terms) == want, terms
+        assert bracket_sum(*kernel_rows(terms)) == want, terms
     assert 200 < exact < 280 and mixed > 30 and {1, 2, 3} <= dens
 
 
@@ -395,13 +395,14 @@ def test_packed_second_width():
     # [100]/[1] has 100 unit coefficients: 100 * 2 is not below 2^7
     terms = [(one, [Bracket(0, 100)], [UNIT_BRACKET])]
     want = stepwise_sum(terms)
-    assert len(want.terms) == 100 and bracket_sum(terms) == want
+    assert len(want.terms) == 100 and bracket_sum(*kernel_rows(terms)) == want
     # the dimension of [2|2,1] at N = 6, [4][5][6][7][9]/[2][3], has
     # coefficient sum 1,260, and 1,260 * 2^5 is not below 2^15
     brackets = [Bracket(0, v) for v in (4, 5, 6, 7, 9)]
     terms = [(one, brackets, [Bracket(0, 2), Bracket(0, 3)] + [UNIT_BRACKET] * 3)]
     want = stepwise_sum(terms)
-    assert sum(map(abs, want.terms.values())) == 1260 and bracket_sum(terms) == want
+    assert sum(map(abs, want.terms.values())) == 1260
+    assert bracket_sum(*kernel_rows(terms)) == want
 
 
 def test_packed_remainder_raises():
@@ -409,7 +410,7 @@ def test_packed_remainder_raises():
     # back by the binomial, misses the packed sum, and the error carries no
     # remainder polynomial
     with pytest.raises(InexactDivisionError) as err:
-        bracket_sum([(Laurent.one(QA), [UNIT_BRACKET], [Bracket(0, 2)])])
+        bracket_sum(*kernel_rows([(Laurent.one(QA), [UNIT_BRACKET], [Bracket(0, 2)])]))
     assert err.value.remainder is None
 
 
@@ -420,7 +421,7 @@ def test_packed_q_window_raises():
     # digit, below the q-window, shows the sum inexact
     piece = Laurent.monomial(QA, 1, q=Fraction(1, 2)) - Laurent.one(QA)
     with pytest.raises(InexactDivisionError):
-        bracket_sum([(piece, [UNIT_BRACKET], [Bracket(1, -1)])])
+        bracket_sum(*kernel_rows([(piece, [UNIT_BRACKET], [Bracket(1, -1)])]))
 
 
 def test_bracket_sum_merges_rows_with_equal_brackets(monkeypatch):
@@ -445,11 +446,12 @@ def test_bracket_sum_merges_rows_with_equal_brackets(monkeypatch):
         return real(rows, k)
 
     monkeypatch.setattr(qexact, "_pack", spy)
-    assert bracket_sum(terms) == stepwise_sum(terms)
+    assert bracket_sum(*kernel_rows(terms)) == stepwise_sum(terms)
     assert packed == [2]
     # with the cancelling pair alone the sum is zero, and nothing is packed
     packed.clear()
-    assert bracket_sum(terms[2:4]) == Laurent.zero(QA) == stepwise_sum(terms[2:4])
+    pair = terms[2:4]
+    assert bracket_sum(*kernel_rows(pair)) == Laurent.zero(QA) == stepwise_sum(pair)
     assert packed == [0]
 
 
@@ -459,9 +461,9 @@ def test_bracket_sum_packs_one_row_per_cancelled_list(monkeypatch):
     rows, packed = [], []
     real_sum, real_pack = rosso.bracket_sum, qexact._pack
 
-    def record(terms):
+    def record(terms, den):
         rows.extend(terms)
-        return real_sum(terms)
+        return real_sum(terms, den)
 
     def spy(digits, k):
         packed.append(len(digits))
@@ -472,7 +474,7 @@ def test_bracket_sum_packs_one_row_per_cancelled_list(monkeypatch):
     lam = Partition((2, 1))
     rosso.composite_homfly(rosso.TorusKnot(3, 2), lam, lam)
     lists = set()
-    for _, num, den in rows:
+    for *_, num, den in rows:
         num, den = Counter(num), Counter(den)
         lists.add((frozenset((num - den).items()), frozenset((den - num).items())))
     assert len(rows) == 66 and len(lists) == 40 and packed == [40]
@@ -490,20 +492,35 @@ def test_bracket_sum_refuses_malformed_rows():
     one = Laurent.one(QA)
     for num, den in (([], [Bracket(0, 2)]), ([Bracket(1, 0)], [])):
         with pytest.raises(ValueError, match="bracket row of"):
-            bracket_sum([(one, num, den)])
+            bracket_sum(*kernel_rows([(one, num, den)]))
     for bad in (Bracket(0, 0), Bracket(0, -2), Bracket(-1, 1)):
         with pytest.raises(ValueError, match="positive leading part"):
-            bracket_sum([(one, [bad], [UNIT_BRACKET])])
+            bracket_sum(*kernel_rows([(one, [bad], [UNIT_BRACKET])]))
         with pytest.raises(ValueError, match="positive leading part"):
-            bracket_sum([(one, [UNIT_BRACKET], [bad])])
+            bracket_sum(*kernel_rows([(one, [UNIT_BRACKET], [bad])]))
         # a bad bracket is refused even where it cancels in its own row
         with pytest.raises(ValueError, match="positive leading part"):
-            bracket_sum([(one, [bad], [bad])])
+            bracket_sum(*kernel_rows([(one, [bad], [bad])]))
     with pytest.raises(TypeError):
-        bracket_sum([(one, [(0, 3)], [UNIT_BRACKET])])
+        bracket_sum(*kernel_rows([(one, [(0, 3)], [UNIT_BRACKET])]))
     # the same brackets balanced by [1]s are summed: [2][3]/[1]^2
     row = (one, [Bracket(0, 2), Bracket(0, 3)], [UNIT_BRACKET] * 2)
-    assert bracket_sum([row]) == stepwise_sum([row])
+    assert bracket_sum(*kernel_rows([row])) == stepwise_sum([row])
+
+
+def test_bracket_sum_refuses_bad_den_and_non_int_rows():
+    # q^(1/2) [2]/[1] is q + 1; the exponent den is a positive int, as a
+    # Laurent's is, since at den = -2 the grid would flip every exponent
+    row = (1, 1, 0, [Bracket(0, 2)], [UNIT_BRACKET])
+    assert bracket_sum([row], 2) == parse_expr("q + 1", QA)
+    for den in (0, -2, 2.0):
+        with pytest.raises(ValueError, match="den must be a positive int"):
+            bracket_sum([row], den)
+    # a float coefficient or a non-int exponent is refused, even one equal
+    # to an int, which would otherwise merge into an int key
+    for bad in ((1.0, 1, 0), (1, Fraction(2, 2), 0), (1, 1, Fraction(1, 3)), (1, 2.0, 0)):
+        with pytest.raises(TypeError, match="must be ints"):
+            bracket_sum([(*bad, [Bracket(0, 2)], [UNIT_BRACKET]), row], 2)
 
 
 def test_render_quotient_canonical_form():

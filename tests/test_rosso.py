@@ -32,7 +32,7 @@ from comphomfly.rosso import (
     quantum_dimension,
 )
 
-from oracles import exponent_at_rank, parse_expr, partitions_of
+from oracles import exponent_at_rank, kernel_rows, parse_expr, partitions_of
 
 P = Partition.parse
 QA = ("q", "a")
@@ -102,7 +102,7 @@ def dim_at(dim, N):
     Laurent in q^{1/2}: each [uN + v] becomes the constant bracket [uN + v],
     and num over den is one row summed over (q, a), a dropped."""
     num, den = ([Bracket(0, b.u * N + b.v) for b in side] for side in dim)
-    return bracket_sum([(Laurent.one(QA), num, den)]).substitute({"a": (1, {})})
+    return bracket_sum(*kernel_rows([(Laurent.one(QA), num, den)])).substitute({"a": (1, {})})
 
 
 def quantum_integer(m):
@@ -127,12 +127,12 @@ def test_bracket_sum_matches_quantum_integers():
 def test_bracket_sum_negative_controls():
     # 1/[2] is no polynomial
     with pytest.raises(InexactDivisionError):
-        bracket_sum([(Laurent.one(QA), [UNIT], [Bracket(0, 2)])])
+        bracket_sum(*kernel_rows([(Laurent.one(QA), [UNIT], [Bracket(0, 2)])]))
     # exact where no single term is a polynomial: (q^{1/2} + q^{-1/2})/[2] = 1
     halves = [
         (Laurent.monomial(QA, 1, q=Fraction(e, 2)), [UNIT], [Bracket(0, 2)]) for e in (1, -1)
     ]
-    assert bracket_sum(halves) == Laurent.one(QA)
+    assert bracket_sum(*kernel_rows(halves)) == Laurent.one(QA)
 
 
 def test_bracket_sums_use_one_division_primitive(monkeypatch):

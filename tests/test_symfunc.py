@@ -361,8 +361,6 @@ def test_format_expansion_golden():
         "1,1|1,1\t1",
         "0|0\t1",
     ]
-    single = sf.adams_coefficients(P("1"), 2)
-    assert sf.format_expansion(single) == "2\t1\n1,1\t-1"
 
 
 def _reduced(expansion, N):
