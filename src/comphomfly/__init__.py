@@ -29,7 +29,6 @@ from .rosso import (
     InvariantResult,
     TorusKnot,
     braiding_eigenvalue,
-    classical_homfly,
     composite_homfly,
     finite_N_oracle,
     quantum_dimension,
@@ -50,7 +49,6 @@ __all__ = [
     "SymExponent",
     "TorusKnot",
     "braiding_eigenvalue",
-    "classical_homfly",
     "compose_at_N",
     "composite_homfly",
     "conjugate",

@@ -1,9 +1,12 @@
 """Command-line front end: compute invariants, dump expansions, verify.
 
-All data goes to stdout in deterministic order; diagnostics go to stderr.
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 engine failure (a typed arithmetic error), 141 stdout closed before the
-output was written (128 + SIGPIPE, as a shell reports it).
+Each choice has one option: `compute --format` selects which of five
+outputs it prints, and `verify --fixtures` names the fixture directory
+(the package's own by default).  All data goes to stdout in deterministic
+order; diagnostics go to stderr.  Exit codes, for every command: 0 success,
+1 verification failure or a fixture error, 2 usage/parse error, 3 engine
+failure (a typed arithmetic error, reported by `main` alone), 141 stdout
+closed before the output was written (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -44,12 +47,9 @@ def cmd_compute(args):
     except (ValueError, KeyError) as err:
         print("argument error: %s" % err, file=sys.stderr)
         return 2
-    try:
-        result = composite_homfly(knot, lam, mu)
-    except _ENGINE_ERRORS as err:
-        print("engine failure: %s" % err, file=sys.stderr)
-        return 3
-    if args.show_terms:
+    result = composite_homfly(knot, lam, mu)
+    poly = result.normalized
+    if args.format == "terms":
         # table rows as printed in the source: the color's own row first
         # (needed for normalization even at coefficient 0), then the
         # expansion keys with their raw eigenvalues and dimensions
@@ -68,13 +68,10 @@ def cmd_compute(args):
                     render_quotient(*quantum_dimension(beta, gamma)),
                 )
             )
-        return 0
-    if args.unnormalized:
+    elif args.format == "unnormalized":
         for term in result.terms:
             print(term.render())
-        return 0
-    poly = result.normalized
-    if args.format == "term-file":
+    elif args.format == "term-file":
         sys.stdout.write(
             dumps_poly(poly, {"knot": str(knot), "color": "%s|%s" % (lam, mu)})
         )
@@ -105,32 +102,26 @@ def cmd_expand(args):
     except (ValueError, KeyError) as err:
         print("argument error: %s" % err, file=sys.stderr)
         return 2
-    try:
-        expansion = composite_adams(lam, mu, r)
-    except _ENGINE_ERRORS as err:
-        print("engine failure: %s" % err, file=sys.stderr)
-        return 3
-    text = format_expansion(expansion)
+    text = format_expansion(composite_adams(lam, mu, r))
     if text:
         print(text)
     return 0
 
 
-def _fixture_error(message, strict):
+def _fixture_error(message):
     print("fixture error: %s" % message, file=sys.stderr)
-    return 2 if strict else 1
+    return 1
 
 
 def cmd_verify(args):
-    root = args.fixtures or os.environ.get("COMPHOMFLY_FIXTURES")
     try:
-        fixtures = verify.load_fixtures(root)
+        fixtures = verify.load_fixtures(args.fixtures)
     except (FileNotFoundError, ValueError) as err:
-        return _fixture_error(err, args.strict)
+        return _fixture_error(err)
     try:
         reports = verify.run_suite(args.suite, fixtures)
     except verify.FixtureError as err:
-        return _fixture_error(err, args.strict)
+        return _fixture_error(err)
     for report in reports:
         print(report.line())
         if report.status == "FAIL":
@@ -150,20 +141,19 @@ def build_parser():
 
     compute = sub.add_parser("compute", help="normalized invariant of a torus knot")
     compute.add_argument("--knot", required=True, help="torus knot as 'r,s'")
-    color = compute.add_mutually_exclusive_group(required=True)
-    color.add_argument("--color", help="composite diagram 'lam|mu', rows comma-separated, 0 for empty")
-    color.add_argument("--weight", help="fundamental-weight form, e.g. '2w1+w3|w1'")
-    compute.add_argument("--show-terms", action="store_true", help="print the factored expansion table")
-    compute.add_argument("--unnormalized", action="store_true", help="print the factored unnormalized sum")
+    expand = sub.add_parser("expand", help="composite Adams expansion of a color")
+    for command in (compute, expand):
+        color = command.add_mutually_exclusive_group(required=True)
+        color.add_argument("--color", help="composite diagram 'lam|mu', rows comma-separated, 0 for empty")
+        color.add_argument("--weight", help="fundamental-weight form, e.g. '2w1+w3|w1'")
     compute.add_argument(
-        "--format", choices=("text", "term-file", "summary"), default="text"
+        "--format",
+        choices=("text", "term-file", "summary", "terms", "unnormalized"),
+        default="text",
+        help="the normalized polynomial as text, a term file or a JSON summary; "
+        "the factored expansion table; or the factored unnormalized sum",
     )
     compute.set_defaults(func=cmd_compute)
-
-    expand = sub.add_parser("expand", help="composite Adams expansion of a color")
-    xcolor = expand.add_mutually_exclusive_group(required=True)
-    xcolor.add_argument("--color")
-    xcolor.add_argument("--weight")
     expand.add_argument("--r", required=True, help="Adams direction, a positive integer")
     expand.set_defaults(func=cmd_expand)
 
@@ -173,8 +163,7 @@ def build_parser():
         default="all",
         choices=(*verify.SUITES, "all"),
     )
-    check.add_argument("--fixtures", help="fixture directory override")
-    check.add_argument("--strict", action="store_true", help="exit 2 when fixtures are missing")
+    check.add_argument("--fixtures", default=verify.fixture_root(), help="fixture directory")
     check.set_defaults(func=cmd_verify)
     return parser
 
@@ -189,6 +178,9 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()  # a closed reader surfaces here, not at exit
         return code
+    except _ENGINE_ERRORS as err:
+        print("engine failure: %s" % err, file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

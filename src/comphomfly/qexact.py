@@ -399,12 +399,6 @@ class SymExponent(NamedTuple):
     def make(cls, e1=0, e0=0, em1=0):
         return cls(_fraction(e1), _fraction(e0), _fraction(em1))
 
-    def __add__(self, other):
-        return SymExponent(self.e1 + other.e1, self.e0 + other.e0, self.em1 + other.em1)
-
-    def __neg__(self):
-        return SymExponent(-self.e1, -self.e0, -self.em1)
-
     def render(self):
         """Human form e1*N + e0 + em1/N, leaving out zero parts."""
         bits = []

@@ -38,7 +38,7 @@ from .qexact import (
     exact_divide,  # noqa: F401  wrapped by name in perfbench/tracing.py
     render_quotient,
 )
-from .symfunc import adams_at_rank, adams_coefficients, composite_adams
+from .symfunc import adams_at_rank, composite_adams
 
 
 class TorusKnot(NamedTuple("TorusKnot", [("r", int), ("s", int)])):
@@ -82,7 +82,7 @@ def braiding_eigenvalue(lam, mu):
     The 1/N part survives here.  It cancels in each twisted term, where the
     term's eigenvalue to the power r/s meets the color's eigenvalue to the
     power -r*s, and `_assemble` raises ResidualRankError if it does not.
-    This is the printed form that `compute --show-terms` shows; `_assemble`
+    This is the printed form that `compute --format terms` shows; `_assemble`
     reads the doubled ints of `_doubled_eigenvalue` instead.
     """
     return SymExponent.make(*(Fraction(x, 2) for x in _doubled_eigenvalue(lam, mu)))
@@ -191,18 +191,6 @@ def composite_homfly(knot, lam, mu):
     keeps the expansion shallow.
     """
     return _assemble(knot, lam, mu, composite_adams(lam, mu, knot.s))
-
-
-def classical_homfly(knot, lam):
-    """Single-diagram HOMFLY-PT via the classical expansion.
-
-    Kept as an independent code path; collapsing composite_homfly with an
-    empty first slot must reproduce it term for term (tested).
-    """
-    expansion = {
-        (EMPTY, nu): c for nu, c in adams_coefficients(lam, knot.s).items()
-    }
-    return _assemble(knot, EMPTY, lam, expansion)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def fixture_root():
 
 def load_fixtures(root=None):
     """Load every .poly file under the fixture directory, keyed by its unique id."""
-    root = Path(root) if root else fixture_root()
+    root = fixture_root() if root is None else Path(root)
     out, paths = {}, {}
     for path in sorted(root.glob("*/*.poly")):
         try:

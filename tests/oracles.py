@@ -12,7 +12,9 @@ composite character expansion here scans subdiagrams and reads each LR
 coefficient on its own, so it shares no summation with
 `symfunc.composite_adams`, which the tests check against it.  The monomial
 expansions are brute-force oracles for the Adams coefficients and the
-building blocks of the Macdonald checker.  `parse_expr` reads expected
+building blocks of the Macdonald checker.  `classical_homfly` is the
+classical route to a single-diagram invariant, which the tests compare with
+the composite engine at an empty slot.  `parse_expr` reads expected
 values written as expressions, with `/` as `qexact.exact_divide`, and
 `kernel_rows` writes bracket sums over Laurent pieces as the int monomial
 rows `qexact.bracket_sum` reads.
@@ -26,7 +28,7 @@ from functools import lru_cache
 from itertools import permutations
 from operator import add, mul, sub
 
-from comphomfly import symfunc as sf
+from comphomfly import rosso, symfunc as sf
 from comphomfly.partitions import EMPTY, Partition, RankTooSmallError, conjugate, dual_at_N
 from comphomfly.qexact import IntegralityError, Laurent, exact_divide
 
@@ -228,6 +230,15 @@ def composite_schur_at_rank(lam, mu, N):
         for key, k in schur_product_at_rank(dual_at_N(nu, N), xi, N).items():
             out[key] = out.get(key, 0) + c * k
     return {k: v for k, v in out.items() if v}
+
+
+def classical_homfly(knot, lam):
+    """Single-diagram HOMFLY-PT via the classical expansion: the engine's
+    assembly fed lam's own Adams coefficients in place of the composite
+    expansion; collapsing composite_homfly with an empty first slot must
+    reproduce it term for term."""
+    expansion = {(EMPTY, nu): c for nu, c in sf.adams_coefficients(lam, knot.s).items()}
+    return rosso._assemble(knot, EMPTY, lam, expansion)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from comphomfly import cli, verify
 from comphomfly.partitions import CompositeDiagram, RankTooSmallError
-from comphomfly.qexact import ResidualRankError, dumps_poly
+from comphomfly.qexact import InexactDivisionError, ResidualRankError, dumps_poly
 from comphomfly.rosso import TorusKnot, finite_N_oracle
 
 
@@ -79,18 +80,18 @@ def identifiers(node):
 
 
 def test_package_holds_only_reachable_definitions():
-    # walk from cli.main, verify's top-level definitions, __all__ and the
-    # names the benchmark's tracer wraps, following every identifier to the
-    # top-level functions, classes and assignments of that name; a
-    # definition nothing reaches fails here (test-only code lives in tests/).
-    # A method is reached if it is a dunder or the package reads its name
-    # as an attribute somewhere.
+    # walk from cli.main, verify's top-level definitions and the names the
+    # benchmark's tracer wraps, following every identifier to the top-level
+    # functions, classes and assignments of that name; a definition nothing
+    # reaches fails here (test-only code lives in tests/), and so does an
+    # __all__ name the walk does not reach. A method is reached if it is a
+    # dunder or the package reads its name as an attribute somewhere.
     import comphomfly
 
     root = pathlib.Path(cli.__file__).parents[2]
     tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
     install = next(n for n in tracing.body if getattr(n, "name", None) == "install")
-    roots = ["main", *comphomfly.__all__, *identifiers(install)]
+    roots = ["main", *identifiers(install)]
     defs, bodies, methods = set(), {}, set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -125,6 +126,7 @@ def test_package_holds_only_reachable_definitions():
         and method[2] not in attributes
     ]
     assert sorted(defs - reached) == []
+    assert sorted(set(comphomfly.__all__) - {key.split(".")[1] for key in reached}) == []
     assert unread == []
 
 
@@ -162,6 +164,50 @@ def test_package_imports_no_private_name_across_modules():
     assert found == []
 
 
+def test_package_reads_no_environment():
+    # every choice is a command-line option: no module reads os.environ or
+    # calls os.getenv
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, node in package_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"environ", "getenv"}
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    ]
+    assert found == []
+
+
+def test_parser_option_strings():
+    # one option per choice: a new option has to change this test, and the
+    # spellings it replaced are usage errors
+    sub = next(
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: [
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "compute": ["--knot", "--color", "--weight", "--format"],
+        "expand": ["--color", "--weight", "--r"],
+        "verify": ["--suite", "--fixtures"],
+    }
+    for argv in (
+        ["compute", "--knot", "3,2", "--color", "1|1", "--show-terms"],
+        ["compute", "--knot", "3,2", "--color", "1|1", "--unnormalized"],
+        ["verify", "--strict"],
+    ):
+        assert cli.main(argv) == 2, argv
+
+
 def test_package_has_no_floats():
     # exactness has tolerance zero: no float literal and no float() call
     found = [
@@ -189,7 +235,7 @@ def test_compute_is_deterministic(capsys):
 
 def test_compute_show_terms_table(capsys):
     code, out, err = run(
-        capsys, "compute", "--knot", "3,2", "--color", "1|1", "--show-terms"
+        capsys, "compute", "--knot", "3,2", "--color", "1|1", "--format", "terms"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -200,33 +246,35 @@ def test_compute_show_terms_table(capsys):
     # the full factored tables pin the term order, which is descending
     # tuple order on (beta, gamma); the unbalanced [2|2,1] prints eigenvalues
     # with a 1/N part, as in q^(-1 + 1/2/N)
-    for color, flag, count, digest in (
+    for color, form, count, digest in (
         (
             "2,1|2,1",
-            "--show-terms",
+            "terms",
             67,
             "cbeb24002fc8f189fe95b1647be91a193bdf33caf3bf9247f05b907ad9ab8259",
         ),
         (
             "2,1|2,1",
-            "--unnormalized",
+            "unnormalized",
             66,
             "d339b9d6584831fd407d002c805893a4a31c09fd2478f362141f5c66d2b7bbe8",
         ),
         (
             "2|2,1",
-            "--show-terms",
+            "terms",
             31,
             "013af8857829df56ea09d8fada0818c66f404c2d9b96a6be528d210133abe1cb",
         ),
         (
             "2|2,1",
-            "--unnormalized",
+            "unnormalized",
             30,
             "a5735e4105b45cbae9711ccf5612d6ce25b350800240a0e2cd1119490e646840",
         ),
     ):
-        code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", color, flag)
+        code, out, err = run(
+            capsys, "compute", "--knot", "3,2", "--color", color, "--format", form
+        )
         assert code == 0
         assert len(out.splitlines()) == count
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -269,8 +317,18 @@ def test_compute_engine_failure_exit_code(capsys, monkeypatch):
         raise ResidualRankError("synthetic cancellation failure")
 
     monkeypatch.setattr(cli, "composite_homfly", boom)
-    code, _, err = run(capsys, "compute", "--knot", "3,2", "--color", "0|1")
-    assert code == 3 and "engine failure" in err
+    code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", "0|1")
+    assert (code, out, err) == (3, "", "engine failure: synthetic cancellation failure\n")
+
+
+def test_verify_engine_failure_exit_code(capsys, monkeypatch):
+    # main maps a typed engine error to exit 3 for verify as for compute
+    def inexact(knot, lam, mu):
+        raise InexactDivisionError("synthetic inexact division")
+
+    monkeypatch.setattr(verify, "engine", inexact)
+    code, out, err = run(capsys, "verify", "--suite", "connection")
+    assert (code, out, err) == (3, "", "engine failure: synthetic inexact division\n")
 
 
 OPTIMIZED_FAILURES = """
@@ -390,9 +448,10 @@ try:
 except symfunc.AbacusError as exc:
     if str(exc) != "r-quotient beads do not strip to the packed beads":
         sys.exit("wrong abacus error: %s" % exc)
-code = cli.main(["expand", "--color", "0|2", "--r", "2"])
-if code != 3:
-    sys.exit("expand exited %r on misplaced r-quotient beads" % code)
+for argv in (["expand", "--color", "0|2", "--r", "2"], ["verify", "--suite", "connection"]):
+    code = cli.main(argv)
+    if code != 3:
+        sys.exit("%s exited %r on misplaced r-quotient beads" % (argv[0], code))
 sys.exit(cli.main(["compute", "--knot", "3,2", "--color", "0|2"]))
 """
 
@@ -409,10 +468,10 @@ def test_typed_errors_survive_python_O():
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 3, proc.stderr
-    # one line from expand, one from compute
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    # one line each from expand, verify and compute
     message = "engine failure: r-quotient beads do not strip to the packed beads\n"
-    assert proc.stderr.count(message) == 2
+    assert proc.stderr.count(message) == 3
 
 
 PACKAGE_MODULES = {
@@ -668,15 +727,15 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "left:" in err and "right:" in err
 
 
-def test_verify_missing_fixtures(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "verify", "--suite", "connection", "--fixtures", str(tmp_path), "--strict"
-    )
-    assert code == 2
+def test_verify_missing_fixtures(capsys, monkeypatch, tmp_path):
     code, _, err = run(
         capsys, "verify", "--suite", "connection", "--fixtures", str(tmp_path)
     )
     assert code == 1
+    # an empty --fixtures names the working directory, not the default
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--fixtures", "")
+    assert (code, out, err) == (1, "", "fixture error: no fixtures found under .\n")
 
 
 def replace_fixture(tmp_path, name, poly=None):
@@ -701,8 +760,7 @@ def test_verify_refuses_a_fixture_with_no_terms(capsys, tmp_path):
     # a term file of headers only would reach the checks as zero
     dst, target = replace_fixture(tmp_path, "hd_2__1.poly")
     message = "fixture error: fixture %s: no terms\n" % target
-    for flags, want in ((), 1), (("--strict",), 2):
-        assert run(capsys, "verify", "--fixtures", str(dst), *flags) == (want, "", message)
+    assert run(capsys, "verify", "--fixtures", str(dst)) == (1, "", message)
 
 
 def test_verify_refuses_a_fractional_a_exponent(capsys, tmp_path):
@@ -714,8 +772,7 @@ def test_verify_refuses_a_fractional_a_exponent(capsys, tmp_path):
         tmp_path, "had.poly", lambda had: had + Laurent.monomial(had.vars, 1, a=Fraction(1, 2))
     )
     message = "fixture error: fixture 3_2:had: the checks need integer a-exponents\n"
-    for flags, want in ((), 1), (("--strict",), 2):
-        assert run(capsys, "verify", "--fixtures", str(dst), *flags) == (want, "", message)
+    assert run(capsys, "verify", "--fixtures", str(dst)) == (1, "", message)
 
 
 def test_verify_fails_a_fixture_that_vanishes_at_q1(capsys, tmp_path):
@@ -767,11 +824,8 @@ def test_verify_partial_fixtures(capsys, tmp_path):
         kept = "".join(line for line in defaults if line.split()[0] + " " not in header)
         for path in paths:
             path.write_text(kept + header + body + "\n")
-        for flags, want in ((), 1), (("--strict",), 2):
-            result = run(
-                capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle", *flags
-            )
-            assert result == (want, "", "fixture error: %s\n" % message)
+        result = run(capsys, "verify", "--fixtures", str(tmp_path), "--suite", "oracle")
+        assert result == (1, "", "fixture error: %s\n" % message)
 
 
 def test_verify_leaves_engine_errors_unlabeled(capsys, monkeypatch):
@@ -785,7 +839,8 @@ def test_verify_leaves_engine_errors_unlabeled(capsys, monkeypatch):
     assert "fixture error" not in capsys.readouterr().err
 
 
-def test_verify_env_override(capsys, monkeypatch, tmp_path):
+def test_verify_ignores_the_environment(capsys, monkeypatch, tmp_path):
+    # --fixtures is the one way to name another fixture directory
     monkeypatch.setenv("COMPHOMFLY_FIXTURES", str(tmp_path))
     code, _, err = run(capsys, "verify", "--suite", "duality")
-    assert code == 1  # empty directory from the environment override
+    assert (code, err) == (0, "")

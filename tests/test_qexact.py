@@ -259,7 +259,6 @@ def test_tilde_normalize():
 def test_sym_exponent_algebra():
     assert SymExponent._fields == ("e1", "e0", "em1")
     e = SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2))
-    assert e + (-e) == SymExponent.make()
     assert exponent_at_rank(e, 2) == Fraction(-3, 4)
     assert e.render() == "-1/2*N + 1/2/N"
     assert e.render_power() == "a^(-1/2)*q^(1/2/N)"

@@ -25,14 +25,13 @@ from comphomfly.rosso import (
     TorusKnot,
     braiding_eigenvalue,
     bracket_sum,
-    classical_homfly,
     composite_homfly,
     finite_N_oracle,
     qdim_at_rank,
     quantum_dimension,
 )
 
-from oracles import exponent_at_rank, kernel_rows, parse_expr, partitions_of
+from oracles import classical_homfly, exponent_at_rank, kernel_rows, parse_expr, partitions_of
 
 P = Partition.parse
 QA = ("q", "a")

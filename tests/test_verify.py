@@ -282,10 +282,9 @@ def test_canceling_refuses_a_fractional_exponent(fixtures, tmp_path, capsys):
     meta = loads_poly(target.read_text())[1]
     meta.pop("checksum")
     target.write_text(dumps_poly(poly, meta))
-    for flags, want in ((), 1), (("--strict",), 2):
-        code = cli.main(["verify", "--fixtures", str(dst), "--suite", "exceptional", *flags])
-        out, err = capsys.readouterr()
-        assert (code, out, err) == (want, "", "fixture error: %s\n" % message)
+    code = cli.main(["verify", "--fixtures", str(dst), "--suite", "exceptional"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "fixture error: %s\n" % message)
 
 
 def test_hyperpolynomial_reconstruction_from_refined_pair(fixtures):
