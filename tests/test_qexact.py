@@ -256,6 +256,36 @@ def test_tilde_normalize():
     assert tilde_normalize(already) == already
 
 
+def test_maps_keep_the_constant_term_and_zero():
+    # a polynomial over no variables has the one key (); a map that builds
+    # keys from exponent columns finds no column there, yet keeps the term
+    p = Laurent(("q",), {(1,): 2, (2,): 3})
+    out = p.substitute({"q": (1, {})})
+    assert out.vars == () and out.terms == {(): 5} and out == Laurent((), {(): 5})
+    signed = Laurent(("a",), {(1,): 2, (2,): 3}).substitute({"a": (-1, {})})
+    assert signed.terms == {(): 1}
+    assert Laurent(("q",), {(0,): 2, (2,): -2}).substitute({"q": (1, {})}).terms == {}
+    const = Laurent((), {(): 7})
+    assert tilde_normalize(const).terms == {(): 7}
+    assert const.has_integer_exponents() and Laurent((), {(): 7}, 3).has_integer_exponents()
+    assert Laurent((), {(): 7}, 3) == const and (const + Laurent((), {(): 1}, 2)).terms
+    assert Laurent((), {(): 7}, 3) - const == Laurent.zero(())
+    assert loads_poly(dumps_poly(const))[0] == const
+    assert Laurent((), {(): 7}).terms == {(): 7}
+    # the zero polynomial passes through every map
+    for vars in ((), ("q",), QTA):
+        zero = Laurent(vars, {}, 2)
+        assert tilde_normalize(zero) == zero and zero.has_integer_exponents()
+        assert (zero + Laurent(vars, {}, 3)).terms == {} and zero == Laurent.zero(vars)
+        assert loads_poly(dumps_poly(zero))[0] == zero and zero.sorted_terms() == []
+        assert (-zero).terms == {} and (zero * 3).terms == {}
+        if vars:
+            with pytest.raises(ValueError, match="no %s-degree" % vars[0]):
+                zero.degree(vars[0])
+            out = zero.substitute({vars[0]: (-1, {"x": Fraction(1, 3)})})
+            assert out.terms == {} and out.vars == vars[1:] + ("x",)
+
+
 def test_sym_exponent_algebra():
     assert SymExponent._fields == ("e1", "e0", "em1")
     e = SymExponent.make(Fraction(-1, 2), 0, Fraction(1, 2))
