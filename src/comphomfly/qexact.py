@@ -12,13 +12,16 @@ exponent or coefficient raises TypeError.  Engine output uses variables
 (q, a), fixtures (q, t, a), finite-rank cross-checks (q,).  The printed term
 order is lexicographic on (a-exponent, q-exponent, t-exponent), which makes
 every printed or serialized form deterministic; the ring operations and
-exact division never consult it.  A sum of bracket quotients, the engine's
-hot path, has one exact route, `bracket_sum`: one packed integer of merged
-rows, divided 2-adically by one binomial at a time.  A row is one signed
-monomial, an int coefficient and int q- and a-exponents over the one den
-the caller passes, times a bracket quotient; rows are cancelled and merged
-on (bracket, multiplicity) items, and the engine and the oracle take every
-bracket from one table, `bracket`, so equal brackets are one object.
+exact division never consult it.  Whole-polynomial maps (substitution,
+tilde normalization, rescaling, term-file loading and printing) run on the
+exponent columns `zip(*p.terms)`, not one term at a time.  A sum of bracket
+quotients, the engine's hot path, has one exact route, `bracket_sum`: one
+packed integer of merged rows, divided 2-adically by one binomial at a
+time.  A row is one signed monomial, an int coefficient and int q- and
+a-exponents over the one den the caller passes, times a bracket quotient;
+rows are cancelled and merged on (bracket, multiplicity) items, and the
+engine and the oracle take every bracket from one table, `bracket`, so
+equal brackets are one object.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from itertools import compress, repeat
+from operator import add, and_, attrgetter, floordiv, itemgetter, mod, mul, neg, sub
 from typing import NamedTuple
 
 
@@ -88,20 +92,20 @@ class Laurent:
         if not isinstance(den, int) or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
-        clean = {}
-        if terms:
+        terms = terms or {}
+        columns, scale = list(zip(*terms)), 1
+        # int columns stay; any other entry puts every column on one int grid
+        if any({*map(type, col)} - {int} for col in columns):
             try:
-                scale = math.lcm(*(e.denominator for exps in terms for e in exps))
+                scale = math.lcm(*(math.lcm(*map(attrgetter("denominator"), c)) for c in columns))
             except AttributeError:
                 raise TypeError("exponents must be ints or Fractions") from None
-            for exps, coeff in terms.items():
-                if not isinstance(coeff, int):
-                    raise TypeError("coefficient must be an int, got %r" % (coeff,))
-                if coeff:
-                    key = tuple(e.numerator * (scale // e.denominator) for e in exps)
-                    clean[key] = coeff
-            den *= scale
-        self.terms, self.den = clean, den
+            keys = zip(*[map(int, map(mul, col, repeat(scale))) for col in columns])
+            terms = dict(zip(keys, terms.values()))
+        if not all(map(isinstance, terms.values(), repeat(int))):
+            coeff = next(c for c in terms.values() if not isinstance(c, int))
+            raise TypeError("coefficient must be an int, got %r" % (coeff,))
+        self.terms, self.den = _nonzero(terms), den * scale
 
     # -- constructors ------------------------------------------------------
 
@@ -136,7 +140,7 @@ class Laurent:
         return _build(self.vars, terms, den)
 
     def __neg__(self):
-        return _build(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
+        return _build(self.vars, dict(zip(self.terms, map(neg, self.terms.values()))), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,9 +149,8 @@ class Laurent:
         if isinstance(other, int):
             if not other:
                 return Laurent(self.vars)
-            return _build(
-                self.vars, {e: c * other for e, c in self.terms.items()}, self.den
-            )
+            scaled = map(mul, self.terms.values(), repeat(other))
+            return _build(self.vars, dict(zip(self.terms, scaled)), self.den)
         small, large, den = common_terms(self, other)
         if len(small) > len(large):
             small, large = large, small
@@ -180,10 +183,10 @@ class Laurent:
         i = self.vars.index(name)
         if not self.terms:
             raise ValueError("the zero polynomial has no %s-degree" % name)
-        return Fraction(max(e[i] for e in self.terms), self.den)
+        return Fraction(max(map(itemgetter(i), self.terms)), self.den)
 
     def has_integer_exponents(self):
-        return all(e % self.den == 0 for exps in self.terms for e in exps)
+        return not any(any(map(mod, col, repeat(self.den))) for col in zip(*self.terms))
 
     def __str__(self):
         if not self.terms:
@@ -232,37 +235,36 @@ class Laurent:
                 raise ValueError("sign must be +-1")
             targets.update(mono)
         new_vars = tuple(sorted(targets, key=_storage_rank))
-        column = {v: j for j, v in enumerate(new_vars)}
         # one scale puts every target exponent on the int grid
         scale = math.lcm(
             *(_fraction(e).denominator for _, m in assignments.values() for e in m.values())
         )
-        plan = []  # per source variable: (name, sign, [(column, int factor)])
-        for name in self.vars:
+        # target columns sum source columns times int factors; signed ones flip signs
+        den, n = self.den, len(self.terms)
+        sums, signed = dict.fromkeys(new_vars), []
+        for name, col in zip(self.vars, list(zip(*self.terms)) or [()] * len(self.vars)):
             sign, mono = assignments.get(name, (1, {name: 1}))
-            factors = [(column[t], int(Fraction(e) * scale)) for t, e in mono.items()]
-            plan.append((name, sign, factors))
-        den = self.den
+            if sign == -1:
+                signed.append((next(compress(range(n), map(mod, col, repeat(den))), n), name, col))
+            for t, e in mono.items():
+                f = int(Fraction(e) * scale)
+                part = col if f == 1 else map(mul, col, repeat(f))
+                sums[t] = part if sums[t] is None else map(add, sums[t], part)
+        coeffs = self.terms.values()
+        if signed:
+            first, name, col = min(signed, key=itemgetter(0))
+            if first < n:
+                raise SignedExponentError(
+                    "(-1)^(%s) undefined substituting %s" % (Fraction(col[first], den), name)
+                )
+            steps = [col if den == 1 else map(floordiv, col, repeat(den)) for _, _, col in signed]
+            odd = map(and_, map(sum, zip(*steps)), repeat(1))
+            coeffs = map(mul, coeffs, map(pow, repeat(-1), odd))
         acc = {}
-        for exps, coeff in self.terms.items():
-            new_exps = [0] * len(new_vars)
-            for e, (name, sign, factors) in zip(exps, plan):
-                if sign == -1:
-                    if e % den:
-                        raise SignedExponentError(
-                            "(-1)^(%s) undefined substituting %s" % (Fraction(e, den), name)
-                        )
-                    if (e // den) % 2:
-                        coeff = -coeff
-                for j, f in factors:
-                    new_exps[j] += f * e
-            key = tuple(new_exps)
-            nc = acc.get(key, 0) + coeff
-            if nc:
-                acc[key] = nc
-            else:
-                del acc[key]
-        return _build(new_vars, acc, den * scale)
+        get = acc.get
+        for key, c in zip(_keys(list(sums.values()), n), coeffs):
+            acc[key] = get(key, 0) + c
+        return _build(new_vars, _nonzero(acc), den * scale)
 
 
 def _fraction(x):
@@ -275,8 +277,10 @@ def _fraction(x):
 
 def _ordered(p):
     """p's int-keyed (exponents, coefficient) items in the printed term order."""
-    order = sorted(range(len(p.vars)), key=lambda i: _var_rank(p.vars[i]))
-    return sorted(p.terms.items(), key=lambda item: [item[0][i] for i in order])
+    columns = list(zip(*p.terms))
+    order = sorted(range(len(columns)), key=lambda i: _var_rank(p.vars[i]))
+    ranks = _keys([columns[i] for i in order], len(p.terms))
+    return list(map(itemgetter(1), sorted(zip(ranks, p.terms.items()))))
 
 
 def _build(vars, terms, den):
@@ -287,10 +291,21 @@ def _build(vars, terms, den):
     return out
 
 
+def _keys(columns, n):
+    """The n keys of a list of exponent columns: n keys () if it is empty."""
+    return zip(*columns) if columns else repeat((), n)
+
+
+def _nonzero(terms):
+    """A fresh copy of terms without its zero coefficients."""
+    return {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
+
+
 def _rescaled(terms, k):
     if k == 1:
         return terms
-    return {tuple([e * k for e in exps]): c for exps, c in terms.items()}
+    columns = [map(mul, col, repeat(k)) for col in zip(*terms)]
+    return dict(zip(_keys(columns, len(terms)), terms.values()))
 
 
 def _span(terms):
@@ -376,11 +391,8 @@ def tilde_normalize(p):
     """
     if not p:
         return p
-    mins = [lo for lo, _ in _span(p.terms)]
-    terms = {
-        tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()
-    }
-    return _build(p.vars, terms, p.den)
+    columns = [map(sub, col, repeat(min(col))) for col in zip(*p.terms)]
+    return _build(p.vars, dict(zip(_keys(columns, len(p.terms)), p.terms.values())), p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +694,11 @@ def dumps_poly(p, meta=None):
     """
     meta = dict(meta or {})
     lines = []
-    body = []
     den = p.den
-    for exps, coeff in _ordered(p):
-        cells = [str(e // den) if e % den == 0 else str(Fraction(e, den)) for e in exps]
-        body.append("\t".join([str(coeff)] + cells))
+    ordered = _ordered(p)
+    columns = zip(*map(itemgetter(0), ordered))  # each distinct exponent is printed once
+    cells = [map({e: str(Fraction(e, den)) for e in set(c)}.__getitem__, c) for c in columns]
+    body = list(map("\t".join, zip(map(str, map(itemgetter(1), ordered)), *cells)))
     digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
     lines.append("#vars %s" % " ".join(p.vars))
     for key in sorted(meta):

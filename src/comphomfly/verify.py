@@ -14,6 +14,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter, mod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,7 +146,8 @@ def get_fixture(fixtures, fid):
         )
     # a is substituted with a sign (a -> -a, a = -t^nu), which needs integer exponents
     poly = fixtures[fid].poly
-    if "a" in have and any(e[have.index("a")] % poly.den for e in poly.terms):
+    column = map(itemgetter(have.index("a")), poly.terms) if "a" in have else ()
+    if any(map(mod, column, repeat(poly.den))):
         raise FixtureError("fixture %s: the checks need integer a-exponents" % fid)
     return fixtures[fid]
 
@@ -521,9 +524,8 @@ SUITES = {
 }
 
 
-def run_suite(name, fixtures=None):
+def run_suite(name, fixtures):
     """Run one suite, or 'all' in name order; reports come suite by suite."""
-    fixtures = fixtures or load_fixtures()
     if name == "all":
         reports = []
         for key in sorted(SUITES):

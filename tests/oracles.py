@@ -17,7 +17,10 @@ classical route to a single-diagram invariant, which the tests compare with
 the composite engine at an empty slot.  `parse_expr` reads expected
 values written as expressions, with `/` as `qexact.exact_divide`, and
 `kernel_rows` writes bracket sums over Laurent pieces as the int monomial
-rows `qexact.bracket_sum` reads.
+rows `qexact.bracket_sum` reads.  `reference_substitute` and
+`reference_tilde_normalize` map a polynomial one term at a time, a second
+route to `Laurent.substitute` and `qexact.tilde_normalize`, which map
+exponent columns.
 """
 
 import ast
@@ -30,7 +33,7 @@ from operator import add, mul, sub
 
 from comphomfly import rosso, symfunc as sf
 from comphomfly.partitions import EMPTY, Partition, RankTooSmallError, conjugate, dual_at_N
-from comphomfly.qexact import IntegralityError, Laurent, exact_divide
+from comphomfly.qexact import IntegralityError, Laurent, SignedExponentError, exact_divide
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +116,61 @@ def exponent_range(p):
     """Per-variable (min, max) exponent pairs of a nonzero Laurent polynomial."""
     columns = zip(*(exps for exps, _ in p.sorted_terms()))
     return [(min(col), max(col)) for col in columns]
+
+
+def reference_substitute(p, assignments):
+    """`p.substitute(assignments)` one term at a time: each term's target
+    exponents are summed entry by entry, and a signed variable's exponent
+    is checked and its parity read term by term."""
+    for name in assignments:
+        if name not in p.vars:
+            raise ValueError("substituting absent variable %r" % name)
+    targets = {v for v in p.vars if v not in assignments}
+    for sign, mono in assignments.values():
+        if sign not in (1, -1):
+            raise ValueError("sign must be +-1")
+        targets.update(mono)
+    # the term-file columns q, t, a first, then the other names in order
+    new_vars = tuple(sorted(targets, key=lambda v: ({"q": 0, "t": 1, "a": 2}.get(v, 3), v)))
+    column = {v: j for j, v in enumerate(new_vars)}
+    scale = math.lcm(
+        *(Fraction(e).denominator for _, m in assignments.values() for e in m.values())
+    )
+    plan = []  # per source variable: (name, sign, [(column, int factor)])
+    for name in p.vars:
+        sign, mono = assignments.get(name, (1, {name: 1}))
+        factors = [(column[t], int(Fraction(e) * scale)) for t, e in mono.items()]
+        plan.append((name, sign, factors))
+    den = p.den
+    acc = {}
+    for exps, coeff in p.terms.items():
+        new_exps = [0] * len(new_vars)
+        for e, (name, sign, factors) in zip(exps, plan):
+            if sign == -1:
+                if e % den:
+                    raise SignedExponentError(
+                        "(-1)^(%s) undefined substituting %s" % (Fraction(e, den), name)
+                    )
+                if (e // den) % 2:
+                    coeff = -coeff
+            for j, f in factors:
+                new_exps[j] += f * e
+        key = tuple(new_exps)
+        nc = acc.get(key, 0) + coeff
+        if nc:
+            acc[key] = nc
+        else:
+            del acc[key]
+    return Laurent(new_vars, acc, den * scale)
+
+
+def reference_tilde_normalize(p):
+    """`tilde_normalize(p)` one term at a time."""
+    if not p:
+        return p
+    mins = [min(col) for col in zip(*p.terms)]
+    terms = {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()}
+    return Laurent(p.vars, terms, p.den)
 
 
 @lru_cache(maxsize=None)

@@ -111,7 +111,7 @@ def test_criterion_3_t43_adjoint(fixtures):
     started = time.time()
     engine = composite_homfly(T43, P("1"), P("1")).normalized
     assert engine == fixtures["4_3:homfly_1__1"].poly
-    _verdict("criterion-3 T(4,3) adjoint", 5, started)
+    _verdict("criterion-3 T(4,3) adjoint", 2, started)
 
 
 def test_criterion_4_connection_suite(fixtures):
@@ -122,7 +122,7 @@ def test_criterion_4_connection_suite(fixtures):
     assert all(r.status == "PASS" for r in connection), [r.line() for r in connection]
     printed = [r for r in connection if "printed" in r.note]
     assert len(printed) == 6
-    _verdict("criterion-4 connection suite", 10, started)
+    _verdict("criterion-4 connection suite", 2, started)
 
 
 def test_criterion_5_finite_rank_oracle(fixtures):
@@ -132,7 +132,7 @@ def test_criterion_5_finite_rank_oracle(fixtures):
     assert all(r.status == "PASS" for r in reports), [
         r.line() for r in reports if r.status != "PASS"
     ]
-    _verdict("criterion-5 stabilization oracle", 5, started)
+    _verdict("criterion-5 stabilization oracle", 2, started)
 
 
 def test_criterion_6_symmetry_suite(fixtures):
@@ -151,7 +151,7 @@ def test_criterion_6_symmetry_suite(fixtures):
         composite_homfly(TREFOIL, P("1,1"), P("2")).normalized
         == composite_homfly(TREFOIL, P("2"), P("1,1")).normalized
     )
-    _verdict("criterion-6 symmetry suite", 5, started)
+    _verdict("criterion-6 symmetry suite", 2, started)
 
 
 def test_criterion_7_a_degree_conjecture(fixtures):

@@ -28,7 +28,14 @@ from comphomfly.qexact import (
     tilde_normalize,
 )
 
-from oracles import exponent_at_rank, exponent_range, kernel_rows, parse_expr
+from oracles import (
+    exponent_at_rank,
+    exponent_range,
+    kernel_rows,
+    parse_expr,
+    reference_substitute,
+    reference_tilde_normalize,
+)
 
 QA = ("q", "a")
 QTA = ("q", "t", "a")
@@ -284,6 +291,61 @@ def test_maps_keep_the_constant_term_and_zero():
                 zero.degree(vars[0])
             out = zero.substitute({vars[0]: (-1, {"x": Fraction(1, 3)})})
             assert out.terms == {} and out.vars == vars[1:] + ("x",)
+
+
+def mapped(f, *args):
+    """f's result as (vars, terms, den), or its SignedExponentError message."""
+    try:
+        out = f(*args)
+    except SignedExponentError as err:
+        return "SignedExponentError", str(err)
+    return out.vars, out.terms, out.den
+
+
+def test_column_maps_match_the_per_term_references():
+    # substitute and tilde_normalize map exponent columns; the references
+    # map one term at a time, and both must give the same terms, den and
+    # vars, or the same SignedExponentError message
+    rng = random.Random(29)
+    exponents = (-2, -1, 0, 1, 2, 3, Fraction(1, 3), Fraction(-1, 2), Fraction(5, 6))
+    dens, signed, raised, cancelled = set(), 0, 0, 0
+    for _ in range(400):
+        vars = rng.choice((QA, QTA, ("q",), ("q", "t"), ()))
+        p = random_laurent(rng, vars, terms=rng.randint(0, 8))
+        if rng.random() < 0.3:  # integer exponents, so signed maps often succeed
+            kept = {e: c for e, c in p.terms.items() if not any(x % p.den for x in e)}
+            p = Laurent(vars, kept, p.den)
+        dens.add(p.den)
+        assert mapped(tilde_normalize, p) == mapped(reference_tilde_normalize, p)
+        if not vars:
+            continue
+        picked = rng.sample(vars, rng.randint(1, len(vars)))
+        assignments = {}
+        for name in picked:
+            pool = rng.sample(("q", "t", "a", "x"), rng.randint(0, 2))
+            assignments[name] = (rng.choice((1, -1)), {t: rng.choice(exponents) for t in pool})
+        signed += any(sign == -1 for sign, _ in assignments.values())
+        want = mapped(reference_substitute, p, assignments)
+        assert mapped(Laurent.substitute, p, assignments) == want, (p, assignments)
+        raised += want[0] == "SignedExponentError"
+    assert {1, 2, 3, 6} <= dens and signed > 100 and 20 < raised < signed
+    # two variables sent to one target: q and t both to x (or t to q) cancel
+    # a difference of swapped columns down to zero; the signed a -> -t^(1/3)
+    # is the nu = 1/3 exceptional target
+    for _ in range(60):
+        r = random_laurent(rng, QTA, terms=rng.randint(1, 6))
+        r = Laurent(QTA, {e: c for e, c in r.terms.items() if not e[2] % r.den}, r.den)
+        p = r - Laurent(QTA, {(t, q, a): c for (q, t, a), c in r.terms.items()}, r.den)
+        for assignments in (
+            {"q": (1, {"x": 1}), "t": (1, {"x": 1})},
+            {"t": (1, {"q": 1}), "a": (-1, {"a": 1})},
+            {"t": (1, {"q": 1}), "q": (1, {"q": 1}), "a": (-1, {"t": Fraction(1, 3)})},
+            {"a": (-1, {"t": Fraction(1, 3)})},
+        ):
+            want = mapped(reference_substitute, p, assignments)
+            assert mapped(Laurent.substitute, p, assignments) == want, (p, assignments)
+            cancelled += want[1] == {} and bool(p)
+    assert cancelled > 100
 
 
 def test_sym_exponent_algebra():

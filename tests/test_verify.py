@@ -334,6 +334,15 @@ def test_run_suite_all_deterministic(fixtures):
         verify.run_suite("bogus", fixtures)
 
 
+def test_run_suite_reads_only_the_fixtures_passed():
+    # no fallback to the package fixtures: an empty table is missing the
+    # first fixture the first suite reads
+    with pytest.raises(verify.FixtureError, match="^missing fixture 3_2:hd_1__1$"):
+        verify.run_suite("all", {})
+    with pytest.raises(TypeError):
+        verify.run_suite("all")
+
+
 def test_run_suite_all_needs_no_polynomial_division(fixtures, monkeypatch):
     # the checks divide only through the engine's bracket sums
     expected = verify.run_suite("all", fixtures)
