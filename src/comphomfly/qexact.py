@@ -14,14 +14,14 @@ order is lexicographic on (a-exponent, q-exponent, t-exponent), which makes
 every printed or serialized form deterministic; the ring operations and
 exact division never consult it.  Whole-polynomial maps (substitution,
 tilde normalization, rescaling, term-file loading and printing) run on the
-exponent columns `zip(*p.terms)`, not one term at a time.  A sum of bracket
-quotients, the engine's hot path, has one exact route, `bracket_sum`: one
-packed integer of merged rows, divided 2-adically by one binomial at a
-time.  A row is one signed monomial, an int coefficient and int q- and
-a-exponents over the one den the caller passes, times a bracket quotient;
-rows are cancelled and merged on (bracket, multiplicity) items, and the
-engine and the oracle take every bracket from one table, `bracket`, so
-equal brackets are one object.
+exponent columns, one map per column, not one term at a time.  A sum of
+bracket quotients, the engine's hot path, has one exact route,
+`bracket_sum`: one packed integer of merged rows, divided 2-adically by
+one binomial at a time.  A row is one signed monomial, an int coefficient
+and int q- and a-exponents over the one den the caller passes, times a
+bracket quotient; rows are cancelled and merged on (bracket, multiplicity)
+items, and the engine and the oracle take every bracket from one table,
+`bracket`, so equal brackets are one object.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, and_, attrgetter, floordiv, itemgetter, mod, mul, neg, sub
 from typing import NamedTuple
 
@@ -92,16 +92,15 @@ class Laurent:
         if not isinstance(den, int) or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
-        terms = terms or {}
-        columns, scale = list(zip(*terms)), 1
-        # int columns stay; any other entry puts every column on one int grid
-        if any({*map(type, col)} - {int} for col in columns):
+        terms, scale = terms or {}, 1
+        # int keys stay; any other entry puts every column on one int grid
+        if {*map(type, chain.from_iterable(terms))} - {int}:
             try:
-                scale = math.lcm(*(math.lcm(*map(attrgetter("denominator"), c)) for c in columns))
+                scale = math.lcm(*map(attrgetter("denominator"), chain.from_iterable(terms)))
             except AttributeError:
                 raise TypeError("exponents must be ints or Fractions") from None
-            keys = zip(*[map(int, map(mul, col, repeat(scale))) for col in columns])
-            terms = dict(zip(keys, terms.values()))
+            grid = [map(int, map(mul, c, repeat(scale))) for c in _columns(terms, len(self.vars))]
+            terms = dict(zip(_keys(grid, len(terms)), terms.values()))
         if not all(map(isinstance, terms.values(), repeat(int))):
             coeff = next(c for c in terms.values() if not isinstance(c, int))
             raise TypeError("coefficient must be an int, got %r" % (coeff,))
@@ -176,8 +175,9 @@ class Laurent:
     # -- inspection (exponents come out as Fractions) -------------------------
 
     def sorted_terms(self):
-        den = self.den
-        return [(tuple(Fraction(e, den) for e in exps), c) for exps, c in _ordered(self)]
+        columns, coeffs = _ordered(self)
+        exps = [map(Fraction, col, repeat(self.den)) for col in columns]
+        return list(zip(_keys(exps, len(coeffs)), coeffs))
 
     def degree(self, name):
         i = self.vars.index(name)
@@ -186,7 +186,7 @@ class Laurent:
         return Fraction(max(map(itemgetter(i), self.terms)), self.den)
 
     def has_integer_exponents(self):
-        return not any(any(map(mod, col, repeat(self.den))) for col in zip(*self.terms))
+        return not any(map(mod, chain.from_iterable(self.terms), repeat(self.den)))
 
     def __str__(self):
         if not self.terms:
@@ -242,7 +242,7 @@ class Laurent:
         # target columns sum source columns times int factors; signed ones flip signs
         den, n = self.den, len(self.terms)
         sums, signed = dict.fromkeys(new_vars), []
-        for name, col in zip(self.vars, list(zip(*self.terms)) or [()] * len(self.vars)):
+        for name, col in zip(self.vars, _columns(self.terms, len(self.vars))):
             sign, mono = assignments.get(name, (1, {name: 1}))
             if sign == -1:
                 signed.append((next(compress(range(n), map(mod, col, repeat(den))), n), name, col))
@@ -276,11 +276,11 @@ def _fraction(x):
 
 
 def _ordered(p):
-    """p's int-keyed (exponents, coefficient) items in the printed term order."""
-    columns = list(zip(*p.terms))
-    order = sorted(range(len(columns)), key=lambda i: _var_rank(p.vars[i]))
-    ranks = _keys([columns[i] for i in order], len(p.terms))
-    return list(map(itemgetter(1), sorted(zip(ranks, p.terms.items()))))
+    """p's exponent columns and coefficients, each in the printed term order."""
+    columns, coeffs = _columns(p.terms, len(p.vars)), list(p.terms.values())
+    by_rank = [columns[p.vars.index(v)] for v in sorted(p.vars, key=_var_rank)]
+    at = sorted(range(len(coeffs)), key=list(_keys(by_rank, len(coeffs))).__getitem__)
+    return [list(map(col.__getitem__, at)) for col in columns], list(map(coeffs.__getitem__, at))
 
 
 def _build(vars, terms, den):
@@ -289,6 +289,11 @@ def _build(vars, terms, den):
     out.vars = vars
     out.terms, out.den = terms, den
     return out
+
+
+def _columns(terms, k):
+    """The k exponent columns of terms, one map each; zip(*terms) makes an iterator per term."""
+    return [tuple(map(itemgetter(i), terms)) for i in range(k)]
 
 
 def _keys(columns, n):
@@ -301,11 +306,11 @@ def _nonzero(terms):
     return {e: c for e, c in terms.items() if c} if 0 in terms.values() else dict(terms)
 
 
-def _rescaled(terms, k):
+def _rescaled(p, k):
     if k == 1:
-        return terms
-    columns = [map(mul, col, repeat(k)) for col in zip(*terms)]
-    return dict(zip(_keys(columns, len(terms)), terms.values()))
+        return p.terms
+    columns = [map(mul, col, repeat(k)) for col in _columns(p.terms, len(p.vars))]
+    return dict(zip(_keys(columns, len(p.terms)), p.terms.values()))
 
 
 def _span(terms):
@@ -322,7 +327,7 @@ def common_terms(p, r):
     if p.den == r.den:
         return p.terms, r.terms, p.den
     den = math.lcm(p.den, r.den)
-    return _rescaled(p.terms, den // p.den), _rescaled(r.terms, den // r.den), den
+    return _rescaled(p, den // p.den), _rescaled(r, den // r.den), den
 
 
 def exact_divide(num, den):
@@ -391,7 +396,7 @@ def tilde_normalize(p):
     """
     if not p:
         return p
-    columns = [map(sub, col, repeat(min(col))) for col in zip(*p.terms)]
+    columns = [map(sub, col, repeat(min(col))) for col in _columns(p.terms, len(p.vars))]
     return _build(p.vars, dict(zip(_keys(columns, len(p.terms)), p.terms.values())), p.den)
 
 
@@ -693,19 +698,15 @@ def dumps_poly(p, meta=None):
     transcription damage is detected on load.
     """
     meta = dict(meta or {})
-    lines = []
-    den = p.den
-    ordered = _ordered(p)
-    columns = zip(*map(itemgetter(0), ordered))  # each distinct exponent is printed once
-    cells = [map({e: str(Fraction(e, den)) for e in set(c)}.__getitem__, c) for c in columns]
-    body = list(map("\t".join, zip(map(str, map(itemgetter(1), ordered)), *cells)))
+    columns, coeffs = _ordered(p)
+    # each distinct exponent is printed once
+    cells = [map({e: str(Fraction(e, p.den)) for e in set(c)}.__getitem__, c) for c in columns]
+    body = list(map("\t".join, zip(map(str, coeffs), *cells)))
     digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
-    lines.append("#vars %s" % " ".join(p.vars))
-    for key in sorted(meta):
-        lines.append("#%s %s" % (key, meta[key]))
+    lines = ["#vars %s" % " ".join(p.vars)]
+    lines += ["#%s %s" % (key, meta[key]) for key in sorted(meta)]
     lines.append("#checksum sha256:%s" % digest)
-    lines.extend(body)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + body) + "\n"
 
 
 def loads_poly(text):
