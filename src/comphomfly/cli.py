@@ -36,17 +36,18 @@ def _parse_color(args):
         left, sep, right = args.weight.partition("|")
         if not sep:
             raise ValueError("weight color needs a '|': %r" % args.weight)
-        return parse_weight(left), parse_weight(right)
+        return CompositeDiagram(parse_weight(left), parse_weight(right))
     return CompositeDiagram.parse(args.color)
 
 
 def cmd_compute(args):
     try:
         knot = TorusKnot.parse(args.knot)
-        lam, mu = _parse_color(args)
-    except (ValueError, KeyError) as err:
+        color = _parse_color(args)
+    except ValueError as err:
         print("argument error: %s" % err, file=sys.stderr)
         return 2
+    lam, mu = color
     result = composite_homfly(knot, lam, mu)
     poly = result.normalized
     if args.format == "terms":
@@ -72,15 +73,13 @@ def cmd_compute(args):
         for term in result.terms:
             print(term.render())
     elif args.format == "term-file":
-        sys.stdout.write(
-            dumps_poly(poly, {"knot": str(knot), "color": "%s|%s" % (lam, mu)})
-        )
+        sys.stdout.write(dumps_poly(poly, {"knot": str(knot), "color": str(color)}))
     elif args.format == "summary":
         print(
             json.dumps(
                 {
                     "knot": str(knot),
-                    "color": "%s|%s" % (lam, mu),
+                    "color": str(color),
                     "terms": len(poly.terms),
                     "a_degree": str(poly.degree("a")),
                     "polynomial": str(poly),
@@ -99,7 +98,7 @@ def cmd_expand(args):
         r = int(args.r)
         if r < 1:
             raise ValueError("r must be >= 1")
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         print("argument error: %s" % err, file=sys.stderr)
         return 2
     text = format_expansion(composite_adams(lam, mu, r))
@@ -108,20 +107,12 @@ def cmd_expand(args):
     return 0
 
 
-def _fixture_error(message):
-    print("fixture error: %s" % message, file=sys.stderr)
-    return 1
-
-
 def cmd_verify(args):
     try:
-        fixtures = verify.load_fixtures(args.fixtures)
-    except (FileNotFoundError, ValueError) as err:
-        return _fixture_error(err)
-    try:
-        reports = verify.run_suite(args.suite, fixtures)
+        reports = verify.run_suite(args.suite, verify.load_fixtures(args.fixtures))
     except verify.FixtureError as err:
-        return _fixture_error(err)
+        print("fixture error: %s" % err, file=sys.stderr)
+        return 1
     for report in reports:
         print(report.line())
         if report.status == "FAIL":
@@ -163,7 +154,7 @@ def build_parser():
         default="all",
         choices=(*verify.SUITES, "all"),
     )
-    check.add_argument("--fixtures", default=verify.fixture_root(), help="fixture directory")
+    check.add_argument("--fixtures", help="fixture directory")
     check.set_defaults(func=cmd_verify)
     return parser
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .partitions import (
-    EMPTY,
     Partition,
     RankTooSmallError,
     compose_at_N,
@@ -197,22 +196,18 @@ def composite_homfly(knot, lam, mu):
 # finite-rank oracle
 
 
-def _weyl_numerator(shape, N):
-    """The constant brackets [shape_i - shape_j + j - i] over the positive-root
-    pairs i < j <= N, each the gap between two of the N beads shape_i + N - i;
-    the empty shape's is the Weyl denominator.  The brackets come from the
-    bracket table `qexact.bracket`, so the oracle's N(N-1)/2 brackets per
-    shape are looked up, not built."""
-    beads = [shape.row(i) + N - i for i in range(1, N + 1)]
-    return [bracket(0, b - c) for i, b in enumerate(beads) for c in beads[i + 1 :]]
-
-
 def qdim_at_rank(shape, N):
-    """Quantum dimension at rank N as equally long, uncancelled num and den
-    lists of constant brackets: the Weyl numerator and the Weyl denominator."""
+    """The Weyl numerator of shape at rank N: the constant brackets
+    [shape_i - shape_j + j - i] over the positive-root pairs i < j <= N,
+    each the gap between two of the N beads shape_i + N - i.  The empty
+    shape's is the Weyl denominator, so the quantum dimension at rank N is
+    qdim_at_rank(shape, N) over qdim_at_rank(EMPTY, N).  The brackets come
+    from the bracket table `qexact.bracket`, so the oracle's N(N-1)/2
+    brackets per shape are looked up, not built."""
     if len(shape) > N:
         raise RankTooSmallError("%s does not fit in rank %d" % (shape, N))
-    return _weyl_numerator(shape, N), _weyl_numerator(EMPTY, N)
+    beads = [shape.row(i) + N - i for i in range(1, N + 1)]
+    return [bracket(0, b - c) for i, b in enumerate(beads) for c in beads[i + 1 :]]
 
 
 def finite_N_oracle(knot, lam, mu, N):
@@ -239,8 +234,8 @@ def finite_N_oracle(knot, lam, mu, N):
 
     zeta = compose_at_N(lam, mu, N)
     lead = theta(zeta) * s * s
-    zeta_num = _weyl_numerator(zeta, N)
+    zeta_num = qdim_at_rank(zeta, N)
     rows = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
-        rows.append((coeff, r * (theta(nu) - lead), 0, _weyl_numerator(nu, N), zeta_num))
+        rows.append((coeff, r * (theta(nu) - lead), 0, qdim_at_rank(nu, N), zeta_num))
     return bracket_sum(rows, 2 * N * s).substitute({"a": (1, {})})

@@ -29,7 +29,8 @@ QTA = ("q", "t", "a")
 
 
 class FixtureError(ValueError):
-    """A fixture the checks need is missing, or its header is not what they read."""
+    """A fixture file is damaged, or a fixture the checks need is missing or
+    has a header that is not what they read."""
 
 
 class Fixture(NamedTuple):
@@ -100,7 +101,8 @@ def fixture_root():
 
 
 def load_fixtures(root=None):
-    """Load every .poly file under the fixture directory, keyed by its unique id."""
+    """Load every .poly file under root (the package's fixtures if None) by its
+    unique id; a damaged file, a repeated #id or no file is a FixtureError."""
     root = fixture_root() if root is None else Path(root)
     out, paths = {}, {}
     for path in sorted(root.glob("*/*.poly")):
@@ -112,10 +114,10 @@ def load_fixtures(root=None):
                 raise ValueError("no terms")
             knot = TorusKnot.parse(meta["knot"])
         except ValueError as err:
-            raise ValueError("fixture %s: %s" % (path, err)) from None
+            raise FixtureError("fixture %s: %s" % (path, err)) from None
         fid = meta.get("id", path.stem)
         if fid in paths:
-            raise ValueError("fixture %s: #id %s is also in %s" % (path, fid, paths[fid]))
+            raise FixtureError("fixture %s: #id %s is also in %s" % (path, fid, paths[fid]))
         paths[fid] = path
         out[fid] = Fixture(
             id=fid,
@@ -125,7 +127,7 @@ def load_fixtures(root=None):
             source=meta.get("source", ""),
         )
     if not out:
-        raise FileNotFoundError("no fixtures found under %s" % root)
+        raise FixtureError("no fixtures found under %s" % root)
     return out
 
 

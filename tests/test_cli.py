@@ -292,6 +292,13 @@ def test_compute_weight_form_and_formats(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["color"] == "1|1" and payload["a_degree"] == "5"
+    # the weight form writes the same term file, #color header included
+    term_files = [
+        run(capsys, "compute", "--knot", "3,2", option, color, "--format", "term-file")
+        for option, color in (("--weight", "2w1|w1"), ("--color", "2|1"))
+    ]
+    assert term_files[0] == term_files[1] and term_files[0][0] == 0
+    assert "#color 2|1\n" in term_files[0][1]
     code, out, _ = run(
         capsys, "compute", "--knot", "3,2", "--color", "0|1", "--format", "term-file"
     )
@@ -673,7 +680,8 @@ one = Partition((1,))
 rosso.finite_N_oracle(rosso.TorusKnot(3, 2), one, one, 3)
 metrics = tracer.metrics()
 names = ("rosso.engine.calls", "rosso.out_terms", "rosso.oracle.calls",
-         "symfunc.adams_at_rank.calls", "symfunc.adams_at_rank.keys")
+         "symfunc.adams_at_rank.calls", "symfunc.adams_at_rank.keys",
+         "rosso.qdim_at_rank.calls")
 print(code, *(metrics[name] for name in names))
 """
 
@@ -681,7 +689,8 @@ print(code, *(metrics[name] for name in names))
 def test_benchmark_tracing_wraps_the_engine():
     # the benchmark's tracer patches functions of the package by name, so a
     # rename in the package must fail here, not only in the benchmark's tests;
-    # the oracle's T(3,2) [1|1] at N = 3 has 4 Adams keys
+    # the oracle's T(3,2) [1|1] at N = 3 has 4 Adams keys, and it reads the
+    # Weyl numerator of zeta and of each key
     root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_COMPUTE, str(root / "src"), str(root / "perfbench")],
@@ -690,7 +699,7 @@ def test_benchmark_tracing_wraps_the_engine():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0", "1", "16", "1", "1", "4"]
+    assert proc.stdout.splitlines()[-1].split() == ["0", "1", "16", "1", "1", "4", "5"]
 
 
 def test_verify_connection_has_eight_passes(capsys):
@@ -732,7 +741,11 @@ def test_verify_missing_fixtures(capsys, monkeypatch, tmp_path):
         capsys, "verify", "--suite", "connection", "--fixtures", str(tmp_path)
     )
     assert code == 1
-    # an empty --fixtures names the working directory, not the default
+    with pytest.raises(verify.FixtureError, match="^no fixtures found under "):
+        verify.load_fixtures(tmp_path)
+    # load_fixtures alone picks the package fixtures, and an empty
+    # --fixtures names the working directory, not the default
+    assert cli.build_parser().parse_args(["verify"]).fixtures is None
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "verify", "--fixtures", "")
     assert (code, out, err) == (1, "", "fixture error: no fixtures found under .\n")

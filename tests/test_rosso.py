@@ -120,7 +120,8 @@ def test_bracket_sum_matches_quantum_integers():
                 direct = direct * quantum_integer(shape.row(i) - shape.row(j) + j - i)
             for i, j in pairs:
                 direct = exact_divide(direct, quantum_integer(j - i))
-            assert dim_at(qdim_at_rank(shape, N), N) == direct, (shape, N)
+            weyl = qdim_at_rank(shape, N), qdim_at_rank(EMPTY, N)
+            assert dim_at(weyl, N) == direct, (shape, N)
 
 
 def test_bracket_sum_negative_controls():
@@ -250,7 +251,7 @@ def test_quantum_dimension_finite_rank():
         dim = quantum_dimension(beta, gamma)
         base = len(beta) + len(gamma) + 1
         for N in range(base, base + 3):
-            direct = qdim_at_rank(compose_at_N(beta, gamma, N), N)
+            direct = qdim_at_rank(compose_at_N(beta, gamma, N), N), qdim_at_rank(EMPTY, N)
             assert dim_at(dim, N) == dim_at(direct, N), (beta, gamma, N)
 
 

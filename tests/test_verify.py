@@ -242,10 +242,15 @@ def test_corrupted_fixture_file_detected(tmp_path):
     dst = tmp_path / "fixtures"
     shutil.copytree(src, dst)
     target = dst / "3_2" / "hd_0__1.poly"
-    lines = target.read_text().splitlines()
+    original = target.read_text().splitlines()
+    lines = list(original)
     lines[-1] = lines[-1].replace("1", "2", 1)
     target.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="checksum"):
+    with pytest.raises(verify.FixtureError, match="checksum"):
+        verify.load_fixtures(dst)
+    # the checksum covers the terms only; a file with no #knot is refused too
+    target.write_text("".join(l + "\n" for l in original if not l.startswith("#knot ")))
+    with pytest.raises(verify.FixtureError, match="no #knot header"):
         verify.load_fixtures(dst)
 
 
