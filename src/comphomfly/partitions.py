@@ -113,6 +113,8 @@ def compose_at_N(lam, mu, N):
     whose leading rows of length lam_1 are the flat middle block; the result
     has at most N - 1 rows and size |mu| - |lam| + lam_1 * N.
     """
+    if N < 1:
+        raise RankTooSmallError("rank %d is not a rank: N must be at least 1" % N)
     if N < len(lam) + len(mu):
         raise RankTooSmallError(
             "rank %d < %d rows needed by [%s|%s]" % (N, len(lam) + len(mu), lam, mu)

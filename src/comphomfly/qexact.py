@@ -87,8 +87,8 @@ class Laurent:
     __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars, terms=None, den=1):
-        """Key entries must be ints or Fractions and coefficients ints, else
-        TypeError; each key entry means entry/den."""
+        """Key entries must be ints or Fractions and coefficients ints (not
+        bools), else TypeError; each key entry means entry/den."""
         if not isinstance(den, int) or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         self.vars = tuple(vars)
@@ -101,16 +101,12 @@ class Laurent:
                 raise TypeError("exponents must be ints or Fractions") from None
             grid = [map(int, map(mul, c, repeat(scale))) for c in _columns(terms, len(self.vars))]
             terms = dict(zip(_keys(grid, len(terms)), terms.values()))
-        if not all(map(isinstance, terms.values(), repeat(int))):
-            coeff = next(c for c in terms.values() if not isinstance(c, int))
+        if {*map(type, terms.values())} - {int}:  # exactly int: a bool is refused
+            coeff = next(c for c in terms.values() if type(c) is not int)
             raise TypeError("coefficient must be an int, got %r" % (coeff,))
         self.terms, self.den = _nonzero(terms), den * scale
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars):
-        return cls(vars)
 
     @classmethod
     def one(cls, vars):
@@ -313,11 +309,6 @@ def _rescaled(p, k):
     return dict(zip(_keys(columns, len(p.terms)), p.terms.values()))
 
 
-def _span(terms):
-    """Per-variable (min, max) of the int exponent keys."""
-    return [(min(col), max(col)) for col in zip(*terms)]
-
-
 def common_terms(p, r):
     """The term dicts of p and r rescaled to the lcm of their dens, and that lcm."""
     if not isinstance(r, Laurent):
@@ -350,10 +341,11 @@ def exact_divide(num, den):
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
-        return Laurent.zero(num.vars)
+        return Laurent(num.vars)
     rem, divisor, scale = common_terms(num, den)
     rem = dict(rem)
-    box = [(nl - dl, nh - dh) for (nl, nh), (dl, dh) in zip(_span(rem), _span(divisor))]
+    columns = zip(_columns(rem, len(num.vars)), _columns(divisor, len(num.vars)))
+    box = [(min(n) - min(d), max(n) - max(d)) for n, d in columns]
     pivot = min(divisor)
     pivot_coeff = divisor[pivot]
     tail = [(e, c) for e, c in divisor.items() if e != pivot]
@@ -591,7 +583,7 @@ def bracket_sum(rows, den):
                 neg += b.v * m
         oq, oa = -h * vs, -h * us
         keys = {(i * scale + oq, j * scale + oa): c for (i, j), c in terms.items() if c}
-        (qlo, qhi), (alo, _) = _span(keys)
+        (qlo, qhi), (alo, _) = ((min(col), max(col)) for col in _columns(keys, 2))
         lows.append((qlo + 2 * h * neg, alo))
         highs.append(qhi + 2 * h * (vs - neg))
         keyed.append((keys, key))

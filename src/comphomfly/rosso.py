@@ -143,9 +143,6 @@ class InvariantResult(NamedTuple):
     `normalized` times the color's quantum dimension equals their sum.
     """
 
-    knot: TorusKnot
-    lam: Partition
-    mu: Partition
     normalized: Laurent
     terms: list
 
@@ -179,7 +176,7 @@ def _assemble(knot, lam, mu, expansion):
     total = bracket_sum(rows, 2 * s)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
-    return InvariantResult(knot, lam, mu, total, terms)
+    return InvariantResult(total, terms)
 
 
 def composite_homfly(knot, lam, mu):

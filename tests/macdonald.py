@@ -194,7 +194,7 @@ def _operator_matrix(degree, n):
 
 def _eigenvalue(lam, n):
     """sum_i q^{lam_i} t^{n-i}, the operator eigenvalue on P_lam."""
-    out = Laurent.zero(QT)
+    out = Laurent(QT)
     for i in range(1, n + 1):
         out = out + _mono(q=lam.row(i), t=n - i)
     return out
@@ -230,7 +230,7 @@ def _p_coefficients(lam, n):
     for nu in order:
         if nu == lam or not _dominates(lam, nu):
             continue
-        rhs = Laurent.zero(QT)
+        rhs = Laurent(QT)
         for mu, u in coeffs.items():
             c = matrix[mu].get(nu)
             if c:
@@ -335,7 +335,7 @@ def _principal_value(poly, point):
     """Evaluate at x_i = t^{point[i]} as a QTFraction."""
     total = QTF_ZERO
     for key, v in poly.items():
-        orbit = Laurent.zero(QT)
+        orbit = Laurent(QT)
         for perm in set(permutations(key)):
             orbit = orbit + _mono(t=sum(p * pt for p, pt in zip(perm, point)))
         total = total + v * QTFraction(orbit)

@@ -225,7 +225,7 @@ def test_criterion_10_property_suites():
     rng = random.Random(2024)
 
     def random_laurent(terms):
-        out = Laurent.zero(QA)
+        out = Laurent(QA)
         for _ in range(terms):
             exps = {
                 v: Fraction(rng.randint(-6, 6), 2) for v in QA

@@ -150,6 +150,34 @@ def test_package_imports_neither_dataclasses_nor_importlib():
     assert found == []
 
 
+def test_package_caches_in_one_place():
+    # caching in one place: these five module-level lru_caches and no other
+    # functools cache, decorated or called; a table built for one call is a
+    # local dict
+    names = {"lru_cache", "cache", "cached_property"}
+    decorated = sorted(
+        "%s.%s" % (name[:-3], node.name)
+        for name, node in package_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for decorator in node.decorator_list
+        if names & set(identifiers(decorator))
+    )
+    uses = [
+        "%s:%d" % (name, node.lineno)
+        for name, node in package_nodes()
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert decorated == [
+        "qexact.bracket",
+        "symfunc.adams_coefficients",
+        "symfunc.skew_row",
+        "symfunc.subpartitions",
+        "verify.engine",
+    ]
+    assert len(uses) == len(decorated), uses
+
+
 def test_package_imports_no_private_name_across_modules():
     # a `_`-prefixed name belongs to its module, and the format it stands
     # for is known there only: no package module imports one from another

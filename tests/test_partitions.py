@@ -126,6 +126,9 @@ def test_compose_at_N_examples():
     assert compose_at_N(P("2"), P("1"), 4) == P("3,2,2")
     with pytest.raises(RankTooSmallError):
         compose_at_N(P("1,1"), P("1,1"), 3)
+    for N in (0, -1):
+        with pytest.raises(RankTooSmallError, match="N must be at least 1"):
+            compose_at_N(EMPTY, EMPTY, N)
 
 
 def test_compose_size_and_row_bound():

@@ -44,7 +44,7 @@ QTA = ("q", "t", "a")
 def random_laurent(rng, vars=QA, terms=4, span=3):
     # denominators 3 and 6 are the nu = 1/3 exceptional case; operands of
     # one test often differ in den, which covers the mixed operations
-    out = Laurent.zero(vars)
+    out = Laurent(vars)
     denom = rng.choice((1, 2, 3, 6))
     for _ in range(terms):
         exps = {
@@ -66,7 +66,7 @@ def test_ring_axioms():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == Laurent.zero(QA)
+        assert a - a == Laurent(QA)
         assert a * Laurent.one(QA) == a
 
 
@@ -86,12 +86,12 @@ def test_denominator_canonical_form():
     assert half * half == Laurent(QA, {(4, 0): 1}, 4)
     assert (half * half).has_integer_exponents() and not half.has_integer_exponents()
     assert (half + third) == Laurent(QA, {(6, 0): 1, (0, 4): 1}, 12)
-    assert (half * third - third * half) == Laurent.zero(QA)
+    assert (half * third - third * half) == Laurent(QA)
     assert (half + third - half) == third
     assert (half + third - half) == Laurent(QA, {(0, 2): 1}, 6)
     assert Laurent(QA, {(0, 0): 5}, 6) == Laurent(QA, {(0, 0): 5})
-    assert Laurent(QA, {(1, 0): 0}, 3) == Laurent.zero(QA)
-    assert Laurent.zero(QA) == Laurent(QA, {}, 5)
+    assert Laurent(QA, {(1, 0): 0}, 3) == Laurent(QA)
+    assert Laurent(QA) == Laurent(QA, {}, 5)
     with pytest.raises(ValueError):
         Laurent(QA, {(1, 0): 1}, 0)
 
@@ -116,12 +116,15 @@ def test_den_stays_within_the_operands_lcm():
 
 
 def test_non_integer_coefficients_are_refused():
-    for coeff in (0.5, 2.9, Fraction(1, 2), "1"):
+    # a bool is an int subclass, but dumps_poly would write True as a
+    # coefficient that loads_poly cannot read back
+    for coeff in (0.5, 2.9, Fraction(1, 2), "1", True):
         with pytest.raises(TypeError):
             Laurent(("q",), {(0,): coeff})
-    with pytest.raises(TypeError):
-        Laurent.monomial(QA, 2.9, q=1)
-    assert Laurent.monomial(QA, 0, q=1) == Laurent.zero(QA)
+    for coeff in (2.9, True):
+        with pytest.raises(TypeError):
+            Laurent.monomial(QA, coeff, q=1)
+    assert Laurent.monomial(QA, 0, q=1) == Laurent(QA)
 
 
 def test_float_exponents_are_refused():
@@ -276,14 +279,14 @@ def test_maps_keep_the_constant_term_and_zero():
     assert tilde_normalize(const).terms == {(): 7}
     assert const.has_integer_exponents() and Laurent((), {(): 7}, 3).has_integer_exponents()
     assert Laurent((), {(): 7}, 3) == const and (const + Laurent((), {(): 1}, 2)).terms
-    assert Laurent((), {(): 7}, 3) - const == Laurent.zero(())
+    assert Laurent((), {(): 7}, 3) - const == Laurent(())
     assert loads_poly(dumps_poly(const))[0] == const
     assert Laurent((), {(): 7}).terms == {(): 7}
     # the zero polynomial passes through every map
     for vars in ((), ("q",), QTA):
         zero = Laurent(vars, {}, 2)
         assert tilde_normalize(zero) == zero and zero.has_integer_exponents()
-        assert (zero + Laurent(vars, {}, 3)).terms == {} and zero == Laurent.zero(vars)
+        assert (zero + Laurent(vars, {}, 3)).terms == {} and zero == Laurent(vars)
         assert loads_poly(dumps_poly(zero))[0] == zero and zero.sorted_terms() == []
         assert (-zero).terms == {} and (zero * 3).terms == {}
         if vars:
@@ -412,7 +415,7 @@ def stepwise_sum(terms):
     common = Counter()
     for _, _, den in terms:
         common |= Counter(den)
-    total = Laurent.zero(QA)
+    total = Laurent(QA)
     for piece, num, den in terms:
         for b in [*num, *(common - Counter(den)).elements()]:
             piece = piece * bracket_numerator(b)
@@ -542,7 +545,7 @@ def test_bracket_sum_merges_rows_with_equal_brackets(monkeypatch):
     # with the cancelling pair alone the sum is zero, and nothing is packed
     packed.clear()
     pair = terms[2:4]
-    assert bracket_sum(*kernel_rows(pair)) == Laurent.zero(QA) == stepwise_sum(pair)
+    assert bracket_sum(*kernel_rows(pair)) == Laurent(QA) == stepwise_sum(pair)
     assert packed == [0]
 
 
@@ -574,7 +577,7 @@ def test_bracket_sum_packs_one_row_per_cancelled_list(monkeypatch):
 def test_degree_of_zero_names_the_cause():
     assert Laurent.monomial(QA, 3, a=2, q=-1).degree("a") == 2
     with pytest.raises(ValueError, match="zero polynomial has no a-degree"):
-        Laurent.zero(QA).degree("a")
+        Laurent(QA).degree("a")
 
 
 def test_bracket_sum_refuses_malformed_rows():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from comphomfly import qexact, rosso
+from comphomfly import qexact, rosso, verify
 from comphomfly.partitions import (
     EMPTY,
     Partition,
@@ -318,7 +318,7 @@ def test_normalization_identity():
         rows = max(rows, len(lam) + len(mu))
         for N in range(rows + 1, rows + 4):
             lhs = result.normalized.substitute({"a": (1, {"q": N})}) * dim_at(dim, N)
-            rhs = Laurent.zero(("q",))
+            rhs = Laurent(("q",))
             for t in result.terms:
                 twist = Laurent(("q",), {(exponent_at_rank(t.twist, N),): t.coefficient})
                 rhs = rhs + twist * dim_at(quantum_dimension(t.beta, t.gamma), N)
@@ -328,6 +328,12 @@ def test_normalization_identity():
 def test_finite_N_oracle_contract():
     with pytest.raises(RankTooSmallError):
         finite_N_oracle(TREFOIL, P("1"), P("1"), 1)
+    # rank 0 is not a rank, even for the empty color, whose rows fit in it;
+    # the stabilization check starts at N = 1 there
+    with pytest.raises(RankTooSmallError, match="N must be at least 1"):
+        finite_N_oracle(TREFOIL, EMPTY, EMPTY, 0)
+    reports = verify.check_stabilization(TREFOIL, EMPTY, EMPTY)
+    assert [r.line() for r in reports] == ["PASS oracle:3,2:0|0:N=%d" % N for N in range(1, 5)]
     one_q = parse_expr("1", ("q",))
     assert finite_N_oracle(TREFOIL, EMPTY, EMPTY, 3) == one_q
     # sl_2 Jones of the trefoil via the engine and via the oracle
@@ -437,19 +443,18 @@ def test_stabilization_grid():
     assert swapped == results[TREFOIL, "2,2|1"]
 
 
-@pytest.mark.slow
-def test_stabilization_grid_four_boxes():
-    # every color with |lam|+|mu| = 4 on the six knots of the grid: the
-    # engine against the oracle at four ranks, the two slots exchanged,
-    # transposition (q -> 1/q holds, q -> -1/q fails) and, for [lam|], the
-    # classical path
+def check_grid_boxes(boxes):
+    """Every color with |lam|+|mu| = boxes on the six knots of the grid: the
+    engine against the oracle at four ranks, the two slots exchanged,
+    transposition (q -> 1/q holds, q -> -1/q fails) and, for [lam|], the
+    classical path."""
     colors = [
         (lam, mu)
-        for a in range(5)
+        for a in range(boxes + 1)
         for lam in partitions_of(a)
-        for mu in partitions_of(4 - a)
+        for mu in partitions_of(boxes - a)
     ]
-    assert len(colors) == 20
+    assert len(colors) == {4: 20, 5: 36}[boxes]
     for knot in GRID_KNOTS:
         results = {(lam, mu): stabilized_engine(knot, lam, mu) for lam, mu in colors}
         for (lam, mu), poly in results.items():
@@ -459,6 +464,16 @@ def test_stabilization_grid_four_boxes():
             assert transposed != poly.substitute({"q": (-1, {"q": -1})}), (knot, lam, mu)
             if not mu:
                 assert classical_homfly(knot, lam).normalized == poly, (knot, lam)
+
+
+@pytest.mark.slow
+def test_stabilization_grid_four_boxes():
+    check_grid_boxes(4)
+
+
+@pytest.mark.slow
+def test_stabilization_grid_five_boxes():
+    check_grid_boxes(5)
 
 
 def test_transposition_symmetry():
@@ -482,7 +497,6 @@ def test_transposition_symmetry():
 
 def test_diagnostics_present():
     result = composite_homfly(TREFOIL, P("1"), P("1"))
-    assert (result.knot, result.lam, result.mu) == (TREFOIL, P("1"), P("1"))
     lines = [
         "term %s|%s c=%d exponent %s" % (t.beta, t.gamma, t.coefficient, t.twist.render())
         for t in result.terms
