@@ -25,7 +25,8 @@ class RankTooSmallError(ValueError):
 class Partition(tuple):
     """A partition: a validated tuple of weakly decreasing positive ints.
 
-    Zeros are stripped at construction, so tuple equality, hashing and
+    Trailing zeros are stripped at construction (a zero above a nonzero
+    row is an increase, and refused), so tuple equality, hashing and
     ordering are partition equality, hashing and ordering; a Partition
     compares equal to the plain tuple of its rows, by design.  Empty slots
     leave no instance dict, so instances are immutable dict keys.
@@ -37,12 +38,12 @@ class Partition(tuple):
         rows = tuple(rows)
         if not {int}.issuperset(map(type, rows)):
             raise TypeError("row lengths must be ints: %r" % (rows,))
-        rows = tuple(filter(None, rows))
         if rows and min(rows) < 0:
             raise ValueError("negative row length: %r" % (rows,))
         if not all(map(ge, rows, rows[1:])):
             raise ValueError("rows not weakly decreasing: %r" % (rows,))
-        return super().__new__(cls, rows)
+        # rows are now weakly decreasing and nonnegative, so zeros trail
+        return super().__new__(cls, rows[: rows.index(0)] if 0 in rows else rows)
 
     @classmethod
     def parse(cls, text):

@@ -273,70 +273,43 @@ def check_superduality(fa, fb, printed=None):
     )
 
 
-# the trefoil fixtures printed for one column (at q = 1) or one row (at
-# t = 1) of k boxes; each is the factor for k, so checking it against its
-# own factor would compare the fixture with itself
-COLUMN_SOURCES_Q1 = {1: "3_2:hd_0__1", 2: "3_2:hd_0__1-1"}
-ROW_SOURCES_T1 = {1: "3_2:hd_0__1", 2: "3_2:hd_0__2"}
+# the part a factor belongs to when var is set to 1, and the trefoil
+# fixtures printed for one such part of k boxes; each is the factor for k,
+# so checking it against its own factor would compare the fixture with itself
+FACTOR_SOURCES = {
+    "q": ("column", {1: "3_2:hd_0__1", 2: "3_2:hd_0__1-1"}),
+    "t": ("row", {1: "3_2:hd_0__1", 2: "3_2:hd_0__2"}),
+}
 
 
-def _column_factors_q1(fixtures, knot_tag):
-    """Column factors HD(omega_i; q=1, t, a), from printed data only."""
+def _factors_at_1(fixtures, knot_tag, var):
+    """The factors at var = 1 by part size, from printed data only."""
     if knot_tag == "3_2":
         return {
-            k: get_fixture(fixtures, fid).poly.substitute({"q": (1, {})})
-            for k, fid in COLUMN_SOURCES_Q1.items()
+            k: get_fixture(fixtures, fid).poly.substitute({var: (1, {})})
+            for k, fid in FACTOR_SOURCES[var][1].items()
         }
-    # 4,3: the printed t=1 row factor, carried through super-duality
+    # 4,3: the printed t = 1 row factor, at q = 1 carried through super-duality
     factor = get_fixture(fixtures, "4_3:factor_t1_row1").poly
-    return {1: tilde_normalize(factor.substitute({"q": (1, {"t": -1})}))}
+    if var == "q":
+        factor = tilde_normalize(factor.substitute({"q": (1, {"t": -1})}))
+    return {1: factor}
 
 
-def _row_factors_t1(fixtures, knot_tag):
-    """Row factors HD(k omega_1; q, t=1, a), from printed data only."""
-    if knot_tag == "3_2":
-        return {
-            k: get_fixture(fixtures, fid).poly.substitute({"t": (1, {})})
-            for k, fid in ROW_SOURCES_T1.items()
-        }
-    return {1: get_fixture(fixtures, "4_3:factor_t1_row1").poly}
-
-
-def _product_over(parts, factors):
-    if any(k not in factors for k in parts):
-        return None
-    vars = next(iter(factors.values())).vars
-    return math.prod((factors[k] for k in parts), start=Laurent.one(vars))
-
-
-def check_q1_eval(fixture, factors):
-    """Fixture at q = 1 against the product of per-column factors."""
-    cid = "q1-eval:%s" % fixture.id
-    if fixture.id in COLUMN_SOURCES_Q1.values():
+def check_eval(fixture, var, factors):
+    """Fixture at var = 1 against the product of its per-part factors,
+    exactly: one factor per column of [lam, mu] at q = 1, per row at t = 1."""
+    part, sources = FACTOR_SOURCES[var]
+    cid = "%s1-eval:%s" % (var, fixture.id)
+    if fixture.id in sources.values():
         return CheckReport(cid, "SKIP", note="factor source")
-    diagram = fixture.diagram()
-    columns = []
-    for side in (diagram.lam, diagram.mu):
-        columns.extend(conjugate(side))
-    target = _product_over(columns, factors)
-    if target is None:
-        return CheckReport(cid, "SKIP", note="column factor not printed")
-    value = fixture.poly.substitute({"q": (1, {})})
-    return CheckReport.compare(cid, tilde_normalize(value), tilde_normalize(target))
-
-
-def check_t1_eval(fixture, factors):
-    """Fixture at t = 1 against the product of per-row factors."""
-    cid = "t1-eval:%s" % fixture.id
-    if fixture.id in ROW_SOURCES_T1.values():
-        return CheckReport(cid, "SKIP", note="factor source")
-    diagram = fixture.diagram()
-    rows = diagram.lam + diagram.mu
-    target = _product_over(rows, factors)
-    if target is None:
-        return CheckReport(cid, "SKIP", note="row factor not printed")
-    value = fixture.poly.substitute({"t": (1, {})})
-    return CheckReport.compare(cid, value, target)
+    lam, mu = fixture.diagram()
+    parts = conjugate(lam) + conjugate(mu) if var == "q" else lam + mu
+    if not factors.keys() >= set(parts):
+        return CheckReport(cid, "SKIP", note="%s factor not printed" % part)
+    start = Laurent.one(factors[1].vars)
+    target = math.prod(map(factors.__getitem__, parts), start=start)
+    return CheckReport.compare(cid, fixture.poly.substitute({var: (1, {})}), target)
 
 
 def check_adeg(fixture):
@@ -467,15 +440,14 @@ def suite_duality(fixtures):
 
 
 def suite_evaluation(fixtures):
-    reports, factors = [], {}  # knot tag -> (column factors, row factors)
+    reports, factors = [], {}  # knot tag -> {var: factors at var = 1}
     for fid in HD_FIXTURE_IDS:
         fixture = get_fixture(fixtures, fid)
         tag = fid.split(":", 1)[0]
         if tag not in factors:
-            factors[tag] = _column_factors_q1(fixtures, tag), _row_factors_t1(fixtures, tag)
-        columns, rows = factors[tag]
-        reports.append(check_q1_eval(fixture, columns))
-        reports.append(check_t1_eval(fixture, rows))
+            factors[tag] = {var: _factors_at_1(fixtures, tag, var) for var in FACTOR_SOURCES}
+        for var, at_1 in factors[tag].items():
+            reports.append(check_eval(fixture, var, at_1))
         reports.append(check_adeg(fixture))
     return reports
 

@@ -345,6 +345,12 @@ def test_compute_parse_errors(capsys):
     for weight in ("w0|w1", "2w0+w1|w1"):
         code, out, err = run(capsys, "compute", "--knot", "3,2", "--weight", weight)
         assert code == 2 and out == "" and "argument error" in err, weight
+    # a zero between rows is refused, not dropped to make another partition
+    for color, rows in (("1,0,1|0", "(1, 0, 1)"), ("0,1|1", "(0, 1)")):
+        code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", color)
+        assert (code, out) == (2, "") and err == (
+            "argument error: rows not weakly decreasing: %s\n" % rows
+        ), color
 
 
 def test_compute_engine_failure_exit_code(capsys, monkeypatch):
@@ -696,6 +702,20 @@ def test_oracle_outputs_match_recorded_checksums():
         assert digest == recorded["oracle T(%s) [%s] N=%d" % (knot, color, N)], N
 
 
+VERIFY_ALL_SHA256 = "bcf50d4b49114e552276f8c44cf7ae71314093e431013f7f8e32baa93d10061b"
+
+
+def test_verify_all_output_matches_recorded_checksum(capsys):
+    # every report line on the package fixtures, byte for byte: order, ids,
+    # statuses and notes, then the summary line
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 103
+    assert lines[-1] == 'SUMMARY {"FAIL": 0, "PASS": 90, "SKIP": 12}'
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
 TRACED_COMPUTE = """
 import sys
 sys.path[:0] = sys.argv[1:]
@@ -817,8 +837,7 @@ def test_verify_refuses_a_fractional_a_exponent(capsys, tmp_path):
 
 
 def test_verify_fails_a_fixture_that_vanishes_at_q1(capsys, tmp_path):
-    # q - 1 is zero at q = 1, and zero tilde-normalizes to zero: a FAIL, not
-    # a traceback
+    # q - 1 is zero at q = 1: a FAIL, not a traceback
     from comphomfly.qexact import Laurent
 
     dst, _ = replace_fixture(

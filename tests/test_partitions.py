@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,12 @@ def test_construction_canonical():
     # order is reported as negative
     with pytest.raises(ValueError, match="negative row length"):
         Partition((-1, 2))
+    # only trailing zeros are stripped; a zero above a nonzero row is an
+    # increase, not a row to drop
+    for rows in ((2, 0, 1), (1, 0, 1), (0, 1)):
+        message = "^rows not weakly decreasing: %s$" % re.escape(repr(rows))
+        with pytest.raises(ValueError, match=message):
+            Partition(rows)
 
 
 def test_construction_refuses_rows_that_are_not_ints():
@@ -52,7 +59,7 @@ def test_construction_refuses_rows_that_are_not_ints():
     for rows in ((0.5,), (2.7, 1), (Fraction(3), 1), ("2",), (2, 1.0)):
         with pytest.raises(TypeError):
             Partition(rows)
-    assert Partition(r for r in (2, 0, 1)) == (2, 1)
+    assert Partition(r for r in (2, 1, 0)) == (2, 1)
 
 
 def test_text_round_trip():
@@ -60,6 +67,7 @@ def test_text_round_trip():
         assert str(P(text)) == text
     assert P("") == EMPTY
     assert str(CompositeDiagram.parse("2,1|1")) == "2,1|1"
+    assert repr(P("2,1")) == "Partition((2, 1))" and repr(EMPTY) == "Partition(())"
     assert CompositeDiagram.parse("0|3").lam == EMPTY
     with pytest.raises(ValueError):
         CompositeDiagram.parse("2,1")
@@ -152,9 +160,12 @@ def test_dual_and_column_reduction():
     assert reduce_columns(P("3,1"), 5) == P("3,1")
     with pytest.raises(RankTooSmallError):
         reduce_columns(P("1,1,1"), 2)
+    with pytest.raises(RankTooSmallError, match=r"^rank 1 < 2 rows of 1,1$"):
+        dual_at_N(P("1,1"), 1)
 
 
 def test_weight_parsing():
+    assert parse_weight("0") == parse_weight(" ") == EMPTY
     assert parse_weight("w1") == P("1")
     assert parse_weight("w2") == P("1,1")
     assert parse_weight("2w1") == P("2")

@@ -650,6 +650,8 @@ def test_serialization_round_trip():
             assert loaded == p
             assert dumps_poly(loaded, {"id": "x", "source": "unit test"}) == text
             assert meta["source"] == "unit test"
+            # blank lines are skipped
+            assert loads_poly(text.replace("\n", "\n \n")) == (loaded, meta)
 
 
 def test_serialization_checksum_detects_damage():
@@ -703,6 +705,30 @@ def test_repeated_header_is_refused():
         key = line.split()[0][1:]
         with pytest.raises(ValueError, match="repeated #%s header" % key):
             loads_poly(line + "\n" + text)
+
+
+def test_input_refusals():
+    # (call, error type, full message) for inputs the polynomial layer refuses
+    q, t = Laurent.monomial(QA, 1, q=1), Laurent.monomial(QTA, 1, t=1)
+    for call, error, message in [
+        (lambda: Laurent.monomial(QA, 1, t=1), ValueError, "unknown variables ['t']"),
+        (lambda: q.substitute({"t": (1, {})}), ValueError, "substituting absent variable 't'"),
+        (lambda: q.substitute({"q": (2, {"q": 1})}), ValueError, "sign must be +-1"),
+        (lambda: q + 1, TypeError, "expected Laurent, got 1"),
+        (lambda: q + t, ValueError, "variable mismatch: ('q', 'a') vs ('q', 't', 'a')"),
+        (lambda: exact_divide(q, 1), TypeError, "exact_divide wants Laurent arguments"),
+        (lambda: exact_divide(1, q), TypeError, "exact_divide wants Laurent arguments"),
+        (lambda: exact_divide(q, t), ValueError, "variable mismatch in division"),
+        (lambda: exact_divide(q, Laurent(QA)), ZeroDivisionError, "division by zero polynomial"),
+        (lambda: loads_poly("3\t1\n#vars q\n"), ValueError, "term line before #vars header"),
+        (lambda: loads_poly("#vars q a\n3\t1\n"), ValueError, "bad term line: '3\\t1'"),
+        (lambda: loads_poly("#vars q\n3\t1\t0\n"), ValueError, "bad term line: '3\\t1\\t0'"),
+        (lambda: loads_poly("#id x\n"), ValueError, "missing #vars header"),
+        (lambda: loads_poly(""), ValueError, "missing #vars header"),
+    ]:
+        with pytest.raises(error) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (error, message)
 
 
 def qa_mono(coeff=1, **exps):

@@ -332,6 +332,8 @@ def test_finite_N_oracle_contract():
     # the stabilization check starts at N = 1 there
     with pytest.raises(RankTooSmallError, match="N must be at least 1"):
         finite_N_oracle(TREFOIL, EMPTY, EMPTY, 0)
+    with pytest.raises(RankTooSmallError, match=r"^2,1,1 does not fit in rank 2$"):
+        qdim_at_rank(P("2,1,1"), 2)
     reports = verify.check_stabilization(TREFOIL, EMPTY, EMPTY)
     assert [r.line() for r in reports] == ["PASS oracle:3,2:0|0:N=%d" % N for N in range(1, 5)]
     one_q = parse_expr("1", ("q",))

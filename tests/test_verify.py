@@ -540,3 +540,25 @@ def test_each_evaluation_id_fails_on_a_fixture_it_reads(fixtures, monkeypatch):
         suite, higher_a_power, table, fixtures, monkeypatch
     )
     assert passing == 28
+
+
+def times_t(poly):
+    return poly * Laurent.monomial(poly.vars, 1, t=1)
+
+
+def test_q1_eval_fails_on_a_monomial_shift(fixtures, monkeypatch):
+    # a factor t is 1 at t = 1 and leaves the a-degree alone, so only the
+    # exact comparison at q = 1 sees it; tilde normalization would hide it
+    mutated = verify.suite_evaluation(damaged("3_2:hd_2__1", times_t)(fixtures, monkeypatch))
+    failed = [r.check_id for r in mutated if r.status == "FAIL"]
+    assert failed == ["q1-eval:3_2:hd_2__1"]
+
+
+def test_evaluation_skips_a_part_with_no_printed_factor(fixtures):
+    # the trefoil factors are printed for parts of one and two boxes; a row
+    # of three has none at t = 1, and a column of three none at q = 1
+    wide = dict(fixtures)
+    wide["3_2:hd_1__1"] = fixtures["3_2:hd_1__1"]._replace(color="3|1")
+    reports = {r.check_id: (r.status, r.note) for r in verify.suite_evaluation(wide)}
+    assert reports["t1-eval:3_2:hd_1__1"] == ("SKIP", "row factor not printed")
+    assert reports["q1-eval:3_2:hd_1__1-1-1"] == ("SKIP", "column factor not printed")
