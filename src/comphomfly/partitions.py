@@ -153,14 +153,16 @@ def weight_to_partition(coeffs):
 
 
 def parse_weight(text):
-    """Parse weight notation like '2w1+w3' into a Partition."""
+    """Parse weight notation like '2w1+w3' into a Partition.  A term's
+    multiplier is empty or unsigned digits, as a weight coordinate is a
+    nonnegative int."""
     text = text.strip().replace(" ", "")
     if text in ("", "0"):
         return EMPTY
     coeffs = {}
     for piece in text.split("+"):
         mult, sep, idx = piece.partition("w")
-        if not sep or not idx.isdigit():
+        if not sep or not idx.isdigit() or mult and not mult.isdigit():
             raise ValueError("bad weight term: %r" % piece)
         i = int(idx)
         if i < 1:

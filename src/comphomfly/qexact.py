@@ -19,9 +19,10 @@ bracket quotients, the engine's hot path, has one exact route,
 `bracket_sum`: one packed integer of merged rows, divided 2-adically by
 one binomial at a time.  A row is one signed monomial, an int coefficient
 and int q- and a-exponents over the one den the caller passes, times a
-bracket quotient; rows are cancelled and merged on (bracket, multiplicity)
-items, and the engine and the oracle take every bracket from one table,
-`bracket`, so equal brackets are one object.
+bracket quotient given as {bracket: multiplicity} counts; rows are merged
+on their nonzero (bracket, multiplicity) items, and the engine and the
+oracle take every bracket from one table, `bracket`, so equal brackets are
+one object.
 """
 
 from __future__ import annotations
@@ -497,20 +498,21 @@ def bracket_numerator(b):
 
 
 def bracket_sum(rows, den):
-    """Exact sum of c q^(i/den) a^(j/den) * num/under over (c, i, j, num,
-    under) rows, over (q, a): c, i and j ints (else TypeError) and den a
-    positive int (else ValueError).  num and under are equally long lists
-    of Brackets with a positive leading part, else ValueError (TypeError
-    for a non-Bracket), even where it cancels.  As [b] is
+    """Exact sum of c q^(i/den) a^(j/den) * num/under over (c, i, j, counts)
+    rows, over (q, a): c, i and j ints (else TypeError) and den a positive
+    int (else ValueError).  counts maps each Bracket of the quotient to its
+    multiplicity, num's counted up and under's down; the multiplicities
+    sum to zero, as num and under are equally long, else ValueError.  Every
+    bracket counts names, at multiplicity 0 too, is a Bracket (else
+    TypeError) with a positive leading part (else ValueError).  As [b] is
     bracket_numerator(b) over the unit bracket's, a row is its num
-    binomials over its under's.  Equal brackets cancel within a row, rows
-    left with equal brackets merge by adding the c of equal (i, j), C is
-    the unders' multiset max, P = sum(c q^i a^j * num * C/under), B =
-    prod(C), and the sum is P/B.  The bookkeeping runs on multiplicities:
-    a row is counted, cancelled and keyed as (bracket, multiplicity)
-    items, C is a {bracket: multiplicity} max, and a row's multiplier
-    C * num/under is C plus its key, expanded to repeated shifts only for
-    `_pack`.
+    binomials over its under's.  A row is keyed on its nonzero (bracket,
+    multiplicity) items, so equal brackets cancel within it, and rows with
+    one key merge by adding the c of equal (i, j).  C is the unders'
+    multiset max, P = sum(c q^i a^j * num * C/under), B = prod(C), and the
+    sum is P/B.  C is a {bracket: multiplicity} max, and a row's
+    multiplier C * num/under is C plus its key, expanded to repeated
+    shifts only for `_pack`.
 
     Kronecker substitution (D. Harvey, arXiv:0712.4046): every key goes on
     the grid 2h = lcm(2, den), where a bracket numerator is the monomial
@@ -548,15 +550,14 @@ def bracket_sum(rows, den):
     if not isinstance(den, int) or den < 1:
         raise ValueError("den must be a positive int, got %r" % (den,))
     merged, seen = {}, set()
-    for c, i, j, num, under in rows:
+    for c, i, j, counts in rows:
         if not (isinstance(c, int) and isinstance(i, int) and isinstance(j, int)):
             raise TypeError("row coefficient and exponents must be ints, got %r" % ((c, i, j),))
-        if len(num) != len(under):
-            raise ValueError("bracket row of %d over %d brackets" % (len(num), len(under)))
-        count = Counter(num)
-        count.subtract(Counter(under))
-        seen.update(count)
-        terms = merged.setdefault(frozenset(item for item in count.items() if item[1]), {})
+        balance = sum(counts.values())
+        if balance:
+            raise ValueError("bracket row of multiplicities summing to %d, not 0" % balance)
+        seen.update(counts)
+        terms = merged.setdefault(frozenset(filter(itemgetter(1), counts.items())), {})
         terms[i, j] = terms.get((i, j), 0) + c
     _check(seen)
     cancelled = [(terms, key) for key, terms in merged.items() if any(terms.values())]

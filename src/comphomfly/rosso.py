@@ -10,7 +10,8 @@ twist as one int exponent over 2s (the oracle's over 2N*s), take psi^r
 from `symfunc.adams_at_rank`, Littlewood's r-quotient sum of LR rows on the
 r-abacus, and sum with `qexact.bracket_sum`, the one exact route for
 bracket quotients, over rows of one int monomial over that exponent den
-and balanced lists of raw brackets, merged, packed and divided 2-adically.
+and balanced {bracket: multiplicity} counts, merged, packed and divided
+2-adically.
 """
 
 from __future__ import annotations
@@ -93,24 +94,22 @@ def _doubled_eigenvalue(lam, mu):
     return -(m + n), -(kappa(lam) + kappa(mu)), (n - m) ** 2
 
 
-def quantum_dimension(beta, gamma):
-    """Stable quantum dimension of [beta, gamma] as equally long, uncancelled
-    num and den bracket lists, the rows `bracket_sum` reads.
-
-    Three hook-content factors: gamma's dimension at rank N - len(beta), a
-    bracket [N - len(beta) + j - i] over its hook for each box (i, j) of
-    gamma; beta's at rank N - len(gamma), built the same way; and one
-    [N + gamma_i + beta_p + 1 - p - i] / [N + 1 - p - i] for each pair of
-    rows (i, p).  Every bracket is [N + const] or a positive constant [v],
-    taken from the bracket table `qexact.bracket`, so a pass over many terms
-    builds each distinct bracket once.
-    """
+def _slot(shape, other):
+    """The slot of shape beside a slot of `other` rows: shape's dimension at
+    rank N - other, a bracket [N - other + j - i] over its hook for each box
+    (i, j), as num and den lists."""
+    cols = conjugate(shape)
     num, den = [], []
-    for shape, other in ((gamma, beta), (beta, gamma)):
-        cols = conjugate(shape)
-        for i, row in enumerate(shape, start=1):
-            num += [bracket(1, j - i - len(other)) for j in range(1, row + 1)]
-            den += [bracket(0, row - j + cols[j - 1] - i + 1) for j in range(1, row + 1)]
+    for i, row in enumerate(shape, start=1):
+        num += [bracket(1, j - i - other) for j in range(1, row + 1)]
+        den += [bracket(0, row - j + cols[j - 1] - i + 1) for j in range(1, row + 1)]
+    return num, den
+
+
+def _cross(beta, gamma):
+    """[N + gamma_i + beta_p + 1 - p - i] over [N + 1 - p - i] for each pair
+    of rows (i, p), as num and den lists."""
+    num, den = [], []
     for i, g in enumerate(gamma, start=1):
         for p, b in enumerate(beta, start=1):
             num.append(bracket(1, g + b + 1 - p - i))
@@ -118,13 +117,47 @@ def quantum_dimension(beta, gamma):
     return num, den
 
 
+def quantum_dimension(beta, gamma):
+    """Stable quantum dimension of [beta, gamma] as equally long, uncancelled
+    num and den bracket lists, the form `render_quotient` prints.
+
+    Three hook-content factors: gamma's dimension at rank N - len(beta),
+    beta's at rank N - len(gamma) (each `_slot`), and the cross pairs of
+    rows (`_cross`).  Every bracket is [N + const] or a positive constant
+    [v], taken from the bracket table `qexact.bracket`, so a pass over many
+    terms builds each distinct bracket once.
+    """
+    parts = _slot(gamma, len(beta)), _slot(beta, len(gamma)), _cross(beta, gamma)
+    return [b for num, _ in parts for b in num], [b for _, den in parts for b in den]
+
+
+def _counts(row, num, den):
+    """Add num's brackets to the {bracket: multiplicity} dict row, subtract
+    den's, and return row."""
+    get = row.get
+    for b in num:
+        row[b] = get(b, 0) + 1
+    for b in den:
+        row[b] = get(b, 0) - 1
+    return row
+
+
 class FactoredTerm(NamedTuple):
-    """One summand of the unnormalized expansion, kept in factored form."""
+    """One summand of the unnormalized expansion, kept in factored form:
+    coefficient * q^((e1*N + e0)/den) * dim[beta, gamma]."""
 
     beta: Partition
     gamma: Partition
     coefficient: int
-    twist: SymExponent  # q-exponent of the combined eigenvalues, 1/N part cancelled
+    e1: int
+    e0: int
+    den: int
+
+    @property
+    def twist(self):
+        """The q-exponent as a SymExponent, its 1/N part cancelled; built
+        only when read, since only the printed forms read it."""
+        return SymExponent(Fraction(self.e1, self.den), Fraction(self.e0, self.den), Fraction(0))
 
     def render(self):
         return "%d * %s * %s  [%s|%s]" % (
@@ -155,24 +188,47 @@ def _assemble(knot, lam, mu, expansion):
     `_doubled_eigenvalue`, that is r*(d(beta, gamma) - s^2*d(lam, mu)) over
     2s, the oracle's form over 2N*s; a nonzero 1/N part raises
     ResidualRankError.  Its row is the coefficient, the q- and a-exponents
-    e0 and e1, and its hook-content lists divided by the color's, crossed:
-    (term num + color den) over (term den + color num).  One `bracket_sum`
-    over 2s cancels each row's shared brackets and adds the twisted terms.
+    e0 and e1, and its dimension over the color's as one {bracket:
+    multiplicity} dict, merged from four parts: the color's counts, negated
+    and made once; the two slots, each from a table local to this call,
+    keyed by (shape, rows of the other slot) and filled from `_slot`; and
+    the term's cross pairs.  A slot beside k rows is the slot beside none
+    with each [N + v] moved to [N + v - k], so `_slot` and `conjugate` run
+    once per shape.  One `bracket_sum` over 2s cancels each row's shared
+    brackets and adds the twisted terms.
     """
     r, s = knot.r, knot.s
     lead = [x * s * s for x in _doubled_eigenvalue(lam, mu)]
-    color_num, color_den = quantum_dimension(lam, mu)
+    slots = {}
+
+    def slot(shape, other):
+        counts = slots.get((shape, other))
+        if counts is None:
+            if other:
+                counts = {bracket(b.u, b.v - b.u * other): m for b, m in slot(shape, 0).items()}
+            else:
+                counts = _counts({}, *_slot(shape, 0))
+            slots[shape, other] = counts
+        return counts
+
+    def add_dimension(row, beta, gamma):  # quantum_dimension(beta, gamma), counted
+        get = row.get
+        for part in (slot(gamma, len(beta)), slot(beta, len(gamma))):
+            for b, m in part.items():
+                row[b] = get(b, 0) + m
+        return _counts(row, *_cross(beta, gamma))
+
+    color = {b: -m for b, m in add_dimension({}, lam, mu).items() if m}
     terms, rows = [], []
     for (beta, gamma), coefficient in sorted(expansion.items(), reverse=True):
         e1, e0, em1 = (r * (x - y) for x, y in zip(_doubled_eigenvalue(beta, gamma), lead))
-        twist = SymExponent(*(Fraction(e, 2 * s) for e in (e1, e0, em1)))
         if em1:
+            twist = SymExponent(*(Fraction(e, 2 * s) for e in (e1, e0, em1)))
             raise ResidualRankError(
                 "exponent %s retains rank-dependent parts" % (twist.render(),)
             )
-        terms.append(FactoredTerm(beta, gamma, coefficient, twist))
-        num, den = quantum_dimension(beta, gamma)
-        rows.append((coefficient, e0, e1, num + color_den, den + color_num))
+        terms.append(FactoredTerm(beta, gamma, coefficient, e1, e0, 2 * s))
+        rows.append((coefficient, e0, e1, add_dimension(dict(color), beta, gamma)))
     total = bracket_sum(rows, 2 * s)
     if not total.has_integer_exponents():
         raise IntegralityError("normalized output must be integral")
@@ -231,8 +287,9 @@ def finite_N_oracle(knot, lam, mu, N):
 
     zeta = compose_at_N(lam, mu, N)
     lead = theta(zeta) * s * s
-    zeta_num = qdim_at_rank(zeta, N)
+    under = _counts({}, (), qdim_at_rank(zeta, N))
     rows = []
     for nu, coeff in adams_at_rank(zeta, s, N).items():
-        rows.append((coeff, r * (theta(nu) - lead), 0, qdim_at_rank(nu, N), zeta_num))
+        row = _counts(dict(under), qdim_at_rank(nu, N), ())
+        rows.append((coeff, r * (theta(nu) - lead), 0, row))
     return bracket_sum(rows, 2 * N * s).substitute({"a": (1, {})})

@@ -17,7 +17,9 @@ classical route to a single-diagram invariant, which the tests compare with
 the composite engine at an empty slot.  `parse_expr` reads expected
 values written as expressions, with `/` as `qexact.exact_divide`, and
 `kernel_rows` writes bracket sums over Laurent pieces as the int monomial
-rows `qexact.bracket_sum` reads.  `reference_substitute` and
+and bracket-count rows `qexact.bracket_sum` reads, and `reference_rows`
+builds the engine's rows one term at a time, a second route to the
+per-shape tables of `rosso._assemble`.  `reference_substitute` and
 `reference_tilde_normalize` map a polynomial one term at a time, a second
 route to `Laurent.substitute` and `qexact.tilde_normalize`, which map
 exponent columns.
@@ -464,10 +466,36 @@ def _power(base, power):
 def kernel_rows(terms):
     """`qexact.bracket_sum`'s (rows, den) for (piece, num, den) terms, each
     piece a Laurent over (q, a): one row per term of each piece, its
-    exponents put on the lcm of the piece dens, which is the den returned."""
+    exponents put on the lcm of the piece dens, which is the den returned,
+    and its brackets counted, num's up and den's down, so a bracket that
+    cancels within the term stays at multiplicity 0."""
     den = math.lcm(*(piece.den for piece, _, _ in terms))
     rows = []
     for piece, num, under in terms:
         scale = den // piece.den
-        rows += [(c, i * scale, j * scale, num, under) for (i, j), c in piece.terms.items()]
+        counts = Counter(num)
+        counts.subtract(under)
+        rows += [(c, i * scale, j * scale, counts) for (i, j), c in piece.terms.items()]
     return rows, den
+
+
+def reference_rows(knot, lam, mu, expansion):
+    """The engine's kernel rows built one term at a time: a term's
+    `quantum_dimension` lists crossed with the color's, (term num + color
+    den) over (term den + color num), cancelled by one Counter, beside the
+    coefficient and the q- and a-exponents of its twist over 2s, read off
+    the printed eigenvalues.  Rows are (c, e0, e1, {bracket: nonzero
+    multiplicity}), in the engine's descending term order."""
+    r, s = knot.r, knot.s
+    color = rosso.braiding_eigenvalue(lam, mu)
+    color_num, color_den = rosso.quantum_dimension(lam, mu)
+    rows = []
+    for (beta, gamma), c in sorted(expansion.items(), reverse=True):
+        own = rosso.braiding_eigenvalue(beta, gamma)
+        e1, e0 = (Fraction(r, s) * x - r * s * y for x, y in zip(own[:2], color[:2]))
+        num, den = rosso.quantum_dimension(beta, gamma)
+        count = Counter(num + color_den)
+        count.subtract(den + color_num)
+        cancelled = {b: m for b, m in count.items() if m}
+        rows.append((c, int(e0 * 2 * s), int(e1 * 2 * s), cancelled))
+    return rows

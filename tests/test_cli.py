@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from comphomfly import cli, verify
-from comphomfly.partitions import CompositeDiagram, RankTooSmallError
-from comphomfly.qexact import InexactDivisionError, ResidualRankError, dumps_poly
+from comphomfly import cli, rosso, verify
+from comphomfly.partitions import CompositeDiagram, RankTooSmallError, conjugate
+from comphomfly.qexact import InexactDivisionError, ResidualRankError, SymExponent, dumps_poly
 from comphomfly.rosso import TorusKnot, finite_N_oracle
 
 
@@ -345,6 +345,10 @@ def test_compute_parse_errors(capsys):
     for weight in ("w0|w1", "2w0+w1|w1"):
         code, out, err = run(capsys, "compute", "--knot", "3,2", "--weight", weight)
         assert code == 2 and out == "" and "argument error" in err, weight
+    # a signed multiplier is named, not summed into the [2|1] or [1|1] color
+    for weight in ("3w1+-1w1|w1", "w2+-1w1|w1"):
+        code, out, err = run(capsys, "compute", "--knot", "3,2", "--weight", weight)
+        assert (code, out, err) == (2, "", "argument error: bad weight term: '-1w1'\n"), weight
     # a zero between rows is refused, not dropped to make another partition
     for color, rows in (("1,0,1|0", "(1, 0, 1)"), ("0,1|1", "(0, 1)")):
         code, out, err = run(capsys, "compute", "--knot", "3,2", "--color", color)
@@ -430,7 +434,7 @@ except ValueError:
     pass
 # its rows' exponents are ints over one positive den
 try:
-    rosso.bracket_sum([(1, 1, 0, [Bracket(0, 2)], [Bracket(0, 1)])], -2)
+    rosso.bracket_sum([(1, 1, 0, {Bracket(0, 2): 1, Bracket(0, 1): -1})], -2)
     sys.exit("negative exponent den passed")
 except ValueError:
     pass
@@ -660,6 +664,58 @@ def test_term_files_beyond_the_ladder_match_recorded_checksums(capsys):
         )
         assert code == 0 and out.count("\n") == lines, (knot, color)
         assert hashlib.sha256(out.encode()).hexdigest() == recorded, (knot, color)
+
+
+@pytest.mark.slow
+def test_frontier_term_files_match_recorded_checksums(capsys):
+    # the two sub-second cases of the engine's frontier, thousands of
+    # packed rows each, byte for byte
+    for knot, color, lines, recorded in [
+        ("5,4", "2,1|2,1", 2166, "d01dc26f77c7fb4aa16289875156322bae08e2ff3beaa973b5ca8bb89e98162a"),
+        ("5,4", "3|2,1", 2267, "dd83daf7961e4b0eb1ad41c9879df2791126aff3de1a55c0491f0cdfd25ba83b"),
+    ]:
+        code, out, _ = run(
+            capsys, "compute", "--knot", knot, "--color", color, "--format", "term-file"
+        )
+        assert code == 0 and out.count("\n") == lines, (knot, color)
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded, (knot, color)
+
+
+def test_ladder_assembly_conjugates_each_shape_once(capsys, monkeypatch):
+    # the engine builds a shape's hook lengths once per call, not once per
+    # term: over each ladder compute, no shape is conjugated twice
+    seen = []
+
+    def spy(shape):
+        seen.append(shape)
+        return conjugate(shape)
+
+    monkeypatch.setattr(rosso, "conjugate", spy)
+    for knot, color in LADDER:
+        seen.clear()
+        code, _, _ = run(capsys, "compute", "--knot", knot, "--color", color, "--format", "term-file")
+        assert code == 0 and seen, (knot, color)
+        assert len(seen) == len(set(seen)), (knot, color, sorted(seen))
+
+
+def test_term_files_build_no_printed_twist(capsys, monkeypatch):
+    # a twist is two ints over 2s; its SymExponent is built only where a
+    # term is printed
+    built = []
+    new = SymExponent.__new__
+
+    def spy(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(SymExponent, "__new__", spy)
+    for knot, color in LADDER:
+        code, _, _ = run(capsys, "compute", "--knot", knot, "--color", color, "--format", "term-file")
+        assert code == 0
+    assert built == []
+    # the spy sees the twists that are read: one per printed term
+    code, out, _ = run(capsys, "compute", "--knot", "3,2", "--color", "1|1", "--format", "unnormalized")
+    assert code == 0 and len(built) == len(out.splitlines()) == 5
 
 
 EXPAND_COLORS = ("2,1|2,1", "2,2|2", "3,1|2,1", "2,2|2,2")

@@ -176,3 +176,16 @@ def test_weight_parsing():
     for text in ("w0", "2w0+w1"):
         with pytest.raises(ValueError):
             parse_weight(text)
+    # a multiplier is empty or unsigned digits: a sign is refused by name,
+    # not summed into another coordinate
+    for text, piece in (
+        ("3w1+-1w1", "-1w1"),
+        ("w2+-1w1", "-1w1"),
+        ("-w1", "-w1"),
+        ("+1w2", ""),
+        ("1.5w1", "1.5w1"),
+        ("2w1+ -3w2", "-3w2"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("bad weight term: %r" % piece)):
+            parse_weight(text)
+    assert parse_weight("0w1+w2") == P("1,1") and parse_weight("03w1") == P("3")

@@ -567,10 +567,7 @@ def test_bracket_sum_packs_one_row_per_cancelled_list(monkeypatch):
     monkeypatch.setattr(qexact, "_pack", spy)
     lam = Partition((2, 1))
     rosso.composite_homfly(rosso.TorusKnot(3, 2), lam, lam)
-    lists = set()
-    for *_, num, den in rows:
-        num, den = Counter(num), Counter(den)
-        lists.add((frozenset((num - den).items()), frozenset((den - num).items())))
+    lists = {frozenset((b, m) for b, m in counts.items() if m) for *_, counts in rows}
     assert len(rows) == 66 and len(lists) == 40 and packed == [40]
 
 
@@ -581,12 +578,17 @@ def test_degree_of_zero_names_the_cause():
 
 
 def test_bracket_sum_refuses_malformed_rows():
-    # a row is balanced, [1]s included, and holds only Brackets with a
-    # positive leading part; the unit brackets cancel only in such a row
+    # a row's bracket multiplicities sum to zero, [1]s included, and it
+    # holds only Brackets with a positive leading part; the unit brackets
+    # cancel only in such a row
     one = Laurent.one(QA)
     for num, den in (([], [Bracket(0, 2)]), ([Bracket(1, 0)], [])):
         with pytest.raises(ValueError, match="bracket row of"):
             bracket_sum(*kernel_rows([(one, num, den)]))
+    two = {Bracket(0, 2): 1, UNIT_BRACKET: -1}
+    for counts in ({Bracket(0, 2): 1}, {**two, Bracket(0, 3): 1}, {**two, UNIT_BRACKET: -2}):
+        with pytest.raises(ValueError, match="bracket row of multiplicities summing to -?1,"):
+            bracket_sum([(1, 0, 0, counts)], 1)
     for bad in (Bracket(0, 0), Bracket(0, -2), Bracket(-1, 1)):
         with pytest.raises(ValueError, match="positive leading part"):
             bracket_sum(*kernel_rows([(one, [bad], [UNIT_BRACKET])]))
@@ -595,17 +597,24 @@ def test_bracket_sum_refuses_malformed_rows():
         # a bad bracket is refused even where it cancels in its own row
         with pytest.raises(ValueError, match="positive leading part"):
             bracket_sum(*kernel_rows([(one, [bad], [bad])]))
+        # a count row's bracket at multiplicity 0 is checked too
+        with pytest.raises(ValueError, match="positive leading part"):
+            bracket_sum([(1, 0, 0, {**two, bad: 0})], 1)
     with pytest.raises(TypeError):
         bracket_sum(*kernel_rows([(one, [(0, 3)], [UNIT_BRACKET])]))
+    with pytest.raises(TypeError, match="expected a Bracket"):
+        bracket_sum([(1, 0, 0, {**two, (0, 3): 0})], 1)
     # the same brackets balanced by [1]s are summed: [2][3]/[1]^2
     row = (one, [Bracket(0, 2), Bracket(0, 3)], [UNIT_BRACKET] * 2)
     assert bracket_sum(*kernel_rows([row])) == stepwise_sum([row])
+    counts = {Bracket(0, 2): 1, Bracket(0, 3): 1, UNIT_BRACKET: -2}
+    assert bracket_sum([(1, 0, 0, counts)], 1) == stepwise_sum([row])
 
 
 def test_bracket_sum_refuses_bad_den_and_non_int_rows():
     # q^(1/2) [2]/[1] is q + 1; the exponent den is a positive int, as a
     # Laurent's is, since at den = -2 the grid would flip every exponent
-    row = (1, 1, 0, [Bracket(0, 2)], [UNIT_BRACKET])
+    row = (1, 1, 0, {Bracket(0, 2): 1, UNIT_BRACKET: -1})
     assert bracket_sum([row], 2) == parse_expr("q + 1", QA)
     for den in (0, -2, 2.0):
         with pytest.raises(ValueError, match="den must be a positive int"):
@@ -614,7 +623,7 @@ def test_bracket_sum_refuses_bad_den_and_non_int_rows():
     # to an int, which would otherwise merge into an int key
     for bad in ((1.0, 1, 0), (1, Fraction(2, 2), 0), (1, 1, Fraction(1, 3)), (1, 2.0, 0)):
         with pytest.raises(TypeError, match="must be ints"):
-            bracket_sum([(*bad, [Bracket(0, 2)], [UNIT_BRACKET]), row], 2)
+            bracket_sum([(*bad, row[3]), row], 2)
 
 
 def test_render_quotient_canonical_form():

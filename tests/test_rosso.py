@@ -30,8 +30,16 @@ from comphomfly.rosso import (
     qdim_at_rank,
     quantum_dimension,
 )
+from comphomfly.symfunc import composite_adams
 
-from oracles import classical_homfly, exponent_at_rank, kernel_rows, parse_expr, partitions_of
+from oracles import (
+    classical_homfly,
+    exponent_at_rank,
+    kernel_rows,
+    parse_expr,
+    partitions_of,
+    reference_rows,
+)
 
 P = Partition.parse
 QA = ("q", "a")
@@ -476,6 +484,33 @@ def test_stabilization_grid_four_boxes():
 @pytest.mark.slow
 def test_stabilization_grid_five_boxes():
     check_grid_boxes(5)
+
+
+class CapturedRows(Exception):
+    """Raised in place of the kernel, carrying the (rows, den) it was given."""
+
+
+def test_engine_rows_match_the_per_term_reference(monkeypatch):
+    # the per-shape tables give every four-box color on the grid the rows
+    # of the one-term-at-a-time builder: the same coefficients, exponents
+    # and cancelled multiplicities, in the same order, each row balanced
+    def capture(rows, den):
+        raise CapturedRows(rows, den)
+
+    monkeypatch.setattr(rosso, "bracket_sum", capture)
+    colors = [
+        (lam, mu) for a in range(5) for lam in partitions_of(a) for mu in partitions_of(4 - a)
+    ]
+    assert len(colors) == 20
+    for knot in GRID_KNOTS:
+        for lam, mu in colors:
+            with pytest.raises(CapturedRows) as captured:
+                composite_homfly(knot, lam, mu)
+            rows, den = captured.value.args
+            assert den == 2 * knot.s and all(sum(row[3].values()) == 0 for row in rows)
+            engine = [(c, i, j, {b: m for b, m in counts.items() if m}) for c, i, j, counts in rows]
+            expansion = composite_adams(lam, mu, knot.s)
+            assert engine == reference_rows(knot, lam, mu, expansion), (knot, lam, mu)
 
 
 def test_transposition_symmetry():
